@@ -1,7 +1,15 @@
 """Bounded satisfiability solving and model synthesis for alternating-time
 temporal logic over synchronous multi-agent systems."""
 
-from .approx import Mode, PartialModel, build_over_model, build_under_model, is_compatible, sapp
+from .approx import (
+    Mode,
+    PartialModel,
+    check_validity,
+    is_compatible,
+    sapp,
+    solve_formula,
+    split_structure,
+)
 from .formula import (
     And,
     Coalition,
@@ -39,7 +47,7 @@ from .mas import (
     state_locals,
     successors,
 )
-from .mc import StateSet, atl_pre, check_validity, solve_formula, solve_op
+from .mc import StateSet, atl_pre, solve_op
 from .solver import (
     BoundsError,
     Clause,

@@ -1,15 +1,16 @@
-"""Partial models and two-sided approximation of satisfaction sets.
+"""Partial models, split structures, and the one evaluator for exact and
+approximate checking.
 
-A :class:`PartialModel` leaves protocol and valuation cells three-valued:
-determined-true, determined-false, or undefined.  From it, total structures
-are built by resolving undefined cells pessimistically (*necessary*: undef
+A :class:`PartialModel` is a three-valued view over the model cell vector:
+each protocol and valuation cell is determined-true, determined-false, or
+undefined.  Undefined cells resolve pessimistically (*necessary*: undef
 excluded) or optimistically (*possible*: undef included).
 
 :func:`sapp` computes, for a core formula, a state set guaranteed to contain
 (mode ``OVER``) or be contained in (mode ``UNDER``) the exact satisfaction
 set of every total model compatible with the partial model.  Negation swaps
-the mode of the subformula; strategic operators evaluate on a structure
-whose optimism is split by coalition membership:
+the mode of the subformula; strategic operators evaluate on the
+:func:`split_structure`, whose optimism is split by coalition membership:
 
 * ``OVER``: coalition agents get possible protocols, all others necessary
   ones, and the valuation is possible — extra coalition options and fewer
@@ -21,18 +22,27 @@ The under split is what makes the lower bound sound: giving the adversary
 anything less than its full possible protocol would let a state pass here
 and still fail in some compatible completion where the adversary uses an
 undetermined action.
+
+Once every cell is determined both bounds equal the exact satisfaction set,
+so exact checking (:func:`solve_formula`) runs the same recursion with the
+model itself as the structure for every coalition and mode.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Sequence
+from functools import cached_property
+from itertools import compress, repeat
+from operator import eq, ne
+from typing import Callable, Iterator, Sequence
 
 from .formula import And, Formula, Globally, Next, Not, Prop, Until
-from .mas import Assignment, Model, ModelShape, TransitionStructure
+from .mas import Assignment, Model, ModelShape, TransitionStructure, encode_model
 from .mc import StateSet, solve_globally, solve_next, solve_until
 
 Cell = int | None
+
+_CELL_VALUES = frozenset((0, 1, None))
 
 
 class Mode(Enum):
@@ -44,7 +54,8 @@ class Mode(Enum):
 
 
 class PartialModel:
-    """Shape plus three-valued protocol tables and valuation table.
+    """Shape plus the three-valued cell vector, laid out as in
+    :class:`~atlsat.mas.Assignment`.
 
     Rejects protocol rows that are determined false everywhere; such a row
     admits no compatible model.
@@ -56,129 +67,119 @@ class PartialModel:
         cp: Sequence[Sequence[Sequence[Cell]]],
         cv: Sequence[Sequence[Cell]],
     ):
-        self.shape = shape
-        self.cp = tuple(tuple(tuple(row) for row in agent) for agent in cp)
-        self.cv = tuple(tuple(row) for row in cv)
-        if len(self.cp) != shape.agent_count:
+        cp = tuple(tuple(tuple(row) for row in table) for table in cp)
+        cv = tuple(tuple(row) for row in cv)
+        if len(cp) != shape.agent_count:
             raise ValueError("one partial protocol per agent required")
-        for i, table in enumerate(self.cp):
+        for i, table in enumerate(cp):
             n = shape.locals_per_agent[i]
             if len(table) != n or any(len(row) != n for row in table):
                 raise ValueError(f"partial protocol of agent {i} must be {n}x{n}")
+        if len(cv) != shape.state_count or any(len(row) != shape.prop_count for row in cv):
+            raise ValueError("partial valuation must be |St| x prop_count")
+        cells = tuple(c for table in cp for row in table for c in row)
+        self._adopt(shape, cells + tuple(c for row in cv for c in row))
+
+    def _adopt(self, shape: ModelShape, cells: tuple[Cell, ...]) -> None:
+        if not _CELL_VALUES.issuperset(cells):
+            raise ValueError("cells must be 0, 1 or None")
+        for i, table in enumerate(_tables(shape, cells)):
             for k, row in enumerate(table):
-                if any(c not in (0, 1, None) for c in row):
-                    raise ValueError("protocol cells must be 0, 1 or None")
-                if all(c == 0 for c in row):
+                if 1 not in row and None not in row:
                     raise ValueError(
                         f"agent {i}, local state {k}: row determined empty, "
                         "no compatible model exists"
                     )
-        if len(self.cv) != shape.state_count or any(
-            len(row) != shape.prop_count for row in self.cv
-        ):
-            raise ValueError("partial valuation must be |St| x prop_count")
-        for row in self.cv:
-            if any(c not in (0, 1, None) for c in row):
-                raise ValueError("valuation cells must be 0, 1 or None")
+        self.shape = shape
+        self.cells = cells
 
     @classmethod
     def unconstrained(cls, shape: ModelShape) -> "PartialModel":
-        cp = tuple(
-            tuple((None,) * n for _ in range(n)) for n in shape.locals_per_agent
-        )
-        cv = tuple((None,) * shape.prop_count for _ in range(shape.state_count))
-        return cls(shape, cp, cv)
+        return cls.from_assignment(Assignment(shape, (None,) * shape.bit_count))
 
     @classmethod
     def from_assignment(cls, a: Assignment) -> "PartialModel":
-        shape = a.shape
-        cp = []
-        for i, n in enumerate(shape.locals_per_agent):
-            off = shape.tb_offsets[i]
-            cp.append(
-                tuple(
-                    tuple(a.bits[off + k * n + j] for j in range(n)) for k in range(n)
-                )
-            )
-        off = shape.vb_offset
-        cv = tuple(
-            tuple(a.bits[off + s * shape.prop_count + v] for v in range(shape.prop_count))
-            for s in range(shape.state_count)
-        )
-        return cls(shape, tuple(cp), cv)
+        pm = cls.__new__(cls)
+        pm._adopt(a.shape, tuple(a.bits))
+        return pm
 
     def to_assignment(self) -> Assignment:
-        bits: list[Cell] = []
-        for table in self.cp:
-            for row in table:
-                bits.extend(row)
-        for row in self.cv:
-            bits.extend(row)
-        return Assignment(self.shape, tuple(bits))
+        return Assignment(self.shape, self.cells)
 
     def with_cell(self, index: int, value: Cell) -> "PartialModel":
         """A refined copy with one cell set (used by tests and diagnostics)."""
-        a = self.to_assignment()
-        bits = list(a.bits)
-        bits[index] = value
-        return PartialModel.from_assignment(Assignment(self.shape, tuple(bits)))
+        cells = list(self.cells)
+        cells[index] = value
+        return PartialModel.from_assignment(Assignment(self.shape, tuple(cells)))
 
-    def _protocol_rows(self, agent: int, optimistic: bool) -> tuple[tuple[int, ...], ...]:
-        if optimistic:
-            return tuple(
-                tuple(j for j, c in enumerate(row) if c != 0) for row in self.cp[agent]
-            )
+    @property
+    def cp(self) -> tuple[tuple[tuple[Cell, ...], ...], ...]:
+        """Per agent, the partial protocol table, row = local state."""
+        return tuple(map(tuple, _tables(self.shape, self.cells)))
+
+    @property
+    def cv(self) -> tuple[tuple[Cell, ...], ...]:
+        """Per global state, the partial valuation row."""
+        p, off = self.shape.prop_count, self.shape.vb_offset
         return tuple(
-            tuple(j for j, c in enumerate(row) if c == 1) for row in self.cp[agent]
+            self.cells[off + s * p : off + s * p + p] for s in range(self.shape.state_count)
         )
 
-    def _valuation_masks(self, optimistic: bool) -> tuple[int, ...]:
-        masks = [0] * self.shape.prop_count
-        for s, row in enumerate(self.cv):
-            for v, c in enumerate(row):
-                if c == 1 or (optimistic and c is None):
-                    masks[v] |= 1 << s
-        return tuple(masks)
+    # Both views map optimistic -> the resolved cells: per agent and local
+    # state the enabled actions, and per proposition its state mask.  They
+    # are derived on first use, so a formula without strategic operators
+    # never derives protocol rows.
+
+    @cached_property
+    def _rows(self) -> dict[bool, tuple[tuple[tuple[int, ...], ...], ...]]:
+        return {
+            optimistic: tuple(
+                tuple(tuple(compress(range(len(row)), row)) for row in table)
+                for table in _tables(self.shape, ones)
+            )
+            for optimistic, ones in _ones(self.cells[: self.shape.vb_offset])
+        }
+
+    @cached_property
+    def _masks(self) -> dict[bool, tuple[int, ...]]:
+        powers = [1 << s for s in range(self.shape.state_count)]
+        p = self.shape.prop_count
+        return {
+            optimistic: tuple(sum(compress(powers, ones[v::p])) for v in range(p))
+            for optimistic, ones in _ones(self.cells[self.shape.vb_offset :])
+        }
 
 
-def build_under_model(pm: PartialModel) -> TransitionStructure:
-    """The all-necessary structure: only determined-true protocol cells and
-    valuation cells.  Rows may come out empty, so the result is flagged:
-    strategic operators evaluate false at successor-less states."""
-    enabled = tuple(
-        pm._protocol_rows(i, optimistic=False) for i in range(pm.shape.agent_count)
+def _ones(cells: Sequence[Cell]) -> tuple[tuple[bool, tuple[bool, ...]], ...]:
+    # (optimistic, per cell whether it counts as 1): an undefined cell
+    # counts as 1 only when optimistic.
+    return (False, tuple(map(eq, cells, repeat(1)))), (True, tuple(map(ne, cells, repeat(0))))
+
+
+def _tables(shape: ModelShape, seq: Sequence) -> Iterator[Iterator[Sequence]]:
+    # Per agent, the slices of a cell-indexed sequence that hold its
+    # protocol rows, lazily.
+    return (
+        (seq[k : k + n] for k in range(off, off + n * n, n))
+        for off, n in zip(shape.tb_offsets, shape.locals_per_agent)
     )
-    return TransitionStructure(
-        pm.shape, enabled, pm._valuation_masks(optimistic=False), strategic_false_at_dead=True
-    )
 
 
-def build_over_model(pm: PartialModel, coalition) -> TransitionStructure:
-    """Coalition agents get possible protocols, the rest necessary ones; the
-    valuation is possible.  Coalition rows are nonempty by the partial-model
-    invariant."""
+def split_structure(pm: PartialModel, coalition, mode: Mode) -> TransitionStructure:
+    """The structure a strategic operator over ``coalition`` evaluates on in
+    ``mode``: in ``OVER`` coalition agents get possible protocols, the rest
+    necessary ones, and the valuation is possible; ``UNDER`` is the dual.
+
+    ``split_structure(pm, all agents, Mode.UNDER)`` is the all-necessary
+    structure.  Its rows may be empty, which leaves a state without
+    successors; a goal state with no successors still under-approximates
+    soundly, since every compatible total model is serial.
+    """
     members = set(coalition)
-    enabled = tuple(
-        pm._protocol_rows(i, optimistic=i in members)
-        for i in range(pm.shape.agent_count)
-    )
-    return TransitionStructure(pm.shape, enabled, pm._valuation_masks(optimistic=True))
-
-
-def _split_structure(pm: PartialModel, coalition, mode: Mode) -> TransitionStructure:
-    # The structure a strategic operator evaluates on.  OVER equals
-    # build_over_model; UNDER is its coalition dual (necessary inside the
-    # coalition, possible outside, necessary valuation), left unflagged:
-    # empty coalition rows already yield no choice in the pre-image, and a
-    # goal state with no successors still under-approximates soundly since
-    # every compatible total model is serial.
-    members = set(coalition)
-    optimistic_inside = mode is Mode.OVER
-    enabled = tuple(
-        pm._protocol_rows(i, optimistic=(i in members) == optimistic_inside)
-        for i in range(pm.shape.agent_count)
-    )
-    return TransitionStructure(pm.shape, enabled, pm._valuation_masks(optimistic_inside))
+    optimistic = mode is Mode.OVER
+    rows = pm._rows
+    enabled = tuple(rows[(i in members) == optimistic][i] for i in range(pm.shape.agent_count))
+    return TransitionStructure(pm.shape, enabled, pm._masks[optimistic])
 
 
 def is_compatible(m: Model, pm: PartialModel) -> bool:
@@ -186,16 +187,53 @@ def is_compatible(m: Model, pm: PartialModel) -> bool:
     model; undefined cells are unconstrained."""
     if m.shape != pm.shape:
         raise ValueError("model and partial model have different shapes")
-    for table, ctable in zip(m.protocols, pm.cp):
-        for row, crow in zip(table, ctable):
-            for have, want in zip(row, crow):
-                if want is not None and int(have) != want:
-                    return False
-    for row, crow in zip(m.valuation, pm.cv):
-        for have, want in zip(row, crow):
-            if want is not None and int(have) != want:
-                return False
-    return True
+    return all(
+        want is None or have == want for have, want in zip(encode_model(m).bits, pm.cells)
+    )
+
+
+def _evaluate(
+    f: Formula,
+    mode: Mode,
+    shape: ModelShape,
+    valuation: Callable[[Mode], Sequence[int]],
+    structure: Callable[[tuple[int, ...], Mode], TransitionStructure],
+    trace: Callable[[Formula, Mode], None] | None = None,
+) -> StateSet:
+    """The formula recursion shared by exact and approximate checking.
+    ``valuation(mode)`` gives the proposition masks and
+    ``structure(members, mode)`` the structure a strategic operator over
+    that coalition evaluates on."""
+    full = (1 << shape.state_count) - 1
+
+    def rec(node: Formula, md: Mode) -> StateSet:
+        if trace is not None:
+            trace(node, md)
+        if isinstance(node, Prop):
+            if node.index >= shape.prop_count:
+                raise IndexError(
+                    f"p{node.index} out of range ({shape.prop_count} propositions)"
+                )
+            return valuation(md)[node.index]
+        if isinstance(node, Not):
+            return full & ~rec(node.child, md.flipped())
+        if isinstance(node, And):
+            return rec(node.left, md) & rec(node.right, md)
+        if isinstance(node, (Next, Globally, Until)):
+            members = node.coalition.members
+            if members and members[-1] >= shape.agent_count:
+                raise IndexError(
+                    f"agent {members[-1]} out of range ({shape.agent_count} agents)"
+                )
+            st = structure(members, md)
+            if isinstance(node, Next):
+                return solve_next(st, members, rec(node.child, md))
+            if isinstance(node, Globally):
+                return solve_globally(st, members, rec(node.child, md))
+            return solve_until(st, members, rec(node.left, md), rec(node.right, md))
+        raise ValueError(f"formula is not core-normalized: {node!r}")
+
+    return rec(f, mode)
 
 
 def sapp(
@@ -208,48 +246,23 @@ def sapp(
     compatible with the partial model: a superset in mode ``OVER``, a subset
     in mode ``UNDER``.  The two coincide with the exact set once the partial
     model is fully determined."""
-    full = (1 << pm.shape.state_count) - 1
     structures: dict[tuple[Mode, tuple[int, ...]], TransitionStructure] = {}
-    valuations = {
-        Mode.OVER: pm._valuation_masks(optimistic=True),
-        Mode.UNDER: pm._valuation_masks(optimistic=False),
-    }
 
-    def structure(coalition, md: Mode) -> TransitionStructure:
-        key = (md, coalition.members)
-        s = structures.get(key)
+    def structure(members: tuple[int, ...], md: Mode) -> TransitionStructure:
+        s = structures.get((md, members))
         if s is None:
-            s = structures[key] = _split_structure(pm, coalition.members, md)
+            s = structures[md, members] = split_structure(pm, members, md)
         return s
 
-    def rec(node: Formula, md: Mode) -> StateSet:
-        if _trace is not None:
-            _trace(node, md)
-        if isinstance(node, Prop):
-            if node.index >= pm.shape.prop_count:
-                raise IndexError(
-                    f"p{node.index} out of range ({pm.shape.prop_count} propositions)"
-                )
-            return valuations[md][node.index]
-        if isinstance(node, Not):
-            return full & ~rec(node.child, md.flipped())
-        if isinstance(node, And):
-            return rec(node.left, md) & rec(node.right, md)
-        if isinstance(node, (Next, Globally, Until)):
-            coal = node.coalition
-            if len(coal) and coal.members[-1] >= pm.shape.agent_count:
-                raise IndexError(
-                    f"agent {coal.members[-1]} out of range "
-                    f"({pm.shape.agent_count} agents)"
-                )
-            st = structure(coal, md)
-            if isinstance(node, Next):
-                return solve_next(st, coal.members, rec(node.child, md))
-            if isinstance(node, Globally):
-                return solve_globally(st, coal.members, rec(node.child, md))
-            return solve_until(
-                st, coal.members, rec(node.left, md), rec(node.right, md)
-            )
-        raise ValueError(f"formula is not core-normalized: {node!r}")
+    masks = pm._masks
+    return _evaluate(f, mode, pm.shape, lambda md: masks[md is Mode.OVER], structure, _trace)
 
-    return rec(f, mode)
+
+def solve_formula(m: TransitionStructure, f: Formula) -> StateSet:
+    """Exact satisfaction set of a core-normalized formula."""
+    return _evaluate(f, Mode.OVER, m.shape, lambda md: m.prop_masks, lambda members, md: m)
+
+
+def check_validity(m: Model, f: Formula) -> bool:
+    """Whether the formula holds at the model's initial state."""
+    return bool(solve_formula(m, f) >> m.shape.initial_state & 1)

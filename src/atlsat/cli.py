@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import dataclass
 
+from .approx import check_validity
 from .formula import (
     Formula,
     FormulaSyntaxError,
@@ -29,7 +30,6 @@ from .formula import (
     strategic_depth,
 )
 from .mas import ModelShape
-from .mc import check_validity
 from .solver import (
     BoundsError,
     Requirements,
@@ -73,16 +73,48 @@ class RunReport:
         return d
 
 
+def _int_rows(data: dict, field: str, width: int) -> tuple[tuple[int, ...], ...]:
+    rows = data.get(field, [])
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == width and all(isinstance(x, int) for x in row)
+        for row in rows
+    ):
+        raise ValueError(f"requirements field {field!r}: expected rows of {width} integers")
+    return tuple(map(tuple, rows))
+
+
 def load_requirements(path: str) -> Requirements:
+    """Read a requirements file; malformed content raises ``ValueError``
+    naming the bad field."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    shape = ModelShape(
-        [a["locals"] for a in data["agents"]],
-        [a.get("initial", 0) for a in data["agents"]],
-        data.get("props", 0),
-    )
-    cp = tuple(tuple(row) for row in data.get("cp", []))
-    cv = tuple(tuple(row) for row in data.get("cv", []))
+    agents = data.get("agents") if isinstance(data, dict) else None
+    if not isinstance(agents, list) or not all(
+        isinstance(a, dict)
+        and isinstance(a.get("locals"), int)
+        and isinstance(a.get("initial", 0), int)
+        for a in agents
+    ):
+        raise ValueError(
+            "requirements field 'agents': expected a list of objects with an "
+            "integer 'locals' and an optional integer 'initial'"
+        )
+    props = data.get("props", 0)
+    if not isinstance(props, int) or props < 0:
+        raise ValueError("requirements field 'props': expected an integer >= 0")
+    cp, cv = _int_rows(data, "cp", 4), _int_rows(data, "cv", 3)
+    try:
+        shape = ModelShape(
+            [a["locals"] for a in agents], [a.get("initial", 0) for a in agents], props
+        )
+    except ValueError as exc:
+        raise ValueError(f"requirements field 'agents': {exc}") from None
+    for field, rows, cell in (("cp", cp, shape.tb_bit), ("cv", cv, shape.vb_bit)):
+        for row in rows:
+            try:
+                cell(*row[:-1])
+            except IndexError as exc:
+                raise ValueError(f"requirements field {field!r}: {exc}") from None
     return Requirements(shape, cp, cv)
 
 
@@ -107,10 +139,7 @@ def cmd_check(args) -> int:
         formula = _read_formula(args)
         req = load_requirements(args.req)
         result = solve_satisfiability(formula, req, _solver_config(args))
-    except (FormulaSyntaxError, BoundsError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except SolveTimeout as exc:
+    except (FormulaSyntaxError, BoundsError, ValueError, OSError, SolveTimeout) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     stats = result.stats
@@ -217,12 +246,8 @@ def cmd_verify(args) -> int:
     try:
         formula = _read_formula(args)
         model = read_witness_json(args.witness)
-    except (FormulaSyntaxError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
         holds = check_validity(model, normalize(formula))
-    except (IndexError, ValueError) as exc:
+    except (FormulaSyntaxError, IndexError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if holds:

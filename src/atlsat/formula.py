@@ -142,6 +142,13 @@ class FormulaSyntaxError(ValueError):
 # Parsing
 
 
+# Deepest nesting parse_formula accepts.  Each "!", each temporal operator,
+# each parenthesis pair and each right operand of "&", "|" or "->" opens one
+# level.  Keeps the recursive parser, normalizer and evaluator within
+# Python's default recursion limit; the deepest criterion-6 formula nests 62
+# levels by this count.
+MAX_NESTING = 100
+
 _PUNCT2 = ("<<", ">>", "->")
 _PUNCT1 = ("(", ")", "!", "&", "|", ",")
 
@@ -218,6 +225,7 @@ class _Parser:
 
     def __init__(self, text: str):
         self.toks = _Tokenizer(text)
+        self.depth = 0
 
     def parse(self) -> Formula:
         f = self._implies()
@@ -232,32 +240,37 @@ class _Parser:
             got = "end of input" if kind == "eof" else repr(val)
             raise FormulaSyntaxError(f"expected {value!r}, got {got}", line, col)
 
+    def _deeper(self, tok: tuple[str, str, int, int], parse) -> Formula:
+        """Parse one nesting level below ``tok``, the token that opens it."""
+        if self.depth == MAX_NESTING:
+            raise FormulaSyntaxError(f"formula nested deeper than {MAX_NESTING} levels", *tok[2:])
+        self.depth += 1
+        f = parse()
+        self.depth -= 1
+        return f
+
     def _implies(self) -> Formula:
         left = self._or()
         if self.toks.peek()[1] == "->":
-            self.toks.next()
-            return Implies(left, self._implies())
+            return Implies(left, self._deeper(self.toks.next(), self._implies))
         return left
 
     def _or(self) -> Formula:
         left = self._and()
         if self.toks.peek()[1] == "|":
-            self.toks.next()
-            return Or(left, self._or())
+            return Or(left, self._deeper(self.toks.next(), self._or))
         return left
 
     def _and(self) -> Formula:
         left = self._unary()
         if self.toks.peek()[1] == "&":
-            self.toks.next()
-            return And(left, self._and())
+            return And(left, self._deeper(self.toks.next(), self._and))
         return left
 
     def _unary(self) -> Formula:
         kind, val, line, col = self.toks.peek()
         if val == "!":
-            self.toks.next()
-            return Not(self._unary())
+            return Not(self._deeper(self.toks.next(), self._unary))
         if val == "<<":
             return self._modal()
         return self._primary()
@@ -279,22 +292,20 @@ class _Parser:
         coalition = Coalition(members)
         kind, val, line, col = self.toks.peek()
         if val in ("X", "G", "F"):
-            self.toks.next()
-            child = self._unary()
+            child = self._deeper(self.toks.next(), self._unary)
             if val == "X":
                 return Next(coalition, child)
             if val == "G":
                 return Globally(coalition, child)
             return Eventually(coalition, child)
         if val == "(":
-            self.toks.next()
-            left = self._implies()
-            kind2, val2, line2, col2 = self.toks.next()
+            left = self._deeper(self.toks.next(), self._implies)
+            kind2, val2, line2, col2 = tok = self.toks.next()
             if val2 != "U":
                 raise FormulaSyntaxError(
                     f"expected 'U' inside coalition scope, got {val2!r}", line2, col2
                 )
-            right = self._implies()
+            right = self._deeper(tok, self._implies)
             self._expect(")")
             return Until(coalition, left, right)
         raise FormulaSyntaxError(
@@ -302,9 +313,9 @@ class _Parser:
         )
 
     def _primary(self) -> Formula:
-        kind, val, line, col = self.toks.next()
+        kind, val, line, col = tok = self.toks.next()
         if val == "(":
-            f = self._implies()
+            f = self._deeper(tok, self._implies)
             self._expect(")")
             return f
         if kind == "word":
@@ -320,7 +331,8 @@ class _Parser:
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse formula text into a syntax tree, keeping any surface sugar."""
+    """Parse formula text into a syntax tree, keeping any surface sugar.
+    Nesting deeper than :data:`MAX_NESTING` is a syntax error."""
     return _Parser(text).parse()
 
 

@@ -115,6 +115,8 @@ class ModelShape:
         return state_index(self, self.initial_locals)
 
     def tb_bit(self, agent: int, local: int, action: int) -> int:
+        if not 0 <= agent < self.agent_count:
+            raise IndexError(f"agent {agent} out of range ({self.agent_count} agents)")
         n = self.locals_per_agent[agent]
         if not (0 <= local < n and 0 <= action < n):
             raise IndexError(f"agent {agent}: cell ({local},{action}) out of range")
@@ -164,8 +166,7 @@ class TransitionStructure:
     ``enabled[i][k]`` lists the actions available to agent ``i`` at its local
     state ``k``.  Rows may be empty here (the concrete :class:`Model`
     subclass forbids that); states where some agent has an empty row have no
-    successors.  When ``strategic_false_at_dead`` is set, strategic operators
-    evaluate to false at successor-less states.
+    successors.
     """
 
     def __init__(
@@ -173,29 +174,15 @@ class TransitionStructure:
         shape: ModelShape,
         enabled: Sequence[Sequence[Sequence[int]]],
         prop_masks: Sequence[int],
-        strategic_false_at_dead: bool = False,
     ):
         self.shape = shape
         self.enabled = tuple(tuple(tuple(row) for row in agent) for agent in enabled)
         self.prop_masks = tuple(prop_masks)
-        self.strategic_false_at_dead = strategic_false_at_dead
         self._choice_masks: dict[tuple[int, ...], list[list[int]]] = {}
 
     @cached_property
     def full_mask(self) -> int:
         return (1 << self.shape.state_count) - 1
-
-    @cached_property
-    def live_mask(self) -> int:
-        mask = 0
-        for s, locs in enumerate(self.shape.state_locals_table):
-            if all(self.enabled[i][l] for i, l in enumerate(locs)):
-                mask |= 1 << s
-        return mask
-
-    @property
-    def strategic_mask(self) -> int:
-        return self.live_mask if self.strategic_false_at_dead else self.full_mask
 
     def choice_masks(self, coalition: Sequence[int]) -> list[list[int]]:
         """Per state, one successor-set mask per joint coalition choice.

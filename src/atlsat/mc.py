@@ -1,27 +1,22 @@
-"""Explicit-state model checking of core formulas over transition structures.
+"""Coalition pre-image and the fixpoints of the strategic operators.
 
 State sets are int bitmasks over the global state indices of the ambient
 shape.  Strategic operators are computed through the coalition pre-image
 :func:`atl_pre` and round-based fixpoints; because valid models are serial
 (every protocol row nonempty) the outcome sets are never empty and the
-pre-image needs no extra guard.  On sub-model structures flagged as possibly
-non-serial, strategic operators evaluate to false at successor-less states.
+pre-image needs no extra guard.  The formula recursion over these operators
+lives in :mod:`atlsat.approx`.
 """
 
 from __future__ import annotations
 
-from .formula import And, Formula, Globally, Next, Not, Prop, Until
-from .mas import Model, TransitionStructure
+from .mas import TransitionStructure
 
 StateSet = int
 
 
 def full_set(structure: TransitionStructure) -> StateSet:
     return structure.full_mask
-
-
-def states_in(x: StateSet, structure: TransitionStructure) -> list[int]:
-    return [s for s in range(structure.shape.state_count) if x >> s & 1]
 
 
 def atl_pre(m: TransitionStructure, coalition, x: StateSet) -> StateSet:
@@ -43,7 +38,7 @@ def atl_pre(m: TransitionStructure, coalition, x: StateSet) -> StateSet:
 
 
 def solve_next(m: TransitionStructure, coalition, x: StateSet) -> StateSet:
-    return atl_pre(m, coalition, x) & m.strategic_mask
+    return atl_pre(m, coalition, x)
 
 
 def solve_globally(m: TransitionStructure, coalition, x: StateSet) -> StateSet:
@@ -51,7 +46,7 @@ def solve_globally(m: TransitionStructure, coalition, x: StateSet) -> StateSet:
     while True:
         y2 = x & atl_pre(m, coalition, y)
         if y2 == y:
-            return y & m.strategic_mask
+            return y
         y = y2
 
 
@@ -60,7 +55,7 @@ def solve_until(m: TransitionStructure, coalition, x1: StateSet, x2: StateSet) -
     while True:
         y2 = x2 | (x1 & atl_pre(m, coalition, y))
         if y2 == y:
-            return y & m.strategic_mask
+            return y
         y = y2
 
 
@@ -82,32 +77,3 @@ def solve_op(op: str, m: TransitionStructure, y1: StateSet, y2: StateSet | None 
     if op == "until":
         return solve_until(m, coalition, y1, y2)
     raise ValueError(f"unknown operator {op!r}")
-
-
-def solve_formula(m: TransitionStructure, f: Formula) -> StateSet:
-    """Exact satisfaction set of a core-normalized formula."""
-    if isinstance(f, Prop):
-        if f.index >= m.shape.prop_count:
-            raise IndexError(f"p{f.index} out of range ({m.shape.prop_count} propositions)")
-        return m.prop_masks[f.index]
-    if isinstance(f, Not):
-        return m.full_mask & ~solve_formula(m, f.child)
-    if isinstance(f, And):
-        return solve_formula(m, f.left) & solve_formula(m, f.right)
-    if isinstance(f, (Next, Globally, Until)):
-        coal = f.coalition.members
-        if coal and coal[-1] >= m.shape.agent_count:
-            raise IndexError(
-                f"agent {coal[-1]} out of range ({m.shape.agent_count} agents)"
-            )
-        if isinstance(f, Next):
-            return solve_next(m, coal, solve_formula(m, f.child))
-        if isinstance(f, Globally):
-            return solve_globally(m, coal, solve_formula(m, f.child))
-        return solve_until(m, coal, solve_formula(m, f.left), solve_formula(m, f.right))
-    raise ValueError(f"formula is not core-normalized: {f!r}")
-
-
-def check_validity(m: Model, f: Formula) -> bool:
-    """Whether the formula holds at the model's initial state."""
-    return bool(solve_formula(m, f) >> m.shape.initial_state & 1)

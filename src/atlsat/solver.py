@@ -25,10 +25,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .approx import Mode, PartialModel, is_compatible, sapp
+from .approx import Mode, PartialModel, check_validity, is_compatible, sapp
 from .formula import Formula, normalize, validate_within
 from .mas import Assignment, Model, ModelShape, decode_model
-from .mc import check_validity
 
 
 class BoundsError(ValueError):
@@ -199,17 +198,25 @@ def theory_check(
     f = normalize(f)
     bits = _merge_with_requirements(asg, req)
     pm = PartialModel.from_assignment(Assignment(req.shape, tuple(bits)))
-    iota = req.shape.initial_state
-    over = sapp(pm, f, Mode.OVER)
-    if not over >> iota & 1:
-        lits = tuple(
-            -(v + 1) if value else (v + 1)
-            for v, value in enumerate(bits)
-            if value is not None
+    return _decide(pm, f, _make_recheck(f, req) if minimize else None)
+
+
+def _decide(
+    pm: PartialModel, f: Formula, recheck: Callable[[tuple[int, ...]], bool] | None
+) -> TheoryOutcome:
+    """The theory verdict on a partial model; a conflict clause negates
+    every determined cell, reduced by ``recheck`` when given."""
+    iota = pm.shape.initial_state
+    if not sapp(pm, f, Mode.OVER) >> iota & 1:
+        clause = Clause(
+            tuple(
+                -(v + 1) if value else (v + 1)
+                for v, value in enumerate(pm.cells)
+                if value is not None
+            )
         )
-        clause = Clause(lits)
-        if minimize:
-            clause = minimize_conflict(clause, _make_recheck(f, req))
+        if recheck is not None:
+            clause = minimize_conflict(clause, recheck)
         return TheoryOutcome("conflict", clause)
     if sapp(pm, f, Mode.UNDER) >> iota & 1:
         return TheoryOutcome("early_accept")
@@ -276,7 +283,6 @@ class _Search:
             tuple(c.literals) for c in structural_clauses(req)
         ]
         self.stats = SolverStats()
-        self.iota = self.shape.initial_state
         self.rng = random.Random(config.seed) if config.policy == "random" else None
         self._recheck = _make_recheck(f, req) if config.minimize_conflicts else None
 
@@ -402,27 +408,8 @@ class _Search:
 
     def run_theory(self) -> TheoryOutcome:
         self.stats.theory_checks += 1
-        pm = self.current_partial_model()
-        f = self.formula
-        over = sapp(pm, f, Mode.OVER)
-        if not over >> self.iota & 1:
-            lits = tuple(
-                -(v + 1) if self.value[v] else (v + 1)
-                for v in range(self.n)
-                if self.value[v] is not None
-            )
-            clause = Clause(lits)
-            if self._recheck is not None:
-                clause = minimize_conflict(clause, self._recheck)
-            return TheoryOutcome("conflict", clause)
-        if sapp(pm, f, Mode.UNDER) >> self.iota & 1:
-            return TheoryOutcome("early_accept")
-        return TheoryOutcome("pass")
-
-    def current_partial_model(self) -> PartialModel:
-        return PartialModel.from_assignment(
-            Assignment(self.shape, tuple(self.value))
-        )
+        pm = PartialModel.from_assignment(Assignment(self.shape, tuple(self.value)))
+        return _decide(pm, self.formula, self._recheck)
 
     # -- decisions
 

@@ -12,7 +12,7 @@ import json
 import random
 import time
 
-from atlsat.approx import Mode, PartialModel, is_compatible, sapp
+from atlsat.approx import Mode, PartialModel, check_validity, is_compatible, sapp, solve_formula
 from atlsat.formula import (
     And,
     Coalition,
@@ -29,7 +29,7 @@ from atlsat.formula import (
     strategic_depth,
 )
 from atlsat.mas import Assignment, Model, ModelShape, decode_model, encode_model
-from atlsat.mc import check_validity, solve_formula, solve_op
+from atlsat.mc import solve_op
 from atlsat.solver import Requirements, SolverConfig, solve_satisfiability
 from oracles import compatible_completions, enumerate_models
 from samplers import TINY_SHAPES, random_core_formula, random_model, random_partial_model

@@ -5,14 +5,13 @@ import pytest
 from atlsat.approx import (
     Mode,
     PartialModel,
-    build_over_model,
-    build_under_model,
     is_compatible,
     sapp,
+    solve_formula,
+    split_structure,
 )
 from atlsat.formula import And, Coalition, Next, Not, Prop, iter_subformulas
-from atlsat.mas import Model, ModelShape, encode_model
-from atlsat.mc import solve_formula
+from atlsat.mas import Assignment, Model, ModelShape, encode_model
 from oracles import compatible_completions, enumerate_models
 from samplers import (
     TINY_SHAPES,
@@ -30,9 +29,13 @@ def all_ones_pm(shape):
 
 class TestPartialModel:
     def test_rejects_determined_empty_row(self):
+        # Minimization's recheck counts this error as a conflict, so the
+        # flat-vector path must raise it too.
         shape = ModelShape([2], [0], 0)
         with pytest.raises(ValueError):
             PartialModel(shape, (((0, 0), (1, None)),), ((), ()))
+        with pytest.raises(ValueError):
+            PartialModel.from_assignment(Assignment(shape, (0, 0, 1, None)))
 
     def test_assignment_round_trip(self):
         rng = random.Random(0)
@@ -42,11 +45,15 @@ class TestPartialModel:
             assert PartialModel.from_assignment(pm.to_assignment()).cp == pm.cp
 
 
+def all_necessary(pm):
+    return split_structure(pm, range(pm.shape.agent_count), Mode.UNDER)
+
+
 class TestUnderModel:
     def test_fully_determined_ones(self):
         shape = ModelShape([2, 2], [0, 0], 1)
         pm = all_ones_pm(shape)
-        under = build_under_model(pm)
+        under = all_necessary(pm)
         assert under.enabled == tuple(
             tuple(tuple(range(n)) for _ in range(n)) for n in shape.locals_per_agent
         )
@@ -59,36 +66,18 @@ class TestUnderModel:
             for _ in range(2)
         )
         cv = tuple((None,) for _ in range(4))
-        under = build_under_model(PartialModel(shape, cp, cv))
+        under = all_necessary(PartialModel(shape, cp, cv))
         assert under.enabled == ((((0,), (1,))) , (((0,), (1,))))
         assert under.prop_masks == (0,)
-
-    def test_successorless_states_fail_strategic_operators(self):
-        # The flagged all-necessary structure: an undetermined outsider row
-        # comes out empty, making the state successor-less; strategic
-        # operators must evaluate false there rather than vacuously true.
-        from atlsat.mc import full_set, solve_op
-
-        shape = ModelShape([1, 2], [0, 0], 0)
-        cp = (((1,),), ((None, None), (0, 1)))
-        cv = tuple(() for _ in range(2))
-        under = build_under_model(PartialModel(shape, cp, cv))
-        assert under.enabled[1][0] == ()
-        dead = 0  # state (0,0): agent 1 has no necessary action at local 0
-        for coalition in ((), (0,), (0, 1)):
-            result = solve_op("next", under, full_set(under), coalition=coalition)
-            assert not result >> dead & 1
-        result = solve_op("until", under, full_set(under), full_set(under), coalition=(0,))
-        assert not result >> dead & 1
 
     def test_under_rows_subset_of_over_rows(self):
         rng = random.Random(1)
         for _ in range(500):
             shape = rng.choice(TINY_SHAPES)
             pm = random_partial_model(rng, shape)
-            under = build_under_model(pm)
+            under = all_necessary(pm)
             for c_members in _some_coalitions(rng, shape.agent_count):
-                over = build_over_model(pm, c_members)
+                over = split_structure(pm, c_members, Mode.OVER)
                 for i in range(shape.agent_count):
                     for k in range(shape.locals_per_agent[i]):
                         assert set(under.enabled[i][k]) <= set(over.enabled[i][k])
@@ -105,7 +94,7 @@ class TestOverModel:
     def test_all_undef_grand_coalition_is_universal(self):
         shape = ModelShape([2, 2], [0, 0], 1)
         pm = PartialModel.unconstrained(shape)
-        over = build_over_model(pm, (0, 1))
+        over = split_structure(pm, (0, 1), Mode.OVER)
         assert over.enabled == tuple(
             tuple(tuple(range(n)) for _ in range(n)) for n in shape.locals_per_agent
         )
@@ -116,8 +105,8 @@ class TestOverModel:
         for _ in range(200):
             shape = rng.choice(TINY_SHAPES)
             pm = random_partial_model(rng, shape)
-            over = build_over_model(pm, ())
-            under = build_under_model(pm)
+            over = split_structure(pm, (), Mode.OVER)
+            under = all_necessary(pm)
             assert over.enabled == under.enabled
             # Valuation side stays possible.
             for v in range(shape.prop_count):
@@ -131,8 +120,8 @@ class TestOverModel:
             shape = rng.choice(TINY_SHAPES)
             pm = random_partial_model(rng, shape)
             coal = tuple(sorted(rng.sample(range(shape.agent_count), rng.randint(0, shape.agent_count))))
-            over = build_over_model(pm, coal)
-            under = build_under_model(pm)
+            over = split_structure(pm, coal, Mode.OVER)
+            under = all_necessary(pm)
             for i in range(shape.agent_count):
                 for k in range(shape.locals_per_agent[i]):
                     u_row, o_row = set(under.enabled[i][k]), set(over.enabled[i][k])

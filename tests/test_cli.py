@@ -3,9 +3,15 @@ import re
 
 import pytest
 
+from atlsat.approx import check_validity
 from atlsat.cli import main
-from atlsat.formula import connective_count, normalize, parse_formula, strategic_depth
-from atlsat.mc import check_validity
+from atlsat.formula import (
+    MAX_NESTING,
+    connective_count,
+    normalize,
+    parse_formula,
+    strategic_depth,
+)
 from atlsat.witness import read_witness_json
 
 EXAMPLE_FORMULA = (
@@ -82,6 +88,31 @@ class TestCheck:
     def test_missing_requirements_file(self, tmp_path, capsys):
         assert main(["check", "-f", "p0", "--req", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"props": 1}, "agents"),
+            ({"agents": 3, "props": 1}, "agents"),
+            ({"agents": [{"locals": 2}], "props": 1, "cp": [[5, 0, 0, 1]]}, "cp"),
+        ],
+    )
+    def test_malformed_requirements_name_the_field(self, data, field, tmp_path, capsys):
+        req = tmp_path / "req.json"
+        req.write_text(json.dumps(data))
+        formulas = tmp_path / "formulas.txt"
+        formulas.write_text("p0\n")
+        for argv in (["check", "-f", "p0"], ["bench", str(formulas)]):
+            assert main(argv + ["--req", str(req)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert repr(field) in err
+
+    def test_nesting_past_the_limit_errors(self, req32, capsys):
+        text = "!" * (MAX_NESTING + 1) + "p0"
+        assert main(["check", "-f", text, "--req", req32]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nested deeper" in err
 
     def test_formula_from_file(self, req32, tmp_path):
         path = tmp_path / "f.atl"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atlsat.formula import (
+    MAX_NESTING,
     And,
     Coalition,
     Eventually,
@@ -31,6 +32,8 @@ from atlsat.formula import (
     strategic_depth,
     validate_within,
 )
+from atlsat.mas import ModelShape
+from atlsat.solver import Requirements, solve_satisfiability
 
 
 def core_taut():
@@ -89,6 +92,20 @@ class TestParse:
     def test_implication_and_constants(self):
         f = parse_formula("true -> false")
         assert f == Implies(TrueConst(), FalseConst())
+
+    def test_nesting_limit(self):
+        # At the limit the formula parses and solves; one level past it the
+        # parser stops at the token opening the extra level.
+        ok = "!" * (MAX_NESTING - 2) + "(p0 & p0)"
+        f = parse_formula(ok)
+        req = Requirements(ModelShape([2], None, 1))
+        assert solve_satisfiability(f, req).satisfiable == (MAX_NESTING % 2 == 0)
+        too_deep = "!" * (MAX_NESTING - 1) + "(p0 & p0)"
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula(too_deep)
+        assert exc.value.column == too_deep.index("&") + 1
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula("(" * (MAX_NESTING + 1) + "p0" + ")" * (MAX_NESTING + 1))
 
     def test_right_associative_conjunction(self):
         assert parse_formula("p0 & p1 & p2") == And(Prop(0), And(Prop(1), Prop(2)))

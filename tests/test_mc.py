@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from atlsat.approx import check_validity, solve_formula
 from atlsat.formula import (
     And,
     Coalition,
@@ -16,7 +17,7 @@ from atlsat.formula import (
     parse_formula,
 )
 from atlsat.mas import Model, ModelShape, encode_model, decode_model, Assignment, state_index
-from atlsat.mc import atl_pre, check_validity, full_set, solve_formula, solve_op
+from atlsat.mc import atl_pre, full_set, solve_op
 from oracles import (
     enumerate_models,
     fixpoint_globally,

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from atlsat.approx import Mode, PartialModel, is_compatible, sapp
+from atlsat.approx import Mode, PartialModel, check_validity, is_compatible, sapp
 from atlsat.formula import (
     And,
     Coalition,
@@ -17,7 +17,6 @@ from atlsat.formula import (
     parse_formula,
 )
 from atlsat.mas import Assignment, ModelShape, decode_model, encode_model
-from atlsat.mc import check_validity
 from atlsat.solver import (
     BoundsError,
     Clause,
