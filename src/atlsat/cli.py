@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .approx import check_validity
 from .formula import (
@@ -59,18 +59,9 @@ class RunReport:
     theory_checks: int = 0
 
     def to_dict(self, include_time: bool = True) -> dict:
-        d = {
-            "formula": self.formula,
-            "depth": self.depth,
-            "connectives": self.connectives,
-            "verdict": self.verdict,
-            "decisions": self.decisions,
-            "conflicts": self.conflicts,
-            "theory_checks": self.theory_checks,
-        }
-        if include_time:
-            d["time"] = self.wall_time
-        return d
+        d = asdict(self)
+        wall_time = d.pop("wall_time")
+        return {**d, "time": wall_time} if include_time else d
 
 
 def _int_rows(data: dict, field: str, width: int) -> tuple[tuple[int, ...], ...]:

@@ -142,11 +142,11 @@ class FormulaSyntaxError(ValueError):
 # Parsing
 
 
-# Deepest nesting parse_formula accepts.  Each "!", each temporal operator,
-# each parenthesis pair and each right operand of "&", "|" or "->" opens one
-# level.  Keeps the recursive parser, normalizer and evaluator within
-# Python's default recursion limit; the deepest criterion-6 formula nests 62
-# levels by this count.
+# Deepest nesting parse_formula accepts: the number of operators and
+# parenthesis pairs around any proposition or constant, so the parse tree is
+# at most one level higher.  Keeps the recursive parser, normalizer, evaluator
+# and equality within Python's default recursion limit; the deepest
+# criterion-6 formula nests 68 levels by this count.
 MAX_NESTING = 100
 
 _PUNCT2 = ("<<", ">>", "->")
@@ -225,7 +225,8 @@ class _Parser:
 
     def __init__(self, text: str):
         self.toks = _Tokenizer(text)
-        self.depth = 0
+        # Nesting at the current token; deepest atom nesting of the last parse.
+        self.depth = self.peak = 0
 
     def parse(self) -> Formula:
         f = self._implies()
@@ -240,32 +241,38 @@ class _Parser:
             got = "end of input" if kind == "eof" else repr(val)
             raise FormulaSyntaxError(f"expected {value!r}, got {got}", line, col)
 
+    @staticmethod
+    def _check(tok: tuple[str, str, int, int], level: int) -> None:
+        if level > MAX_NESTING:
+            raise FormulaSyntaxError(f"formula nested deeper than {MAX_NESTING} levels", *tok[2:])
+
     def _deeper(self, tok: tuple[str, str, int, int], parse) -> Formula:
         """Parse one nesting level below ``tok``, the token that opens it."""
-        if self.depth == MAX_NESTING:
-            raise FormulaSyntaxError(f"formula nested deeper than {MAX_NESTING} levels", *tok[2:])
+        self._check(tok, self.depth + 1)
         self.depth += 1
         f = parse()
         self.depth -= 1
         return f
 
+    def _binary(self, operand, op: str, node, rest) -> Formula:
+        # The operator token also deepens the left operand, parsed before it.
+        left = operand()
+        if self.toks.peek()[1] != op:
+            return left
+        tok, left_peak = self.toks.next(), self.peak + 1
+        self._check(tok, left_peak)
+        right = self._deeper(tok, rest)
+        self.peak = max(self.peak, left_peak)
+        return node(left, right)
+
     def _implies(self) -> Formula:
-        left = self._or()
-        if self.toks.peek()[1] == "->":
-            return Implies(left, self._deeper(self.toks.next(), self._implies))
-        return left
+        return self._binary(self._or, "->", Implies, self._implies)
 
     def _or(self) -> Formula:
-        left = self._and()
-        if self.toks.peek()[1] == "|":
-            return Or(left, self._deeper(self.toks.next(), self._or))
-        return left
+        return self._binary(self._and, "|", Or, self._or)
 
     def _and(self) -> Formula:
-        left = self._unary()
-        if self.toks.peek()[1] == "&":
-            return And(left, self._deeper(self.toks.next(), self._and))
-        return left
+        return self._binary(self._unary, "&", And, self._and)
 
     def _unary(self) -> Formula:
         kind, val, line, col = self.toks.peek()
@@ -299,7 +306,7 @@ class _Parser:
                 return Globally(coalition, child)
             return Eventually(coalition, child)
         if val == "(":
-            left = self._deeper(self.toks.next(), self._implies)
+            left, left_peak = self._deeper(self.toks.next(), self._implies), self.peak
             kind2, val2, line2, col2 = tok = self.toks.next()
             if val2 != "U":
                 raise FormulaSyntaxError(
@@ -307,6 +314,7 @@ class _Parser:
                 )
             right = self._deeper(tok, self._implies)
             self._expect(")")
+            self.peak = max(self.peak, left_peak)
             return Until(coalition, left, right)
         raise FormulaSyntaxError(
             f"expected temporal operator after coalition, got {val!r}", line, col
@@ -318,6 +326,7 @@ class _Parser:
             f = self._deeper(tok, self._implies)
             self._expect(")")
             return f
+        self.peak = self.depth
         if kind == "word":
             if val == "true":
                 return TrueConst()
@@ -343,6 +352,8 @@ def parse_formula(text: str) -> Formula:
 # tightest; a right operand at the same binary level prints without parens
 # (the parser is right-associative).
 _PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4
+_BINARY = {And: ("&", _PREC_AND), Or: ("|", _PREC_OR), Implies: ("->", _PREC_IMPLIES)}
+_MODAL = {Next: "X", Globally: "G", Eventually: "F"}
 
 
 def format_formula(f: Formula) -> str:
@@ -359,21 +370,12 @@ def _fmt(f: Formula, parent_prec: int) -> str:
         return "false"
     if isinstance(f, Not):
         return "!" + _fmt(f.child, _PREC_UNARY)
-    if isinstance(f, And):
-        s = f"{_fmt(f.left, _PREC_AND + 1)} & {_fmt(f.right, _PREC_AND)}"
-        return f"({s})" if parent_prec > _PREC_AND else s
-    if isinstance(f, Or):
-        s = f"{_fmt(f.left, _PREC_OR + 1)} | {_fmt(f.right, _PREC_OR)}"
-        return f"({s})" if parent_prec > _PREC_OR else s
-    if isinstance(f, Implies):
-        s = f"{_fmt(f.left, _PREC_IMPLIES + 1)} -> {_fmt(f.right, _PREC_IMPLIES)}"
-        return f"({s})" if parent_prec > _PREC_IMPLIES else s
-    if isinstance(f, Next):
-        return f"{f.coalition} X {_fmt(f.child, _PREC_UNARY)}"
-    if isinstance(f, Globally):
-        return f"{f.coalition} G {_fmt(f.child, _PREC_UNARY)}"
-    if isinstance(f, Eventually):
-        return f"{f.coalition} F {_fmt(f.child, _PREC_UNARY)}"
+    if type(f) in _BINARY:
+        op, prec = _BINARY[type(f)]
+        s = f"{_fmt(f.left, prec + 1)} {op} {_fmt(f.right, prec)}"
+        return f"({s})" if parent_prec > prec else s
+    if type(f) in _MODAL:
+        return f"{f.coalition} {_MODAL[type(f)]} {_fmt(f.child, _PREC_UNARY)}"
     if isinstance(f, Until):
         return f"{f.coalition} ({_fmt(f.left, 0)} U {_fmt(f.right, 0)})"
     raise TypeError(f"not a formula: {f!r}")
@@ -407,12 +409,9 @@ def normalize(f: Formula) -> Formula:
     if isinstance(f, And):
         left, right = normalize(f.left), normalize(f.right)
         return f if left is f.left and right is f.right else And(left, right)
-    if isinstance(f, Next):
+    if isinstance(f, (Next, Globally)):
         child = normalize(f.child)
-        return f if child is f.child else Next(f.coalition, child)
-    if isinstance(f, Globally):
-        child = normalize(f.child)
-        return f if child is f.child else Globally(f.coalition, child)
+        return f if child is f.child else type(f)(f.coalition, child)
     if isinstance(f, Until):
         left, right = normalize(f.left), normalize(f.right)
         return f if left is f.left and right is f.right else Until(f.coalition, left, right)
@@ -430,10 +429,7 @@ def normalize(f: Formula) -> Formula:
 
 
 def is_core(f: Formula) -> bool:
-    for node in iter_subformulas(f):
-        if not isinstance(node, CORE_TYPES):
-            return False
-    return True
+    return all(isinstance(node, CORE_TYPES) for node in iter_subformulas(f))
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +442,10 @@ def iter_subformulas(f: Formula) -> Iterator[Formula]:
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, Not):
+        if isinstance(node, (Not, Next, Globally, Eventually)):
             stack.append(node.child)
-        elif isinstance(node, (And, Or, Implies)):
-            stack.append(node.right)
-            stack.append(node.left)
-        elif isinstance(node, (Next, Globally, Eventually)):
-            stack.append(node.child)
-        elif isinstance(node, Until):
-            stack.append(node.right)
-            stack.append(node.left)
+        elif isinstance(node, (And, Or, Implies, Until)):
+            stack.extend((node.right, node.left))
 
 
 def strategic_depth(f: Formula) -> int:
@@ -541,10 +531,10 @@ def _draw_pool(params: GenParams, rng: random.Random) -> list[Coalition]:
         return list(params.coalition_pool)
     all_masks = list(range(1, 2**params.agent_count))
     rng.shuffle(all_masks)
-    pool = []
-    for mask in all_masks[: params.group_count]:
-        pool.append(Coalition(i for i in range(params.agent_count) if mask >> i & 1))
-    return pool
+    return [
+        Coalition(i for i in range(params.agent_count) if mask >> i & 1)
+        for mask in all_masks[: params.group_count]
+    ]
 
 
 def _clamped_normal(rng: random.Random, mean: float, spread: float, lo: int, hi: int) -> int:

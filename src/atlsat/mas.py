@@ -111,6 +111,15 @@ class ModelShape:
         return tuple(product(*(range(n) for n in self.locals_per_agent)))
 
     @cached_property
+    def slot_masks(self) -> tuple[tuple[int, ...], ...]:
+        """``slot_masks[i][a]``: the states whose agent-``i`` coordinate is ``a``."""
+        return tuple(
+            tuple(sum(1 << s for s, locs in enumerate(self.state_locals_table) if locs[i] == a)
+                  for a in range(n))
+            for i, n in enumerate(self.locals_per_agent)
+        )
+
+    @cached_property
     def initial_state(self) -> int:
         return state_index(self, self.initial_locals)
 
@@ -178,42 +187,21 @@ class TransitionStructure:
         self.shape = shape
         self.enabled = tuple(tuple(tuple(row) for row in agent) for agent in enabled)
         self.prop_masks = tuple(prop_masks)
-        self._choice_masks: dict[tuple[int, ...], list[list[int]]] = {}
 
     @cached_property
     def full_mask(self) -> int:
         return (1 << self.shape.state_count) - 1
 
-    def choice_masks(self, coalition: Sequence[int]) -> list[list[int]]:
-        """Per state, one successor-set mask per joint coalition choice.
-
-        Each mask covers the states reachable when the coalition fixes that
-        choice and the remaining agents move freely.  An empty coalition row
-        yields no choices; an empty outsider row yields mask 0 (no
-        successors to constrain).
-        """
-        key = tuple(coalition)
-        cached = self._choice_masks.get(key)
-        if cached is not None:
-            return cached
-        shape = self.shape
-        weights = shape.radix_weights
-        coal = list(key)
-        others = [i for i in range(shape.agent_count) if i not in key]
-        per_state: list[list[int]] = []
-        for locs in shape.state_locals_table:
-            coal_opts = [self.enabled[i][locs[i]] for i in coal]
-            other_opts = [self.enabled[i][locs[i]] for i in others]
-            masks = []
-            for choice in product(*coal_opts):
-                base = sum(a * weights[i] for i, a in zip(coal, choice))
-                m = 0
-                for completion in product(*other_opts):
-                    m |= 1 << (base + sum(a * weights[i] for i, a in zip(others, completion)))
-                masks.append(m)
-            per_state.append(masks)
-        self._choice_masks[key] = per_state
-        return per_state
+    def choice_masks(self, coalition: Sequence[int]) -> list[tuple]:
+        """The plan :func:`~atlsat.mc.atl_pre` follows: one ``(is member,
+        radix weight, slot masks, enabled rows)`` step per agent, outsiders
+        (for all) before members (exists).  An empty coalition row gives no
+        choice; an empty outsider row constrains nothing."""
+        shape, members = self.shape, set(coalition)
+        return [
+            (i in members, shape.radix_weights[i], shape.slot_masks[i], self.enabled[i])
+            for i in sorted(range(shape.agent_count), key=members.__contains__)
+        ]
 
 
 class Model(TransitionStructure):

@@ -1,11 +1,12 @@
 """Coalition pre-image and the fixpoints of the strategic operators.
 
 State sets are int bitmasks over the global state indices of the ambient
-shape.  Strategic operators are computed through the coalition pre-image
-:func:`atl_pre` and round-based fixpoints; because valid models are serial
-(every protocol row nonempty) the outcome sets are never empty and the
-pre-image needs no extra guard.  The formula recursion over these operators
-lives in :mod:`atlsat.approx`.
+shape.  Strategic operators are round-based fixpoints of the coalition
+pre-image :func:`atl_pre`, which never enumerates joint actions: it
+eliminates the outsiders (for all), then the coalition members (exists), one
+agent at a time.  Protocol rows may be empty in the split structures of
+:mod:`atlsat.approx`, whose formula recursion calls these: an empty
+coalition row gives no choice, an empty outsider row constrains nothing.
 """
 
 from __future__ import annotations
@@ -22,19 +23,30 @@ def full_set(structure: TransitionStructure) -> StateSet:
 def atl_pre(m: TransitionStructure, coalition, x: StateSet) -> StateSet:
     """States from which the coalition can force the next state into ``x``:
     some joint choice of enabled coalition actions such that every completion
-    by the other agents' enabled actions lands in ``x``.
+    by the other agents' enabled actions lands in ``x``.  The grand coalition
+    gives the existential pre-image, the empty coalition the universal one.
 
-    The grand coalition gives the existential pre-image, the empty coalition
-    the universal one.
+    Each step of the :meth:`~atlsat.mas.TransitionStructure.choice_masks`
+    plan moves one agent from target to source coordinate: slot ``l`` takes
+    the slices of ``y`` at the actions enabled at local state ``l``, shifted
+    into place, ANDed for an outsider and ORed for a member.
     """
-    result = 0
-    not_x = ~x
-    for s, masks in enumerate(m.choice_masks(tuple(coalition))):
-        for mask in masks:
-            if mask & not_x == 0:
-                result |= 1 << s
-                break
-    return result
+    y = x
+    for member, weight, slots, rows in m.choice_masks(tuple(coalition)):
+        z = 0
+        for l, (slot, row) in enumerate(zip(slots, rows)):
+            if member:
+                for a in row:
+                    d = (l - a) * weight
+                    z |= (y << d if d >= 0 else y >> -d) & slot
+                continue
+            acc = slot
+            for a in row:
+                d = (l - a) * weight
+                acc &= y << d if d >= 0 else y >> -d
+            z |= acc
+        y = z
+    return y
 
 
 def solve_next(m: TransitionStructure, coalition, x: StateSet) -> StateSet:

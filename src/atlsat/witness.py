@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import operator
+from contextlib import contextmanager
 from typing import Any
 
 from .mas import Assignment, Model, ModelShape, decode_model, encode_model, state_locals, successors
@@ -28,27 +30,43 @@ def witness_to_dict(m: Model) -> dict[str, Any]:
     }
 
 
+@contextmanager
+def _field(name: str):
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"witness field {name!r}: {problem}") from None
+
+
 def witness_from_dict(data: dict[str, Any]) -> Model:
-    """Rebuild a model, checking the tables against the raw cell string."""
-    shape = ModelShape(
-        [a["locals"] for a in data["agents"]],
-        [a["initial"] for a in data["agents"]],
-        data["props"],
-    )
-    protocols = tuple(
-        tuple(tuple(ch == "1" for ch in row) for row in table)
-        for table in data["protocols"]
-    )
-    valuation = tuple(
-        tuple(v in set(props) for v in range(shape.prop_count))
-        for props in data["valuation"]
-    )
-    model = Model(shape, protocols, valuation)
+    """Rebuild a model, checking the tables against the raw cell string.
+    Malformed content raises ``ValueError`` naming the bad field."""
+    data = data if isinstance(data, dict) else {}
+    with _field("agents"):
+        locs = [a["locals"] for a in data["agents"]]
+        init = [a["initial"] for a in data["agents"]]
+        ModelShape(locs, init)
+    with _field("props"):
+        shape = ModelShape(locs, init, operator.index(data["props"]))
+    with _field("protocols"):
+        protocols = tuple(
+            tuple(tuple(ch == "1" for ch in row) for row in table)
+            for table in data["protocols"]
+        )
+        Model(shape, protocols, [[False] * shape.prop_count] * shape.state_count)
+    with _field("valuation"):
+        valuation = tuple(
+            tuple(v in set(props) for v in range(shape.prop_count))
+            for props in data["valuation"]
+        )
+        model = Model(shape, protocols, valuation)
     bits = data.get("bits")
     if bits is not None:
-        recoded = decode_model(Assignment.from_string(shape, bits))
-        if recoded != model:
-            raise ValueError("witness tables disagree with the raw cell string")
+        with _field("bits"):
+            recoded = decode_model(Assignment.from_string(shape, bits))
+            if recoded != model:
+                raise ValueError("the tables disagree with the raw cell string")
     return model
 
 

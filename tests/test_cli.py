@@ -127,7 +127,46 @@ class TestCheck:
         assert "verified" in capsys.readouterr().out
 
 
+GOOD_WITNESS = {
+    "agents": [{"locals": 2, "initial": 0}],
+    "props": 1,
+    "protocols": [["11", "01"]],
+    "valuation": [[0], []],
+    "bits": "110110",
+}
+
+
 class TestVerify:
+    def test_good_witness_verifies(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(GOOD_WITNESS))
+        assert main(["verify", "-f", "p0", "--witness", str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({}, "agents"),
+            ([], "agents"),
+            ({"shape": 3}, "agents"),
+            ({**GOOD_WITNESS, "agents": [{"locals": 2}]}, "agents"),
+            ({**GOOD_WITNESS, "props": "1"}, "props"),
+            ({**GOOD_WITNESS, "protocols": 5}, "protocols"),
+            ({**GOOD_WITNESS, "protocols": [["11"]]}, "protocols"),
+            ({**GOOD_WITNESS, "valuation": [[[0]], []]}, "valuation"),
+            ({**GOOD_WITNESS, "valuation": [[0]]}, "valuation"),
+            ({**GOOD_WITNESS, "bits": 5}, "bits"),
+            ({**GOOD_WITNESS, "bits": "111110"}, "bits"),
+        ],
+    )
+    def test_malformed_witness_names_the_field(self, data, field, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", "-f", "p0", "--witness", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(field) in err
+
+
     def test_rejects_wrong_formula(self, req32, tmp_path, capsys):
         out_json = tmp_path / "w.json"
         main(["check", "-f", "p0", "--req", req32, "--out-json", str(out_json)])

@@ -107,6 +107,20 @@ class TestParse:
         with pytest.raises(FormulaSyntaxError):
             parse_formula("(" * (MAX_NESTING + 1) + "p0" + ")" * (MAX_NESTING + 1))
 
+    def test_nesting_limit_counts_left_operands(self):
+        # Each level adds "(", "&", "|" and "->" around the innermost atom;
+        # the left operands deepen the tree as much as the right ones do.
+        level = " & p0 | p0 -> p0)"
+        levels = MAX_NESTING // 4
+        f = parse_formula("(" * levels + "p0" + level * levels)
+        assert f == parse_formula(format_formula(f))
+        tower = "(" * 99 + "p0" + level * 99
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula(tower)
+        # The innermost "|" is the first too deep: the atom in its left
+        # operand already sits inside 99 parentheses and the "&".
+        assert exc.value.column == tower.index("|") + 1
+
     def test_right_associative_conjunction(self):
         assert parse_formula("p0 & p1 & p2") == And(Prop(0), And(Prop(1), Prop(2)))
 

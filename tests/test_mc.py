@@ -16,7 +16,16 @@ from atlsat.formula import (
     normalize,
     parse_formula,
 )
-from atlsat.mas import Model, ModelShape, encode_model, decode_model, Assignment, state_index
+from atlsat.mas import (
+    Assignment,
+    Model,
+    ModelShape,
+    TransitionStructure,
+    decode_model,
+    encode_model,
+    state_index,
+    state_locals,
+)
 from atlsat.mc import atl_pre, full_set, solve_op
 from oracles import (
     enumerate_models,
@@ -67,6 +76,58 @@ class TestAtlPre:
             coal = tuple(sorted(rng.sample(range(shape.agent_count), rng.randint(0, shape.agent_count))))
             x = rng.getrandbits(shape.state_count)
             assert atl_pre(m, coal, x) == oracle_pre(m, coal, x)
+
+    def test_matches_enumeration_with_empty_rows(self):
+        # Split structures may have empty protocol rows.  Reference: joint
+        # actions enumerated here, with the convention that an empty
+        # coalition row gives no choice and an empty outsider row constrains
+        # nothing.
+        rng = random.Random(11)
+        seen_empty = {True: 0, False: 0}
+        for _ in range(120):
+            while True:
+                locals_per_agent = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+                shape = ModelShape(locals_per_agent)
+                if shape.state_count <= 128:
+                    break
+            density, empty = rng.random(), rng.random() * 0.4
+            enabled = [
+                [
+                    () if rng.random() < empty
+                    else tuple(a for a in range(n) if rng.random() < density)
+                    for _ in range(n)
+                ]
+                for n in locals_per_agent
+            ]
+            st = TransitionStructure(shape, enabled, ())
+            for size in range(shape.agent_count + 1):
+                coal = tuple(sorted(rng.sample(range(shape.agent_count), size)))
+                for i, rows in enumerate(enabled):
+                    seen_empty[i in coal] += () in rows
+                x = rng.getrandbits(shape.state_count)
+                assert atl_pre(st, coal, x) == enumerated_pre(st, coal, x), (enabled, coal, x)
+        assert seen_empty[True] and seen_empty[False]
+
+
+def enumerated_pre(st, coalition, x):
+    shape = st.shape
+    others = [i for i in range(shape.agent_count) if i not in coalition]
+    result = 0
+    for s in range(shape.state_count):
+        locs = state_locals(shape, s)
+        for choice in itertools.product(*(st.enabled[i][locs[i]] for i in coalition)):
+            joint = list(locs)
+            for i, a in zip(coalition, choice):
+                joint[i] = a
+            forced = True
+            for completion in itertools.product(*(st.enabled[i][locs[i]] for i in others)):
+                for i, a in zip(others, completion):
+                    joint[i] = a
+                forced = forced and bool(x >> state_index(shape, joint) & 1)
+            if forced:
+                result |= 1 << s
+                break
+    return result
 
 
 def find_example_valuation():

@@ -31,6 +31,7 @@ from atlsat.solver import (
 )
 from oracles import enumerate_models, oracle_check_validity
 from samplers import random_core_formula, random_model
+from test_acceptance import BENCH_FORMULA_1, BENCH_ROWS
 
 S22P1 = ModelShape([2, 2], [0, 0], 1)
 
@@ -356,6 +357,18 @@ class TestSolveSatisfiability:
                 f, Requirements(S22P1), SolverConfig(minimize_conflicts=True)
             )
             assert plain.satisfiable == minimized.satisfiable
+
+    def test_criterion_6_rows_at_444(self):
+        # Formula 1 and the criterion-6 rows at [4,4,4], where the cost of the
+        # coalition pre-image decides whether each stays inside the limit.
+        # Witnesses are re-checked exactly inside the solver.
+        req = Requirements(ModelShape([4, 4, 4], [0, 0, 0], 3))
+        formulas = [parse_formula(BENCH_FORMULA_1)] + [
+            generate_random_formula(GenParams(3, 4, 3, depth, seed))
+            for depth, _, seed in BENCH_ROWS
+        ]
+        for f in formulas:
+            assert solve_satisfiability(f, req, SolverConfig(time_limit=20)).satisfiable
 
     def test_timeout_raises(self):
         f = generate_random_formula(GenParams(3, 4, 3, 20, 3))  # a slow refutation
