@@ -137,7 +137,8 @@ def cmd_check(args) -> int:
     if args.verbose:
         print(
             f"c decisions={stats.decisions} conflicts={stats.conflicts} "
-            f"theory_checks={stats.theory_checks} time={stats.wall_time:.3f}s"
+            f"theory_checks={stats.theory_checks} propagations={stats.propagations} "
+            f"time={stats.wall_time:.3f}s"
         )
     if result.satisfiable:
         print("s SATISFIABLE")

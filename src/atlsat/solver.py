@@ -2,7 +2,11 @@
 
 The search assigns the model bit vector one cell at a time.  Unit
 propagation runs over structural clauses (one per protocol row, so rows stay
-nonempty, plus one unit clause per requirement) and learned clauses.  After
+nonempty, plus one unit clause per requirement) and learned clauses.  Each
+clause watches two literals, non-false ones while it has them, and is
+visited only when a watched literal becomes false.  Visits follow the order
+of a pass-by-pass rescan of every clause in index order, so the trail, the
+reasons and the conflict clauses are those such a rescan would give.  After
 propagation settles at each level, the partial assignment is read as a
 partial model and the two-sided approximation decides the step:
 
@@ -20,6 +24,7 @@ they are returned.
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
 from dataclasses import dataclass, field
@@ -110,6 +115,7 @@ class SolverStats:
     decisions: int = 0
     conflicts: int = 0
     theory_checks: int = 0
+    propagations: int = 0
     wall_time: float = 0.0
     learned: list[Clause] = field(default_factory=list)
 
@@ -279,9 +285,19 @@ class _Search:
         self.reason: list[tuple[int, ...] | None] = [None] * self.n
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
-        self.clauses: list[tuple[int, ...]] = [
-            tuple(c.literals) for c in structural_clauses(req)
-        ]
+        self.clauses: list[tuple[int, ...]] = []
+        # Per clause, its watched literals; per literal, the clauses that
+        # watch it (and so must be revisited when it becomes false).
+        self.watched: list[tuple[int, ...]] = []
+        self.watchers: dict[int, set[int]] = {
+            lit: set() for v in range(1, self.n + 1) for lit in (v, -v)
+        }
+        # A heap of clauses added since the last propagation; trail literals
+        # before ``head`` have already queued their watchers.
+        self.queue: list[int] = []
+        self.head = 0
+        for c in structural_clauses(req):
+            self.add_clause(c.literals)
         self.stats = SolverStats()
         self.rng = random.Random(config.seed) if config.policy == "random" else None
         self._recheck = _make_recheck(f, req) if config.minimize_conflicts else None
@@ -291,12 +307,6 @@ class _Search:
     @property
     def decision_level(self) -> int:
         return len(self.trail_lim)
-
-    def lit_value(self, lit: int) -> bool | None:
-        v = self.value[abs(lit) - 1]
-        if v is None:
-            return None
-        return v == 1 if lit > 0 else v == 0
 
     def assign(self, lit: int, reason: tuple[int, ...] | None) -> None:
         v = abs(lit) - 1
@@ -313,35 +323,91 @@ class _Search:
             self.reason[v] = None
         del self.trail[cut:]
         del self.trail_lim[target_level:]
+        self.head = min(self.head, cut)
 
     # -- propagation
 
+    def add_clause(self, clause: tuple[int, ...]) -> None:
+        """Append a clause, watch it and queue it for the next propagation."""
+        self.clauses.append(tuple(clause))
+        self.watched.append(())
+        self.rewatch(len(self.clauses) - 1)
+        heapq.heappush(self.queue, len(self.clauses) - 1)
+
+    def rewatch(self, i: int) -> list[int]:
+        """Re-pick clause ``i``'s watches and return its non-false literals,
+        stopping at two.  Two non-false literals are watched when there are;
+        otherwise the false literals of highest level fill the places, so a
+        backjump that frees the clause frees them first."""
+        clause = self.clauses[i]
+        value = self.value
+        free = []
+        for lit in clause:
+            # Not false: unassigned (None differs from both bools) or true.
+            if value[abs(lit) - 1] != (lit < 0):
+                free.append(lit)
+                if len(free) == 2:
+                    break
+        new = tuple(free)
+        if len(free) < 2 and len(clause) > len(free):
+            level = self.level
+            false = [lit for lit in clause if lit not in free]
+            false.sort(key=lambda lit: level[abs(lit) - 1], reverse=True)
+            new += tuple(false[: 2 - len(free)])
+        old = self.watched[i]
+        if old != new:
+            watchers = self.watchers
+            for lit in old:
+                if lit not in new:
+                    watchers[lit].discard(i)
+            for lit in new:
+                watchers[lit].add(i)
+            self.watched[i] = new
+        return free
+
     def propagate(self) -> tuple[int, ...] | None:
-        """Unit-propagate to fixpoint; returns a falsified clause or None."""
-        changed = True
-        while changed:
-            changed = False
-            for clause in self.clauses:
-                unassigned = None
-                satisfied = False
-                for lit in clause:
-                    lv = self.lit_value(lit)
-                    if lv is True:
-                        satisfied = True
-                        break
-                    if lv is None:
-                        if unassigned is None:
-                            unassigned = lit
-                        else:
-                            unassigned = 0  # two free literals, nothing to do
-                            break
-                if satisfied:
-                    continue
-                if unassigned is None:
-                    return clause
-                if unassigned != 0:
-                    self.assign(unassigned, clause)
-                    changed = True
+        """Unit-propagate to fixpoint; returns a falsified clause or None.
+
+        Only clauses watching a literal that became false are visited, in
+        the order a pass-by-pass rescan of every clause would meet them:
+        one heap holds the indices left in the current pass, another those
+        for the next.  A decision dirties its watchers into the current
+        pass; a literal implied by clause ``j`` dirties watchers above ``j``
+        into the current pass and the rest into the next, where a rescan
+        would next see them.  So trail order, reasons and conflict clauses
+        are those of the rescan.
+
+        A clause left unvisited has two non-false watches, or a true one
+        and a false one of no lower level; either way it cannot be unit or
+        false until a watch becomes false, and a backjump keeps that so.
+        On a conflict the rest of the pass is dropped: the backjump that
+        follows frees every literal that queued it."""
+        watchers = self.watchers
+        trail = self.trail
+        current, self.queue = self.queue, []
+        for lit in trail[self.head :]:
+            for i in watchers[-lit]:
+                heapq.heappush(current, i)
+        self.head = len(trail)
+        upcoming: list[int] = []
+        last = -1
+        while current or upcoming:
+            if not current:
+                current, upcoming, last = upcoming, current, -1
+            i = heapq.heappop(current)
+            if i == last:
+                continue
+            last = i
+            free = self.rewatch(i)
+            if not free:
+                return self.clauses[i]
+            lit = free[0]
+            if len(free) == 1 and self.value[abs(lit) - 1] is None:
+                self.assign(lit, self.clauses[i])
+                self.stats.propagations += 1
+                self.head += 1
+                for k in watchers[-lit]:
+                    heapq.heappush(current if k > i else upcoming, k)
         return None
 
     # -- conflict analysis
@@ -400,7 +466,7 @@ class _Search:
         return tuple(learned), backjump
 
     def learn(self, clause: tuple[int, ...]) -> None:
-        self.clauses.append(clause)
+        self.add_clause(clause)
         if self.config.collect_learned:
             self.stats.learned.append(Clause(clause))
 

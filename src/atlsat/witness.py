@@ -39,6 +39,18 @@ def _field(name: str):
         raise ValueError(f"witness field {name!r}: {problem}") from None
 
 
+def _protocol_row(row: Any) -> tuple[bool, ...]:
+    if not isinstance(row, str) or not set(row) <= {"0", "1"}:
+        raise ValueError(f"protocol row {row!r} is not a string of '0' and '1'")
+    return tuple(ch == "1" for ch in row)
+
+
+def _valuation_row(props: Any, prop_count: int) -> tuple[bool, ...]:
+    if not all(type(v) is int and 0 <= v < prop_count for v in props):
+        raise ValueError(f"{props!r} names a proposition outside 0..{prop_count - 1}")
+    return tuple(v in props for v in range(prop_count))
+
+
 def witness_from_dict(data: dict[str, Any]) -> Model:
     """Rebuild a model, checking the tables against the raw cell string.
     Malformed content raises ``ValueError`` naming the bad field."""
@@ -51,14 +63,12 @@ def witness_from_dict(data: dict[str, Any]) -> Model:
         shape = ModelShape(locs, init, operator.index(data["props"]))
     with _field("protocols"):
         protocols = tuple(
-            tuple(tuple(ch == "1" for ch in row) for row in table)
-            for table in data["protocols"]
+            tuple(_protocol_row(row) for row in table) for table in data["protocols"]
         )
         Model(shape, protocols, [[False] * shape.prop_count] * shape.state_count)
     with _field("valuation"):
         valuation = tuple(
-            tuple(v in set(props) for v in range(shape.prop_count))
-            for props in data["valuation"]
+            _valuation_row(props, shape.prop_count) for props in data["valuation"]
         )
         model = Model(shape, protocols, valuation)
     bits = data.get("bits")

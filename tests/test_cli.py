@@ -81,6 +81,11 @@ class TestCheck:
         assert main(["check", "-f", "p0 & !p0", "--req", req32]) == 20
         assert "s UNSATISFIABLE" in capsys.readouterr().out
 
+    def test_verbose_reports_propagations(self, req221, capsys):
+        assert main(["check", "-v", "-f", "p0 & !p0", "--req", req221]) == 20
+        stats = re.search(r"^c .* propagations=(\d+) ", capsys.readouterr().out, re.M)
+        assert stats and int(stats.group(1)) > 0
+
     def test_malformed_formula_errors(self, req32, capsys):
         assert main(["check", "-f", "p0 & & p1", "--req", req32]) == 1
         assert "error" in capsys.readouterr().err
@@ -135,6 +140,8 @@ GOOD_WITNESS = {
     "bits": "110110",
 }
 
+NO_BITS = {k: v for k, v in GOOD_WITNESS.items() if k != "bits"}
+
 
 class TestVerify:
     def test_good_witness_verifies(self, tmp_path):
@@ -154,6 +161,9 @@ class TestVerify:
             ({**GOOD_WITNESS, "protocols": [["11"]]}, "protocols"),
             ({**GOOD_WITNESS, "valuation": [[[0]], []]}, "valuation"),
             ({**GOOD_WITNESS, "valuation": [[0]]}, "valuation"),
+            ({**NO_BITS, "protocols": [["1x", "01"]]}, "protocols"),
+            ({**NO_BITS, "valuation": [[5], []]}, "valuation"),
+            ({**NO_BITS, "valuation": [["0"], []]}, "valuation"),
             ({**GOOD_WITNESS, "bits": 5}, "bits"),
             ({**GOOD_WITNESS, "bits": "111110"}, "bits"),
         ],

@@ -23,6 +23,7 @@ from atlsat.solver import (
     Requirements,
     SolveTimeout,
     SolverConfig,
+    _Search,
     extract_model,
     minimize_conflict,
     solve_satisfiability,
@@ -370,6 +371,21 @@ class TestSolveSatisfiability:
         for f in formulas:
             assert solve_satisfiability(f, req, SolverConfig(time_limit=20)).satisfiable
 
+    def test_unsat_ladder_search_is_pinned(self):
+        # Minimization off, the [3,2] rung is refuted by Boolean conflicts
+        # alone; the counts pin the search that propagation order drives.
+        req = Requirements(ModelShape([3, 2], [0, 0], 2))
+        config = SolverConfig(minimize_conflicts=False)
+        r = solve_satisfiability(parse_formula("p0 & !p0"), req, config)
+        assert not r.satisfiable
+        assert (r.stats.decisions, r.stats.conflicts) == (6173, 6174)
+
+    def test_propagations_counted_and_repeatable(self):
+        req = Requirements(ModelShape([2, 2], [0, 0], 1))
+        runs = [solve_satisfiability(parse_formula("p0 & !p0"), req) for _ in range(2)]
+        assert runs[0].stats.propagations > 0
+        assert runs[0].stats.propagations == runs[1].stats.propagations
+
     def test_timeout_raises(self):
         f = generate_random_formula(GenParams(3, 4, 3, 20, 3))  # a slow refutation
         req = Requirements(ModelShape([2, 2, 2], [0, 0, 0], 3))
@@ -388,3 +404,94 @@ class TestExtractModel:
 
         with pytest.raises(UndefCellError):
             extract_model(empty_assignment(S22P1))
+
+
+class TestPropagation:
+    SHAPE = ModelShape([2, 2], [0, 0], 2)  # 16 cells
+
+    class Rescan(_Search):
+        """The search with the reference propagation: rescan every clause, in
+        index order, pass after pass until one changes nothing."""
+
+        def add_clause(self, clause):
+            self.clauses.append(tuple(clause))
+
+        def propagate(self):
+            changed = True
+            while changed:
+                changed = False
+                for clause in self.clauses:
+                    unassigned = None
+                    satisfied = False
+                    for lit in clause:
+                        x = self.value[abs(lit) - 1]
+                        if x is not None and x == (lit > 0):
+                            satisfied = True
+                            break
+                        if x is None:
+                            if unassigned is None:
+                                unassigned = lit
+                            else:
+                                unassigned = 0  # two free literals, nothing to do
+                                break
+                    if satisfied:
+                        continue
+                    if unassigned is None:
+                        return clause
+                    if unassigned != 0:
+                        self.assign(unassigned, clause)
+                        changed = True
+            return None
+
+    def test_watched_matches_rescan(self):
+        """Both propagations go through the same random decisions, Boolean
+        conflicts and theory-style conflicts (the negation of some assigned
+        literals), each resolved by analyze, backjump and learn; after every
+        step they agree on the conflict clause, the trail and its reasons."""
+        req = Requirements(self.SHAPE)
+        core = normalize(parse_formula("p0"))
+        boolean = theory = 0
+        for seed in range(500):
+            rng = random.Random(seed)
+            pair = [cls(core, req, SolverConfig()) for cls in (_Search, self.Rescan)]
+            n = pair[0].n
+            for _ in range(rng.randint(16, 48)):
+                length = rng.choice((1, 2, 3, 3, 3, 4, 4, 5, 6, 7, 8))
+                cells = rng.sample(range(1, n + 1), length)
+                clause = tuple(v if rng.random() < 0.5 else -v for v in cells)
+                for search in pair:
+                    search.add_clause(clause)
+            for _ in range(200):
+                conflicts = [search.propagate() for search in pair]
+                assert conflicts[0] == conflicts[1]
+                assert pair[0].trail == pair[1].trail
+                assert [pair[0].reason[abs(l) - 1] for l in pair[0].trail] == [
+                    pair[1].reason[abs(l) - 1] for l in pair[1].trail
+                ]
+                conflict = conflicts[0]
+                free = [v for v in range(n) if pair[0].value[v] is None]
+                # A total assignment always gets a theory verdict; refute it.
+                if conflict is None and (not free or rng.random() < 0.05) and pair[0].trail_lim:
+                    above = [l for l in pair[0].trail if pair[0].level[abs(l) - 1]]
+                    conflict = tuple(-l for l in rng.sample(above, rng.randint(1, len(above))))
+                    theory += 1
+                elif conflict is not None:
+                    boolean += 1
+                if conflict is not None:
+                    results = [search.analyze(conflict) for search in pair]
+                    assert results[0] == results[1]
+                    if results[0] is None:
+                        break
+                    learned, level = results[0]
+                    for search in pair:
+                        search.backjump(level)
+                        search.learn(learned)
+                    continue
+                if not free:
+                    break
+                v = rng.choice(free) + 1
+                decision = v if rng.random() < 0.5 else -v
+                for search in pair:
+                    search.trail_lim.append(len(search.trail))
+                    search.assign(decision, None)
+        assert boolean > 500 and theory > 500  # both kinds of conflict were driven
