@@ -161,11 +161,11 @@ class TestVerify:
             ({**GOOD_WITNESS, "protocols": [["11"]]}, "protocols"),
             ({**GOOD_WITNESS, "valuation": [[[0]], []]}, "valuation"),
             ({**GOOD_WITNESS, "valuation": [[0]]}, "valuation"),
+            ({**GOOD_WITNESS, "bits": 5}, "bits"),
+            ({**GOOD_WITNESS, "bits": "111110"}, "bits"),
             ({**NO_BITS, "protocols": [["1x", "01"]]}, "protocols"),
             ({**NO_BITS, "valuation": [[5], []]}, "valuation"),
             ({**NO_BITS, "valuation": [["0"], []]}, "valuation"),
-            ({**GOOD_WITNESS, "bits": 5}, "bits"),
-            ({**GOOD_WITNESS, "bits": "111110"}, "bits"),
         ],
     )
     def test_malformed_witness_names_the_field(self, data, field, tmp_path, capsys):
