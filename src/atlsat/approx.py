@@ -83,15 +83,21 @@ class PartialModel:
     def _adopt(self, shape: ModelShape, cells: tuple[Cell, ...]) -> None:
         if not _CELL_VALUES.issuperset(cells):
             raise ValueError("cells must be 0, 1 or None")
-        for i, table in enumerate(_tables(shape, cells)):
-            for k, row in enumerate(table):
-                if 1 not in row and None not in row:
-                    raise ValueError(
-                        f"agent {i}, local state {k}: row determined empty, "
-                        "no compatible model exists"
-                    )
+        # Per agent its (necessary, possible) enabled rows, one lookup of the
+        # agent's protocol slice in the shape's memo.
+        rows = [
+            shape.protocol_rows(cells[off : off + n * n])
+            for off, n in zip(shape.tb_offsets, shape.locals_per_agent)
+        ]
+        for i, (_, possible) in enumerate(rows):
+            if () in possible:
+                raise ValueError(
+                    f"agent {i}, local state {possible.index(())}: row determined empty, "
+                    "no compatible model exists"
+                )
         self.shape = shape
         self.cells = cells
+        self._rows = rows
 
     @classmethod
     def unconstrained(cls, shape: ModelShape) -> "PartialModel":
@@ -125,20 +131,8 @@ class PartialModel:
             self.cells[off + s * p : off + s * p + p] for s in range(self.shape.state_count)
         )
 
-    # Both views map optimistic -> the resolved cells: per agent and local
-    # state the enabled actions, and per proposition its state mask.  They
-    # are derived on first use, so a formula without strategic operators
-    # never derives protocol rows.
-
-    @cached_property
-    def _rows(self) -> dict[bool, tuple[tuple[tuple[int, ...], ...], ...]]:
-        return {
-            optimistic: tuple(
-                tuple(tuple(compress(range(len(row)), row)) for row in table)
-                for table in _tables(self.shape, ones)
-            )
-            for optimistic, ones in _ones(self.cells[: self.shape.vb_offset])
-        }
+    # Per proposition its state mask, necessary (optimistic False) and
+    # possible (True); derived on first use.
 
     @cached_property
     def _masks(self) -> dict[bool, tuple[int, ...]]:
@@ -177,8 +171,7 @@ def split_structure(pm: PartialModel, coalition, mode: Mode) -> TransitionStruct
     """
     members = set(coalition)
     optimistic = mode is Mode.OVER
-    rows = pm._rows
-    enabled = tuple(rows[(i in members) == optimistic][i] for i in range(pm.shape.agent_count))
+    enabled = tuple(rows[(i in members) == optimistic] for i, rows in enumerate(pm._rows))
     return TransitionStructure(pm.shape, enabled, pm._masks[optimistic])
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from math import isqrt
 from typing import Iterable, Sequence
 
 
@@ -119,6 +120,47 @@ class ModelShape:
             for i, n in enumerate(self.locals_per_agent)
         )
 
+    def elimination_plan(
+        self, coalition: tuple[int, ...]
+    ) -> tuple[tuple[int, bool, int, tuple[int, ...]], ...]:
+        """The shape's part of :meth:`TransitionStructure.choice_masks`: one
+        ``(agent, is member, radix weight, slot masks)`` step per agent,
+        outsiders before members.  Built once per coalition."""
+        plan = self._plans.get(coalition)
+        if plan is None:
+            members = set(coalition)
+            plan = self._plans[coalition] = tuple(
+                (i, i in members, self.radix_weights[i], self.slot_masks[i])
+                for i in sorted(range(self.agent_count), key=members.__contains__)
+            )
+        return plan
+
+    def protocol_rows(
+        self, table: tuple[int | None, ...]
+    ) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """``(necessary, possible)`` enabled rows of one agent's n x n slice
+        of three-valued protocol cells (row-major, cells 0, 1 or None): per
+        local state the actions whose cell is 1, and those whose cell is not
+        0.  Built once per distinct slice."""
+        rows = self._protocol_rows.get(table)
+        if rows is None:
+            n = isqrt(len(table))
+            starts = range(0, n * n, n)
+            rows = self._protocol_rows[table] = (
+                tuple(tuple(a for a in range(n) if table[k + a] == 1) for k in starts),
+                tuple(tuple(a for a in range(n) if table[k + a] != 0) for k in starts),
+            )
+        return rows
+
+    # Per-shape memos of the two methods above, keyed by their argument.
+    @cached_property
+    def _plans(self) -> dict:
+        return {}
+
+    @cached_property
+    def _protocol_rows(self) -> dict:
+        return {}
+
     @cached_property
     def initial_state(self) -> int:
         return state_index(self, self.initial_locals)
@@ -185,7 +227,11 @@ class TransitionStructure:
         prop_masks: Sequence[int],
     ):
         self.shape = shape
-        self.enabled = tuple(tuple(tuple(row) for row in agent) for agent in enabled)
+        # A table given as a tuple is kept as it is: split structures pass
+        # the row tuples memoized by ModelShape.protocol_rows.
+        self.enabled = tuple(
+            table if isinstance(table, tuple) else tuple(map(tuple, table)) for table in enabled
+        )
         self.prop_masks = tuple(prop_masks)
 
     @cached_property
@@ -196,11 +242,13 @@ class TransitionStructure:
         """The plan :func:`~atlsat.mc.atl_pre` follows: one ``(is member,
         radix weight, slot masks, enabled rows)`` step per agent, outsiders
         (for all) before members (exists).  An empty coalition row gives no
-        choice; an empty outsider row constrains nothing."""
-        shape, members = self.shape, set(coalition)
+        choice; an empty outsider row constrains nothing.  Only the enabled
+        rows are this structure's; the rest is the shape's
+        :meth:`~ModelShape.elimination_plan`."""
+        enabled = self.enabled
         return [
-            (i in members, shape.radix_weights[i], shape.slot_masks[i], self.enabled[i])
-            for i in sorted(range(shape.agent_count), key=members.__contains__)
+            (member, weight, slots, enabled[i])
+            for i, member, weight, slots in self.shape.elimination_plan(tuple(coalition))
         ]
 
 

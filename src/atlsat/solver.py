@@ -31,7 +31,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .approx import Mode, PartialModel, check_validity, is_compatible, sapp
-from .formula import Formula, normalize, validate_within
+from .formula import (
+    Formula,
+    Globally,
+    Next,
+    Prop,
+    Until,
+    iter_subformulas,
+    normalize,
+    validate_within,
+)
 from .mas import Assignment, Model, ModelShape, decode_model
 
 
@@ -116,6 +125,7 @@ class SolverStats:
     conflicts: int = 0
     theory_checks: int = 0
     propagations: int = 0
+    rechecks: int = 0
     wall_time: float = 0.0
     learned: list[Clause] = field(default_factory=list)
 
@@ -204,14 +214,14 @@ def theory_check(
     f = normalize(f)
     bits = _merge_with_requirements(asg, req)
     pm = PartialModel.from_assignment(Assignment(req.shape, tuple(bits)))
-    return _decide(pm, f, _make_recheck(f, req) if minimize else None)
+    return _decide(pm, f, _make_minimize(f, req, SolverStats()) if minimize else None)
 
 
 def _decide(
-    pm: PartialModel, f: Formula, recheck: Callable[[tuple[int, ...]], bool] | None
+    pm: PartialModel, f: Formula, minimize: Callable[[Clause], Clause] | None
 ) -> TheoryOutcome:
     """The theory verdict on a partial model; a conflict clause negates
-    every determined cell, reduced by ``recheck`` when given."""
+    every determined cell, reduced by ``minimize`` when given."""
     iota = pm.shape.initial_state
     if not sapp(pm, f, Mode.OVER) >> iota & 1:
         clause = Clause(
@@ -221,20 +231,68 @@ def _decide(
                 if value is not None
             )
         )
-        if recheck is not None:
-            clause = minimize_conflict(clause, recheck)
+        if minimize is not None:
+            clause = minimize(clause)
         return TheoryOutcome("conflict", clause)
     if sapp(pm, f, Mode.UNDER) >> iota & 1:
         return TheoryOutcome("early_accept")
     return TheoryOutcome("pass")
 
 
-def _make_recheck(f: Formula, req: Requirements) -> Callable[[tuple[int, ...]], bool]:
+def _make_minimize(
+    f: Formula, req: Requirements, stats: SolverStats
+) -> Callable[[Clause], Clause]:
+    """Conflict minimization: keep a clause's literals on cells in the cone
+    of influence of ``f``, then reduce them with :func:`minimize_conflict`.
+    ``stats.rechecks`` counts the theory rechecks."""
+    cone = cone_of_influence(f, req.shape)
+    recheck = _make_recheck(f, req, stats)
+
+    def minimize(clause: Clause) -> Clause:
+        return minimize_conflict(
+            Clause(tuple(lit for lit in clause if abs(lit) - 1 in cone)), recheck
+        )
+
+    return minimize
+
+
+def cone_of_influence(f: Formula, shape: ModelShape) -> frozenset[int]:
+    """The cells the theory verdict on core formula ``f`` can read: the
+    valuation cells of the propositions ``f`` names and, when ``f`` has a
+    strategic operator, every protocol cell.  Without one the verdict is the
+    initial state's bit of a set computed state by state, so only valuation
+    cells at the initial state count.
+
+    Dropping a conflict clause's literals outside the cone before greedy
+    minimization leaves the clause it returns unchanged and saves one
+    recheck per literal dropped.  Every recheck assigns a subset of the
+    conflicting assignment, which agrees with the requirements and leaves
+    no protocol row empty; refinement cannot empty a row, so the recheck
+    never takes its ``ValueError`` path and its answer depends on cone
+    cells alone.  Greedy keeps its current set a conflict throughout, so at
+    a literal outside the cone the recheck answers conflict and the literal
+    goes; a literal in the cone meets a current set that differs from the
+    unfiltered run only outside the cone, and gets the same answer."""
+    nodes = list(iter_subformulas(f))
+    props = {node.index for node in nodes if isinstance(node, Prop)}
+    if any(isinstance(node, (Next, Globally, Until)) for node in nodes):
+        states = range(shape.state_count)
+        cells = set(range(shape.vb_offset))
+    else:
+        states, cells = (shape.initial_state,), set()
+    cells.update(shape.vb_bit(s, v) for s in states for v in props)
+    return frozenset(cells)
+
+
+def _make_recheck(
+    f: Formula, req: Requirements, stats: SolverStats
+) -> Callable[[tuple[int, ...]], bool]:
     """Oracle for clause minimization: does the conflict survive when only
     the cells named by these clause literals stay assigned?"""
     iota = req.shape.initial_state
 
     def recheck(candidate: tuple[int, ...]) -> bool:
+        stats.rechecks += 1
         bits: list[int | None] = [None] * req.shape.bit_count
         for lit in candidate:
             bits[abs(lit) - 1] = 0 if lit > 0 else 1
@@ -300,7 +358,7 @@ class _Search:
             self.add_clause(c.literals)
         self.stats = SolverStats()
         self.rng = random.Random(config.seed) if config.policy == "random" else None
-        self._recheck = _make_recheck(f, req) if config.minimize_conflicts else None
+        self._minimize = _make_minimize(f, req, self.stats) if config.minimize_conflicts else None
 
     # -- assignment plumbing
 
@@ -475,7 +533,7 @@ class _Search:
     def run_theory(self) -> TheoryOutcome:
         self.stats.theory_checks += 1
         pm = PartialModel.from_assignment(Assignment(self.shape, tuple(self.value)))
-        return _decide(pm, self.formula, self._recheck)
+        return _decide(pm, self.formula, self._minimize)
 
     # -- decisions
 

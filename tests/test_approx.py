@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -43,6 +44,63 @@ class TestPartialModel:
             shape = rng.choice(TINY_SHAPES)
             pm = random_partial_model(rng, shape)
             assert PartialModel.from_assignment(pm.to_assignment()).cp == pm.cp
+
+
+class TestDerivation:
+    def test_against_per_cell_definition(self):
+        # Random shapes and three-valued cell vectors: the memoized rows,
+        # the split structures, the rejection of determined-empty rows and
+        # the elimination plans, against definitions cell by cell.
+        rng = random.Random(9)
+        rejected = accepted = 0
+        while rejected + accepted < 500:
+            agents = rng.randint(1, 4)
+            shape = ModelShape([rng.randint(1, 5) for _ in range(agents)], None, rng.randint(0, 2))
+            zero = rng.random() * 0.8
+            cells = tuple(
+                0 if rng.random() < zero else rng.choice((1, None)) for _ in range(shape.bit_count)
+            )
+
+            def rows(i, counts):
+                n = shape.locals_per_agent[i]
+                return tuple(
+                    tuple(a for a in range(n) if counts(cells[shape.tb_bit(i, k, a)]))
+                    for k in range(n)
+                )
+
+            necessary = [rows(i, lambda c: c == 1) for i in range(agents)]
+            possible = [rows(i, lambda c: c != 0) for i in range(agents)]
+            for i, n in enumerate(shape.locals_per_agent):
+                table = cells[shape.tb_offsets[i] : shape.tb_offsets[i] + n * n]
+                assert shape.protocol_rows(table) == (necessary[i], possible[i])
+
+            empty = [(i, k) for i in range(agents) for k, row in enumerate(possible[i]) if not row]
+            if empty:
+                rejected += 1
+                message = "^agent %d, local state %d: row determined empty" % empty[0]
+                with pytest.raises(ValueError, match=message):
+                    PartialModel.from_assignment(Assignment(shape, cells))
+                continue
+            accepted += 1
+            pm = PartialModel.from_assignment(Assignment(shape, cells))
+            for size in range(agents + 1):
+                for coal in itertools.combinations(range(agents), size):
+                    for mode in Mode:
+                        st = split_structure(pm, coal, mode)
+                        assert st.enabled == tuple(
+                            possible[i] if (i in coal) == (mode is Mode.OVER) else necessary[i]
+                            for i in range(agents)
+                        )
+                    outsiders_first = [i for i in range(agents) if i not in coal] + list(coal)
+                    assert st.choice_masks(coal) == [
+                        (i in coal, shape.radix_weights[i], shape.slot_masks[i], st.enabled[i])
+                        for i in outsiders_first
+                    ]
+            # Equal slices share one memo entry.
+            twin = PartialModel.from_assignment(Assignment(shape, cells))
+            for a, b in zip(all_necessary(pm).enabled, all_necessary(twin).enabled):
+                assert a is b
+        assert rejected > 20 and accepted > 20
 
 
 def all_necessary(pm):

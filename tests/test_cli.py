@@ -86,6 +86,14 @@ class TestCheck:
         stats = re.search(r"^c .* propagations=(\d+) ", capsys.readouterr().out, re.M)
         assert stats and int(stats.group(1)) > 0
 
+    def test_verbose_reports_rechecks(self, req221, capsys):
+        argv = ["check", "-v", "-f", "<<0>> X p0 & <<1>> X !p0", "--req", req221]
+        assert main(argv) == 20
+        assert re.search(r"^c .* rechecks=0 ", capsys.readouterr().out, re.M)
+        assert main(argv + ["--minimize-conflicts"]) == 20
+        stats = re.search(r"^c .* propagations=\d+ rechecks=(\d+) ", capsys.readouterr().out, re.M)
+        assert stats and int(stats.group(1)) > 0
+
     def test_malformed_formula_errors(self, req32, capsys):
         assert main(["check", "-f", "p0 & & p1", "--req", req32]) == 1
         assert "error" in capsys.readouterr().err

@@ -23,7 +23,10 @@ from atlsat.solver import (
     Requirements,
     SolveTimeout,
     SolverConfig,
+    SolverStats,
+    _make_recheck,
     _Search,
+    cone_of_influence,
     extract_model,
     minimize_conflict,
     solve_satisfiability,
@@ -31,7 +34,7 @@ from atlsat.solver import (
     theory_check,
 )
 from oracles import enumerate_models, oracle_check_validity
-from samplers import random_core_formula, random_model
+from samplers import random_core_formula, random_model, random_partial_model
 from test_acceptance import BENCH_FORMULA_1, BENCH_ROWS
 
 S22P1 = ModelShape([2, 2], [0, 0], 1)
@@ -209,6 +212,35 @@ class TestMinimizeConflict:
         out = minimize_conflict(Clause((1, 2, 3)), recheck)
         assert out == Clause((2,))
 
+    def test_cone_filter_keeps_the_greedy_clause(self):
+        # Random conflicts on the refute-theory formulas: dropping the
+        # literals outside the cone of influence first gives the clause
+        # greedy minimization gives on the full conflict, with fewer rechecks.
+        rng = random.Random(12)
+        shape = ModelShape([2, 2, 2], [0, 0, 0], 2)
+        req = Requirements(shape)
+        texts = ("<<0>> X p0 & <<1>> X !p0", "<<0,1>> X p0 & <<2>> X !p0",
+                 "<<0>> G p0 & <<>> F !p0", "p0 & !p0")
+        for text in texts:
+            f = normalize(parse_formula(text))
+            cone = cone_of_influence(f, shape)
+            conflicts = dropped = 0
+            while conflicts < 40:
+                pm = random_partial_model(rng, shape, rng.randint(0, shape.bit_count))
+                asg = pm.to_assignment()
+                outcome = theory_check(asg, f, req)
+                if not outcome.is_conflict():
+                    continue
+                conflicts += 1
+                full = outcome.clause
+                inside = Clause(tuple(lit for lit in full if abs(lit) - 1 in cone))
+                plain, filtered = SolverStats(), SolverStats()
+                expected = minimize_conflict(full, _make_recheck(f, req, plain))
+                assert minimize_conflict(inside, _make_recheck(f, req, filtered)) == expected
+                assert plain.rechecks - filtered.rechecks == len(full) - len(inside)
+                dropped += len(full) - len(inside)
+            assert dropped > 0, text
+
 
 class TestSolveSatisfiability:
     def test_trivial_unsat(self):
@@ -385,6 +417,16 @@ class TestSolveSatisfiability:
         runs = [solve_satisfiability(parse_formula("p0 & !p0"), req) for _ in range(2)]
         assert runs[0].stats.propagations > 0
         assert runs[0].stats.propagations == runs[1].stats.propagations
+
+    def test_rechecks_counted_and_repeatable(self):
+        req = Requirements(ModelShape([2, 2, 2], [0, 0, 0], 2))
+        f = parse_formula("<<0>> X p0 & <<1>> X !p0")
+        runs = [
+            solve_satisfiability(f, req, SolverConfig(minimize_conflicts=True)) for _ in range(2)
+        ]
+        assert [r.stats.rechecks for r in runs] == [540, 540]
+        off = solve_satisfiability(parse_formula("p0 & !p0"), Requirements(S22P1))
+        assert off.stats.conflicts > 0 and off.stats.rechecks == 0
 
     def test_timeout_raises(self):
         f = generate_random_formula(GenParams(3, 4, 3, 20, 3))  # a slow refutation
