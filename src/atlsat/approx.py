@@ -24,17 +24,21 @@ and still fail in some compatible completion where the adversary uses an
 undetermined action.
 
 Once every cell is determined both bounds equal the exact satisfaction set,
-so exact checking (:func:`solve_formula`) runs the same recursion with the
-model itself as the structure for every coalition and mode.
+so exact checking (:func:`solve_formula`) runs the same steps with the model
+itself as the structure for every coalition and mode.
+
+Both run a :class:`Program`: the core formula compiled for a shape into
+hash-consed slots, evaluated by one loop with no recursion.  A program kept
+across the theory calls of one solve reuses each strategic step's last
+result while its inputs repeat.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
 from itertools import compress, repeat
-from operator import eq, ne
-from typing import Callable, Iterator, Sequence
+from operator import eq, getitem, ne
+from typing import Iterator, Sequence
 
 from .formula import And, Formula, Globally, Next, Not, Prop, Until
 from .mas import Assignment, Model, ModelShape, TransitionStructure, encode_model
@@ -131,23 +135,16 @@ class PartialModel:
             self.cells[off + s * p : off + s * p + p] for s in range(self.shape.state_count)
         )
 
-    # Per proposition its state mask, necessary (optimistic False) and
-    # possible (True); derived on first use.
 
-    @cached_property
-    def _masks(self) -> dict[bool, tuple[int, ...]]:
-        powers = [1 << s for s in range(self.shape.state_count)]
-        p = self.shape.prop_count
-        return {
-            optimistic: tuple(sum(compress(powers, ones[v::p])) for v in range(p))
-            for optimistic, ones in _ones(self.cells[self.shape.vb_offset :])
-        }
-
-
-def _ones(cells: Sequence[Cell]) -> tuple[tuple[bool, tuple[bool, ...]], ...]:
-    # (optimistic, per cell whether it counts as 1): an undefined cell
-    # counts as 1 only when optimistic.
-    return (False, tuple(map(eq, cells, repeat(1)))), (True, tuple(map(ne, cells, repeat(0))))
+def _prop_masks(shape: ModelShape, valuation: Sequence[Cell]) -> tuple[tuple[int, ...], ...]:
+    # Per proposition its state mask from the valuation cells: first
+    # necessary (an undefined cell counts as 0), then possible (as 1).
+    powers = [1 << s for s in range(shape.state_count)]
+    p = shape.prop_count
+    return tuple(
+        tuple(sum(compress(powers, ones[v::p])) for v in range(p))
+        for ones in (tuple(map(eq, valuation, repeat(1))), tuple(map(ne, valuation, repeat(0))))
+    )
 
 
 def _tables(shape: ModelShape, seq: Sequence) -> Iterator[Iterator[Sequence]]:
@@ -157,6 +154,13 @@ def _tables(shape: ModelShape, seq: Sequence) -> Iterator[Iterator[Sequence]]:
         (seq[k : k + n] for k in range(off, off + n * n, n))
         for off, n in zip(shape.tb_offsets, shape.locals_per_agent)
     )
+
+
+def _picks(agent_count: int, members, mode: Mode) -> tuple[int, ...]:
+    # Per agent, which of its (necessary, possible) rows the split structure
+    # for this coalition and mode takes.
+    optimistic = mode is Mode.OVER
+    return tuple(int((i in members) == optimistic) for i in range(agent_count))
 
 
 def split_structure(pm: PartialModel, coalition, mode: Mode) -> TransitionStructure:
@@ -169,10 +173,10 @@ def split_structure(pm: PartialModel, coalition, mode: Mode) -> TransitionStruct
     successors; a goal state with no successors still under-approximates
     soundly, since every compatible total model is serial.
     """
-    members = set(coalition)
-    optimistic = mode is Mode.OVER
-    enabled = tuple(rows[(i in members) == optimistic] for i, rows in enumerate(pm._rows))
-    return TransitionStructure(pm.shape, enabled, pm._masks[optimistic])
+    shape = pm.shape
+    enabled = tuple(map(getitem, pm._rows, _picks(shape.agent_count, set(coalition), mode)))
+    masks = _prop_masks(shape, pm.cells[shape.vb_offset :])
+    return TransitionStructure(shape, enabled, masks[mode is Mode.OVER])
 
 
 def is_compatible(m: Model, pm: PartialModel) -> bool:
@@ -185,77 +189,216 @@ def is_compatible(m: Model, pm: PartialModel) -> bool:
     )
 
 
-def _evaluate(
-    f: Formula,
-    mode: Mode,
-    shape: ModelShape,
-    valuation: Callable[[Mode], Sequence[int]],
-    structure: Callable[[tuple[int, ...], Mode], TransitionStructure],
-    trace: Callable[[Formula, Mode], None] | None = None,
-) -> StateSet:
-    """The formula recursion shared by exact and approximate checking.
-    ``valuation(mode)`` gives the proposition masks and
-    ``structure(members, mode)`` the structure a strategic operator over
-    that coalition evaluates on."""
-    full = (1 << shape.state_count) - 1
-
-    def rec(node: Formula, md: Mode) -> StateSet:
-        if trace is not None:
-            trace(node, md)
-        if isinstance(node, Prop):
-            if node.index >= shape.prop_count:
-                raise IndexError(
-                    f"p{node.index} out of range ({shape.prop_count} propositions)"
-                )
-            return valuation(md)[node.index]
-        if isinstance(node, Not):
-            return full & ~rec(node.child, md.flipped())
-        if isinstance(node, And):
-            return rec(node.left, md) & rec(node.right, md)
-        if isinstance(node, (Next, Globally, Until)):
-            members = node.coalition.members
-            if members and members[-1] >= shape.agent_count:
-                raise IndexError(
-                    f"agent {members[-1]} out of range ({shape.agent_count} agents)"
-                )
-            st = structure(members, md)
-            if isinstance(node, Next):
-                return solve_next(st, members, rec(node.child, md))
-            if isinstance(node, Globally):
-                return solve_globally(st, members, rec(node.child, md))
-            return solve_until(st, members, rec(node.left, md), rec(node.right, md))
-        raise ValueError(f"formula is not core-normalized: {node!r}")
-
-    return rec(f, mode)
+_MODES = (Mode.OVER, Mode.UNDER)  # by the ``u`` of a value position
+_PROP, _NOT, _AND, _NEXT, _GLOBALLY, _UNTIL = range(6)
+_KINDS = {Prop: _PROP, Not: _NOT, And: _AND, Next: _NEXT, Globally: _GLOBALLY, Until: _UNTIL}
 
 
-def sapp(
-    pm: PartialModel,
-    f: Formula,
-    mode: Mode,
-    _trace: Callable[[Formula, Mode], None] | None = None,
-) -> StateSet:
+def _cons(f: Formula, shape: ModelShape) -> tuple[list[tuple], list[Formula], int]:
+    """The distinct subformulas of ``f`` as ``(kind, prop index or coalition,
+    child slots)`` slots, children first, one node of ``f`` per slot, and
+    the slot of ``f``.  Equal subformulas share a slot: the key holds child
+    slots, never subtrees, so consing hashes no subtree.  Bounds are checked
+    here, once."""
+    # Pre-order, so each node comes before its children; consed in reverse.
+    order: list[tuple[Formula, int, tuple[Formula, ...]]] = []
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        kind = _KINDS.get(type(node))
+        if kind is None:
+            raise ValueError(f"formula is not core-normalized: {node!r}")
+        if kind == _PROP:
+            children = ()
+        elif kind == _AND or kind == _UNTIL:
+            children = (node.left, node.right)
+        else:
+            children = (node.child,)
+        order.append((node, kind, children))
+        stack.extend(children)
+    slots: list[tuple] = []
+    nodes: list[Formula] = []
+    index: dict[tuple, int] = {}
+    slot_of: dict[int, int] = {}  # id of a node of f -> its slot
+    for node, kind, children in reversed(order):
+        if kind == _PROP:
+            arg = node.index
+            if arg >= shape.prop_count:
+                raise IndexError(f"p{arg} out of range ({shape.prop_count} propositions)")
+        elif kind >= _NEXT:
+            arg = node.coalition.members
+            if arg and arg[-1] >= shape.agent_count:
+                raise IndexError(f"agent {arg[-1]} out of range ({shape.agent_count} agents)")
+        else:
+            arg = None
+        key = (kind, arg, tuple([slot_of[id(c)] for c in children]))
+        slot = index.get(key)
+        if slot is None:
+            slot = index[key] = len(slots)
+            slots.append(key)
+            nodes.append(node)
+        slot_of[id(node)] = slot
+    return slots, nodes, slot_of[id(f)]
+
+
+class Program:
+    """A core formula compiled for one shape.
+
+    Values live at ``2 * slot + u``, where ``u`` is 0 in ``OVER`` and 1 in
+    ``UNDER``.  For each root mode, ``steps[mode]`` lists the ``(slot, mode)``
+    evaluations it needs, children first, as ``(kind, out, a, b, view,
+    coalition)``: ``a`` and ``b`` are the operand positions (for an atom the
+    proposition and the valuation side), and a strategic step's ``view`` is
+    its ``(coalition, mode)`` split, one of ``picks``.
+
+    Each strategic step keeps its last enabled rows, operand sets and
+    result, and reuses the result when the inputs repeat; the program also
+    keeps the last valuation slice and its proposition masks.  ``reused``
+    counts the steps answered from their last result.  Keep a program to
+    one solve: both caches hold one entry and live as long as it does.
+    """
+
+    def __init__(self, f: Formula, shape: ModelShape):
+        self.formula = f
+        self.shape = shape
+        self.full = (1 << shape.state_count) - 1
+        slots, self.nodes, root = _cons(f, shape)
+        # Bit u of need[slot]: root mode OVER evaluates the slot in mode u.
+        # Root mode UNDER needs the same slots with the modes swapped.
+        need = [0] * len(slots)
+        need[root] = 1
+        for slot in range(root, -1, -1):
+            kind, _, children = slots[slot]
+            bits = need[slot]
+            if kind == _NOT:
+                bits = (bits & 1) << 1 | bits >> 1
+            for c in children:
+                need[c] |= bits
+        views: dict[tuple[tuple[int, ...], int], int] = {}
+        steps: tuple[list[tuple], list[tuple]] = ([], [])
+        for slot, (kind, arg, children) in enumerate(slots):
+            bits = need[slot]
+            for u in (0, 1):
+                over, under = bits >> u & 1, bits >> (1 - u) & 1
+                if not (over or under):
+                    continue
+                view = coalition = None
+                if kind == _PROP:
+                    a, b = arg, 1 - u
+                elif kind == _NOT:
+                    a, b = 2 * children[0] + 1 - u, None
+                else:
+                    a = 2 * children[0] + u
+                    b = 2 * children[1] + u if len(children) == 2 else None
+                    if kind != _AND:
+                        view, coalition = views.setdefault((arg, u), len(views)), arg
+                step = (kind, 2 * slot + u, a, b, view, coalition)
+                if over:
+                    steps[0].append(step)
+                if under:
+                    steps[1].append(step)
+        self.steps = dict(zip(_MODES, steps))
+        self.roots = {mode: 2 * root + u for u, mode in enumerate(_MODES)}
+        self.picks = [_picks(shape.agent_count, members, _MODES[u]) for members, u in views]
+        self.sides = [1 - u for _, u in views]
+        # Per root mode, the views its steps use.
+        self.used = {
+            mode: sorted({step[4] for step in self.steps[mode] if step[4] is not None})
+            for mode in _MODES
+        }
+        self._last: list[tuple | None] = [None] * (2 * len(slots))
+        self._valuation: tuple[Cell, ...] | None = None
+        self._masks: tuple[tuple[int, ...], ...] = ()
+        self.reused = 0
+
+    @classmethod
+    def of(cls, f: Formula | Program, shape: ModelShape) -> Program:
+        """``f`` itself when it is a program (compiled for ``shape``),
+        otherwise ``f`` compiled."""
+        return f if isinstance(f, Program) else cls(f, shape)
+
+    def visits(self, mode: Mode) -> list[tuple[Formula, Mode]]:
+        """The ``(subformula, mode)`` evaluations of root mode ``mode``, in
+        step order."""
+        return [(self.nodes[out >> 1], _MODES[out & 1]) for _, out, *_ in self.steps[mode]]
+
+    def approximate(self, pm: PartialModel, mode: Mode) -> StateSet:
+        """:func:`sapp` of the compiled formula."""
+        valuation = pm.cells[self.shape.vb_offset :]
+        if valuation != self._valuation:
+            self._valuation = valuation
+            self._masks = _prop_masks(self.shape, valuation)
+        rows, picks = pm._rows, self.picks
+        enabled: list[tuple | None] = [None] * len(picks)
+        for view in self.used[mode]:
+            enabled[view] = tuple(map(getitem, rows, picks[view]))
+        return self._run(mode, self._masks, enabled, [None] * len(picks), self._last)
+
+    def exact(self, m: TransitionStructure) -> StateSet:
+        """:func:`solve_formula` of the compiled formula.  It neither reads
+        nor feeds the reuse cache."""
+        views = len(self.picks)
+        masks = (m.prop_masks, m.prop_masks)
+        return self._run(Mode.OVER, masks, [m.enabled] * views, [m] * views, [None] * len(self._last))
+
+    def _run(
+        self,
+        mode: Mode,
+        masks: Sequence[Sequence[int]],
+        enabled: list[tuple],
+        structures: list[TransitionStructure | None],
+        last: list[tuple | None],
+    ) -> StateSet:
+        # ``enabled[view]`` are the rows a view's structure has, and
+        # ``structures[view]`` the structure, built on first need; ``last``
+        # holds each strategic step's last inputs and result.
+        full = self.full
+        sides = self.sides
+        values: list[StateSet] = [0] * len(last)
+        for kind, out, a, b, view, coalition in self.steps[mode]:
+            if kind == _PROP:
+                values[out] = masks[b][a]
+            elif kind == _NOT:
+                values[out] = full & ~values[a]
+            elif kind == _AND:
+                values[out] = values[a] & values[b]
+            else:
+                rows, x = enabled[view], values[a]
+                y = None if b is None else values[b]
+                prior = last[out]
+                if prior is not None and prior[1] == x and prior[2] == y and prior[0] == rows:
+                    self.reused += 1
+                    values[out] = prior[3]
+                    continue
+                st = structures[view]
+                if st is None:
+                    st = structures[view] = TransitionStructure(self.shape, rows, masks[sides[view]])
+                if kind == _NEXT:
+                    result = solve_next(st, coalition, x)
+                elif kind == _GLOBALLY:
+                    result = solve_globally(st, coalition, x)
+                else:
+                    result = solve_until(st, coalition, x, y)
+                last[out] = (rows, x, y, result)
+                values[out] = result
+        return values[self.roots[mode]]
+
+
+def sapp(pm: PartialModel, f: Formula | Program, mode: Mode) -> StateSet:
     """Approximate the satisfaction set of a core formula across all models
     compatible with the partial model: a superset in mode ``OVER``, a subset
     in mode ``UNDER``.  The two coincide with the exact set once the partial
-    model is fully determined."""
-    structures: dict[tuple[Mode, tuple[int, ...]], TransitionStructure] = {}
-
-    def structure(members: tuple[int, ...], md: Mode) -> TransitionStructure:
-        s = structures.get((md, members))
-        if s is None:
-            s = structures[md, members] = split_structure(pm, members, md)
-        return s
-
-    masks = pm._masks
-    return _evaluate(f, mode, pm.shape, lambda md: masks[md is Mode.OVER], structure, _trace)
+    model is fully determined.  ``f`` may be a :class:`Program` compiled
+    for the partial model's shape; a formula is compiled for this call."""
+    return Program.of(f, pm.shape).approximate(pm, mode)
 
 
-def solve_formula(m: TransitionStructure, f: Formula) -> StateSet:
-    """Exact satisfaction set of a core-normalized formula."""
-    return _evaluate(f, Mode.OVER, m.shape, lambda md: m.prop_masks, lambda members, md: m)
+def solve_formula(m: TransitionStructure, f: Formula | Program) -> StateSet:
+    """Exact satisfaction set of a core-normalized formula, or of the
+    formula a :class:`Program` compiled for the model's shape."""
+    return Program.of(f, m.shape).exact(m)
 
 
-def check_validity(m: Model, f: Formula) -> bool:
+def check_validity(m: Model, f: Formula | Program) -> bool:
     """Whether the formula holds at the model's initial state."""
     return bool(solve_formula(m, f) >> m.shape.initial_state & 1)

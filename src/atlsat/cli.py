@@ -138,7 +138,7 @@ def cmd_check(args) -> int:
         print(
             f"c decisions={stats.decisions} conflicts={stats.conflicts} "
             f"theory_checks={stats.theory_checks} propagations={stats.propagations} "
-            f"rechecks={stats.rechecks} time={stats.wall_time:.3f}s"
+            f"rechecks={stats.rechecks} reused={stats.reused} time={stats.wall_time:.3f}s"
         )
     if result.satisfiable:
         print("s SATISFIABLE")

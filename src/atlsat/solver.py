@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .approx import Mode, PartialModel, check_validity, is_compatible, sapp
+from .approx import Mode, PartialModel, Program, check_validity, is_compatible, sapp
 from .formula import (
     Formula,
     Globally,
@@ -50,6 +50,24 @@ class BoundsError(ValueError):
 
 class SolveTimeout(Exception):
     """The configured time limit ran out before a verdict."""
+
+
+# The clock time limits are measured on.
+_clock = time.perf_counter
+
+
+def _deadline(start: float, time_limit: float | None) -> Callable[[], None]:
+    """A check that raises :class:`SolveTimeout` once more than
+    ``time_limit`` seconds have passed since ``start``; never, when the
+    limit is None."""
+    if time_limit is None:
+        return lambda: None
+
+    def check() -> None:
+        if _clock() - start > time_limit:
+            raise SolveTimeout(f"time limit of {time_limit}s exceeded")
+
+    return check
 
 
 @dataclass(frozen=True)
@@ -126,6 +144,7 @@ class SolverStats:
     theory_checks: int = 0
     propagations: int = 0
     rechecks: int = 0
+    reused: int = 0
     wall_time: float = 0.0
     learned: list[Clause] = field(default_factory=list)
 
@@ -211,19 +230,19 @@ def theory_check(
     when ``minimize``).  Early acceptance means every compatible completion
     satisfies it.
     """
-    f = normalize(f)
+    program = Program(normalize(f), req.shape)
     bits = _merge_with_requirements(asg, req)
     pm = PartialModel.from_assignment(Assignment(req.shape, tuple(bits)))
-    return _decide(pm, f, _make_minimize(f, req, SolverStats()) if minimize else None)
+    return _decide(pm, program, _make_minimize(program, req, SolverStats()) if minimize else None)
 
 
 def _decide(
-    pm: PartialModel, f: Formula, minimize: Callable[[Clause], Clause] | None
+    pm: PartialModel, program: Program, minimize: Callable[[Clause], Clause] | None
 ) -> TheoryOutcome:
     """The theory verdict on a partial model; a conflict clause negates
     every determined cell, reduced by ``minimize`` when given."""
     iota = pm.shape.initial_state
-    if not sapp(pm, f, Mode.OVER) >> iota & 1:
+    if not sapp(pm, program, Mode.OVER) >> iota & 1:
         clause = Clause(
             tuple(
                 -(v + 1) if value else (v + 1)
@@ -234,19 +253,23 @@ def _decide(
         if minimize is not None:
             clause = minimize(clause)
         return TheoryOutcome("conflict", clause)
-    if sapp(pm, f, Mode.UNDER) >> iota & 1:
+    if sapp(pm, program, Mode.UNDER) >> iota & 1:
         return TheoryOutcome("early_accept")
     return TheoryOutcome("pass")
 
 
 def _make_minimize(
-    f: Formula, req: Requirements, stats: SolverStats
+    program: Program,
+    req: Requirements,
+    stats: SolverStats,
+    deadline: Callable[[], None] | None = None,
 ) -> Callable[[Clause], Clause]:
     """Conflict minimization: keep a clause's literals on cells in the cone
-    of influence of ``f``, then reduce them with :func:`minimize_conflict`.
-    ``stats.rechecks`` counts the theory rechecks."""
-    cone = cone_of_influence(f, req.shape)
-    recheck = _make_recheck(f, req, stats)
+    of influence of the program's formula, then reduce them with
+    :func:`minimize_conflict`.  ``stats.rechecks`` counts the theory
+    rechecks; ``deadline`` runs before each."""
+    cone = cone_of_influence(program.formula, req.shape)
+    recheck = _make_recheck(program, req, stats, deadline)
 
     def minimize(clause: Clause) -> Clause:
         return minimize_conflict(
@@ -285,13 +308,20 @@ def cone_of_influence(f: Formula, shape: ModelShape) -> frozenset[int]:
 
 
 def _make_recheck(
-    f: Formula, req: Requirements, stats: SolverStats
+    f: Formula | Program,
+    req: Requirements,
+    stats: SolverStats,
+    deadline: Callable[[], None] | None = None,
 ) -> Callable[[tuple[int, ...]], bool]:
     """Oracle for clause minimization: does the conflict survive when only
-    the cells named by these clause literals stay assigned?"""
+    the cells named by these clause literals stay assigned?  ``deadline``
+    runs before each recheck, so a time limit holds inside a minimization."""
     iota = req.shape.initial_state
+    program = Program.of(f, req.shape)
 
     def recheck(candidate: tuple[int, ...]) -> bool:
+        if deadline is not None:
+            deadline()
         stats.rechecks += 1
         bits: list[int | None] = [None] * req.shape.bit_count
         for lit in candidate:
@@ -303,7 +333,7 @@ def _make_recheck(
             # Dropping cells uncovered a requirement contradiction or an
             # empty row; that assignment cannot occur, treat as conflicting.
             return True
-        return not sapp(pm, f, Mode.OVER) >> iota & 1
+        return not sapp(pm, program, Mode.OVER) >> iota & 1
 
     return recheck
 
@@ -332,11 +362,19 @@ def extract_model(asg: Assignment) -> Model:
 class _Search:
     """One satisfiability run.  Not reusable across calls."""
 
-    def __init__(self, f: Formula, req: Requirements, config: SolverConfig):
+    def __init__(
+        self,
+        f: Formula,
+        req: Requirements,
+        config: SolverConfig,
+        deadline: Callable[[], None] | None = None,
+    ):
         self.req = req
         self.config = config
         self.shape = req.shape
-        self.formula = f
+        # Compiled once: its strategic steps reuse results across the
+        # theory calls and rechecks of this run.
+        self.program = Program(f, req.shape)
         self.n = self.shape.bit_count
         self.value: list[int | None] = [None] * self.n
         self.level: list[int] = [0] * self.n
@@ -358,7 +396,11 @@ class _Search:
             self.add_clause(c.literals)
         self.stats = SolverStats()
         self.rng = random.Random(config.seed) if config.policy == "random" else None
-        self._minimize = _make_minimize(f, req, self.stats) if config.minimize_conflicts else None
+        self._minimize = (
+            _make_minimize(self.program, req, self.stats, deadline)
+            if config.minimize_conflicts
+            else None
+        )
 
     # -- assignment plumbing
 
@@ -533,7 +575,7 @@ class _Search:
     def run_theory(self) -> TheoryOutcome:
         self.stats.theory_checks += 1
         pm = PartialModel.from_assignment(Assignment(self.shape, tuple(self.value)))
-        return _decide(pm, self.formula, self._minimize)
+        return _decide(pm, self.program, self._minimize)
 
     # -- decisions
 
@@ -578,22 +620,23 @@ def solve_satisfiability(
     at the initial state; on success the witness is verified exactly before
     being returned."""
     config = config or SolverConfig()
-    start = time.perf_counter()
+    start = _clock()
+    deadline = _deadline(start, config.time_limit)
     core = normalize(f)
     try:
         validate_within(core, req.shape.agent_count, req.shape.prop_count)
     except ValueError as exc:
         raise BoundsError(str(exc)) from None
 
-    search = _Search(core, req, config)
+    search = _Search(core, req, config, deadline)
 
     def finish(satisfiable: bool, witness: Model | None) -> SolverResult:
-        search.stats.wall_time = time.perf_counter() - start
+        search.stats.wall_time = _clock() - start
+        search.stats.reused = search.program.reused
         return SolverResult(satisfiable, witness, search.stats)
 
     while True:
-        if config.time_limit is not None and time.perf_counter() - start > config.time_limit:
-            raise SolveTimeout(f"time limit of {config.time_limit}s exceeded")
+        deadline()
 
         conflict = search.propagate()
         if conflict is not None:
@@ -618,7 +661,7 @@ def solve_satisfiability(
             continue
         if outcome.is_early_accept():
             witness = search.complete_and_extract()
-            _verify_witness(witness, core, req)
+            _verify_witness(witness, search.program, req)
             return finish(True, witness)
 
         decision = search.decide()
@@ -631,7 +674,8 @@ def solve_satisfiability(
         search.assign(decision, None)
 
 
-def _verify_witness(witness: Model, core: Formula, req: Requirements) -> None:
+def _verify_witness(witness: Model, core: Program, req: Requirements) -> None:
+    # Exact checking of a program does not use its reuse cache.
     if not is_compatible(witness, req.induced_partial_model()):
         raise AssertionError("witness violates the requirements")
     if not check_validity(witness, core):

@@ -6,16 +6,31 @@ import pytest
 from atlsat.approx import (
     Mode,
     PartialModel,
+    Program,
     is_compatible,
     sapp,
     solve_formula,
     split_structure,
 )
-from atlsat.formula import And, Coalition, Next, Not, Prop, iter_subformulas
+from atlsat.formula import (
+    And,
+    Coalition,
+    GenParams,
+    Globally,
+    Next,
+    Not,
+    Prop,
+    Until,
+    generate_random_formula,
+    iter_subformulas,
+    normalize,
+)
 from atlsat.mas import Assignment, Model, ModelShape, encode_model
+from atlsat.mc import solve_globally, solve_next, solve_until
 from oracles import compatible_completions, enumerate_models
 from samplers import (
     TINY_SHAPES,
+    random_coalition,
     random_core_formula,
     random_model,
     random_partial_model,
@@ -290,25 +305,32 @@ class TestSApp:
             done += 1
 
     def test_negation_flips_mode(self):
-        # Instrument the recursion: mode alternates across nested negations.
+        # The compiled steps: mode alternates across nested negations.
         shape = ModelShape([2, 2], [0, 0], 1)
-        pm = PartialModel.unconstrained(shape)
         f = Not(Not(Not(Prop(0))))
-        seen = []
-        sapp(pm, f, Mode.OVER, _trace=lambda node, mode: seen.append((node, mode)))
-        modes = [mode for node, mode in seen]
-        assert modes == [Mode.OVER, Mode.UNDER, Mode.OVER, Mode.UNDER]
+        assert set(Program(f, shape).visits(Mode.OVER)) == {
+            (f, Mode.OVER),
+            (f.child, Mode.UNDER),
+            (f.child.child, Mode.OVER),
+            (Prop(0), Mode.UNDER),
+        }
         # An even number of negations restores the entry mode at the atom.
-        seen.clear()
-        sapp(pm, Not(Not(Prop(0))), Mode.UNDER, _trace=lambda node, mode: seen.append((node, mode)))
-        assert [mode for _, mode in seen] == [Mode.UNDER, Mode.OVER, Mode.UNDER]
+        f = Not(Not(Prop(0)))
+        assert set(Program(f, shape).visits(Mode.UNDER)) == {
+            (f, Mode.UNDER),
+            (f.child, Mode.OVER),
+            (Prop(0), Mode.UNDER),
+        }
 
     def test_conjunction_keeps_mode(self):
         shape = ModelShape([2, 2], [0, 0], 1)
-        pm = PartialModel.unconstrained(shape)
-        seen = []
-        sapp(pm, And(Prop(0), Not(Prop(0))), Mode.OVER, _trace=lambda n, md: seen.append(md))
-        assert seen == [Mode.OVER, Mode.OVER, Mode.OVER, Mode.UNDER]
+        f = And(Prop(0), Not(Prop(0)))
+        assert set(Program(f, shape).visits(Mode.OVER)) == {
+            (f, Mode.OVER),
+            (Prop(0), Mode.OVER),
+            (Not(Prop(0)), Mode.OVER),
+            (Prop(0), Mode.UNDER),
+        }
 
     def test_out_of_range_raises(self):
         pm = PartialModel.unconstrained(ModelShape([2], [0], 1))
@@ -316,3 +338,108 @@ class TestSApp:
             sapp(pm, Prop(2), Mode.OVER)
         with pytest.raises(IndexError):
             sapp(pm, Next(Coalition([3]), Prop(0)), Mode.OVER)
+
+
+def recursive_sapp(pm, f, mode):
+    """Reference for the compiled program: the recursive evaluator it
+    replaced, which solves every subformula afresh on every call."""
+    full = (1 << pm.shape.state_count) - 1
+
+    def rec(node, md):
+        if isinstance(node, Prop):
+            return split_structure(pm, (), md).prop_masks[node.index]
+        if isinstance(node, Not):
+            return full & ~rec(node.child, md.flipped())
+        if isinstance(node, And):
+            return rec(node.left, md) & rec(node.right, md)
+        members = node.coalition.members
+        st = split_structure(pm, members, md)
+        if isinstance(node, Next):
+            return solve_next(st, members, rec(node.child, md))
+        if isinstance(node, Globally):
+            return solve_globally(st, members, rec(node.child, md))
+        return solve_until(st, members, rec(node.left, md), rec(node.right, md))
+
+    return rec(f, mode)
+
+
+def _shared_formula(rng, agents, props):
+    # A core formula whose subformulas repeat: a generator draw, or a
+    # random formula used twice under one operator.
+    if rng.random() < 0.5:
+        params = GenParams(agents, rng.randint(1, 2**agents - 1), props, rng.randint(1, 4),
+                           rng.randrange(1000))
+        return normalize(generate_random_formula(params))
+    g = random_core_formula(rng, agents, props, rng.randint(1, 2))
+    c, d = random_coalition(rng, agents), random_coalition(rng, agents)
+    return rng.choice((
+        And(g, Not(g)),
+        Until(c, g, Not(g)),
+        And(Next(c, g), Globally(d, g)),
+        Globally(c, And(g, Next(d, g))),
+    ))
+
+
+class TestProgram:
+    def test_reuse_matches_reference(self):
+        # One program across a sequence of partial models like a search
+        # visits: refinements, un-assignments (backjumps) and unrelated
+        # jumps (minimization rechecks).  Every answer, both modes, equals
+        # the recursive reference and a freshly compiled program.
+        rng = random.Random(11)
+        reused = 0
+        for _ in range(60):
+            agents = rng.randint(1, 3)
+            shape = ModelShape([rng.randint(1, 3) for _ in range(agents)], None, rng.randint(1, 2))
+            f = _shared_formula(rng, agents, shape.prop_count)
+            program = Program(f, shape)
+            bits, trail = None, []
+            for _ in range(25):
+                move = rng.random()
+                if bits is None or move < 0.15:
+                    pm = random_partial_model(rng, shape, shape.bit_count)
+                    bits, trail = list(pm.cells), []
+                elif move < 0.4 and trail:
+                    for cell in trail[-rng.randint(1, len(trail)) :]:
+                        bits[cell] = None
+                        trail.remove(cell)
+                else:
+                    free = [i for i, b in enumerate(bits) if b is None]
+                    if not free:
+                        continue
+                    cell = rng.choice(free)
+                    bits[cell] = rng.randint(0, 1)
+                    trail.append(cell)
+                try:
+                    pm = PartialModel.from_assignment(Assignment(shape, tuple(bits)))
+                except ValueError:  # that refinement emptied a row
+                    bits[trail.pop()] = 1
+                    pm = PartialModel.from_assignment(Assignment(shape, tuple(bits)))
+                for mode in (rng.choice(list(Mode)), Mode.OVER, Mode.UNDER):
+                    expected = recursive_sapp(pm, f, mode)
+                    assert sapp(pm, program, mode) == expected, (f, mode, bits)
+                    assert sapp(pm, f, mode) == expected
+            reused += program.reused
+        assert reused > 0
+
+    def test_shared_subformulas_share_a_slot(self):
+        shape = ModelShape([2, 2], [0, 0], 2)
+        g = Next(Coalition([0]), And(Prop(0), Not(Prop(1))))
+        program = Program(And(Globally(Coalition([1]), g), Not(g)), shape)
+        assert len(program.nodes) == len(set(program.nodes)) == 8
+        # g is evaluated once in each mode.
+        visits = program.visits(Mode.OVER)
+        assert len(visits) == len(set(visits))
+        assert (g, Mode.OVER) in visits and (g, Mode.UNDER) in visits
+
+    def test_deep_nesting_needs_no_recursion(self):
+        # Far past Python's recursion limit; an even number of negations
+        # gives back the inner set.
+        shape = ModelShape([2, 2], [0, 0], 1)
+        inner = Next(Coalition([0]), Prop(0))
+        f = inner
+        for _ in range(20_000):
+            f = Not(f)
+        pm = random_partial_model(random.Random(13), shape)
+        for mode in Mode:
+            assert sapp(pm, f, mode) == recursive_sapp(pm, inner, mode)

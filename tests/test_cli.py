@@ -94,6 +94,19 @@ class TestCheck:
         stats = re.search(r"^c .* propagations=\d+ rechecks=(\d+) ", capsys.readouterr().out, re.M)
         assert stats and int(stats.group(1)) > 0
 
+    def test_verbose_reports_reused(self, req32, capsys):
+        # The worked example reuses strategic results, the same number in
+        # each of two solves; p0 & !p0 has no strategic step to reuse.
+        argv = ["check", "-v", "-f", EXAMPLE_FORMULA, "--req", req32]
+        counts = []
+        for _ in range(2):
+            assert main(argv) == 10
+            stats = re.search(r"^c .* rechecks=\d+ reused=(\d+) ", capsys.readouterr().out, re.M)
+            counts.append(int(stats.group(1)))
+        assert counts[0] > 0 and counts[0] == counts[1]
+        assert main(["check", "-v", "-f", "p0 & !p0", "--req", req32]) == 20
+        assert re.search(r"^c .* reused=0 ", capsys.readouterr().out, re.M)
+
     def test_malformed_formula_errors(self, req32, capsys):
         assert main(["check", "-f", "p0 & & p1", "--req", req32]) == 1
         assert "error" in capsys.readouterr().err

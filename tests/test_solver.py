@@ -16,6 +16,7 @@ from atlsat.formula import (
     normalize,
     parse_formula,
 )
+from atlsat import solver
 from atlsat.mas import Assignment, ModelShape, decode_model, encode_model
 from atlsat.solver import (
     BoundsError,
@@ -427,6 +428,41 @@ class TestSolveSatisfiability:
         assert [r.stats.rechecks for r in runs] == [540, 540]
         off = solve_satisfiability(parse_formula("p0 & !p0"), Requirements(S22P1))
         assert off.stats.conflicts > 0 and off.stats.rechecks == 0
+
+    def test_reused_counted_and_repeatable(self):
+        # Criterion-6 formulas re-judge fixpoints whose inputs did not move;
+        # a formula without strategic operators has nothing to reuse.
+        req = Requirements(ModelShape([2, 2, 2], [0, 0, 0], 3))
+        for depth, _, seed in BENCH_ROWS[:3]:
+            f = generate_random_formula(GenParams(3, 4, 3, depth, seed))
+            runs = [solve_satisfiability(f, req) for _ in range(2)]
+            assert runs[0].stats.reused > 0
+            assert runs[0].stats.reused == runs[1].stats.reused
+        off = solve_satisfiability(parse_formula("p0 & !p0"), Requirements(S22P1))
+        assert off.stats.theory_checks > 0 and off.stats.reused == 0
+
+    def test_timeout_holds_inside_minimization(self, monkeypatch):
+        # The clock passes the deadline during the first recheck of the
+        # first minimization: the solve stops before the next recheck.
+        now = [0.0]
+        monkeypatch.setattr(solver, "_clock", lambda: now[0])
+        rechecks = []
+        minimize = solver.minimize_conflict
+
+        def late_minimize(clause, recheck):
+            def late_recheck(candidate):
+                rechecks.append(candidate)
+                now[0] = 100.0
+                return recheck(candidate)
+
+            return minimize(clause, late_recheck)
+
+        monkeypatch.setattr(solver, "minimize_conflict", late_minimize)
+        req = Requirements(ModelShape([2, 2, 2], [0, 0, 0], 2))
+        f = parse_formula("<<0>> X p0 & <<1>> X !p0")
+        with pytest.raises(SolveTimeout):
+            solve_satisfiability(f, req, SolverConfig(minimize_conflicts=True, time_limit=10))
+        assert len(rechecks) == 1
 
     def test_timeout_raises(self):
         f = generate_random_formula(GenParams(3, 4, 3, 20, 3))  # a slow refutation
