@@ -58,7 +58,6 @@ from .solver import (
     SolverStats,
     TheoryOutcome,
     minimize_conflict,
-    extract_model,
     solve_satisfiability,
     structural_clauses,
     theory_check,

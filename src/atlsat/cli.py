@@ -67,7 +67,7 @@ class RunReport:
 def _int_rows(data: dict, field: str, width: int) -> tuple[tuple[int, ...], ...]:
     rows = data.get(field, [])
     if not isinstance(rows, list) or not all(
-        isinstance(row, list) and len(row) == width and all(isinstance(x, int) for x in row)
+        isinstance(row, list) and len(row) == width and all(type(x) is int for x in row)
         for row in rows
     ):
         raise ValueError(f"requirements field {field!r}: expected rows of {width} integers")
@@ -82,8 +82,8 @@ def load_requirements(path: str) -> Requirements:
     agents = data.get("agents") if isinstance(data, dict) else None
     if not isinstance(agents, list) or not all(
         isinstance(a, dict)
-        and isinstance(a.get("locals"), int)
-        and isinstance(a.get("initial", 0), int)
+        and type(a.get("locals")) is int
+        and type(a.get("initial", 0)) is int
         for a in agents
     ):
         raise ValueError(
@@ -91,7 +91,7 @@ def load_requirements(path: str) -> Requirements:
             "integer 'locals' and an optional integer 'initial'"
         )
     props = data.get("props", 0)
-    if not isinstance(props, int) or props < 0:
+    if type(props) is not int or props < 0:
         raise ValueError("requirements field 'props': expected an integer >= 0")
     cp, cv = _int_rows(data, "cp", 4), _int_rows(data, "cv", 3)
     try:

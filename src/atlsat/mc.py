@@ -16,10 +16,6 @@ from .mas import TransitionStructure
 StateSet = int
 
 
-def full_set(structure: TransitionStructure) -> StateSet:
-    return structure.full_mask
-
-
 def atl_pre(m: TransitionStructure, coalition, x: StateSet) -> StateSet:
     """States from which the coalition can force the next state into ``x``:
     some joint choice of enabled coalition actions such that every completion

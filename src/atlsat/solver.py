@@ -4,11 +4,13 @@ The search assigns the model bit vector one cell at a time.  Unit
 propagation runs over structural clauses (one per protocol row, so rows stay
 nonempty, plus one unit clause per requirement) and learned clauses.  Each
 clause watches two literals, non-false ones while it has them, and is
-visited only when a watched literal becomes false.  Visits follow the order
-of a pass-by-pass rescan of every clause in index order, so the trail, the
-reasons and the conflict clauses are those such a rescan would give.  After
-propagation settles at each level, the partial assignment is read as a
-partial model and the two-sided approximation decides the step:
+visited only when a watched literal becomes false; a visit that finds the
+other watch true ends there, since the clause is satisfied (the blocker
+rule).  Visits follow the order of a pass-by-pass rescan of every clause in
+index order, so the trail, the reasons and the conflict clauses are those
+such a rescan would give.  After propagation settles at each level, the
+partial assignment is read as a partial model and the two-sided
+approximation decides the step:
 
 * initial state outside the over set: no compatible completion can satisfy
   the formula, so a conflict clause over the assigned cells is learned;
@@ -78,15 +80,19 @@ class Requirements:
     shape: ModelShape
     cp_constraints: tuple[tuple[int, int, int, int], ...] = ()
     cv_constraints: tuple[tuple[int, int, int], ...] = ()
+    _bits: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        shape = self.shape
+        bits = tuple(
+            [(shape.tb_bit(agent, local, action), value)
+             for agent, local, action, value in self.cp_constraints]
+            + [(shape.vb_bit(state, prop), value) for state, prop, value in self.cv_constraints]
+        )
         seen: dict[int, int] = {}
-        for agent, local, action, value in self.cp_constraints:
-            bit = self.shape.tb_bit(agent, local, action)
+        for bit, value in bits:
             self._note(seen, bit, value)
-        for state, prop, value in self.cv_constraints:
-            bit = self.shape.vb_bit(state, prop)
-            self._note(seen, bit, value)
+        object.__setattr__(self, "_bits", bits)
         # Raises if some protocol row is forced entirely empty.
         self.induced_partial_model()
 
@@ -97,13 +103,10 @@ class Requirements:
         if seen.setdefault(bit, value) != value:
             raise ValueError(f"contradictory constraints on cell {bit}")
 
-    def constraint_bits(self) -> list[tuple[int, int]]:
-        out = []
-        for agent, local, action, value in self.cp_constraints:
-            out.append((self.shape.tb_bit(agent, local, action), value))
-        for state, prop, value in self.cv_constraints:
-            out.append((self.shape.vb_bit(state, prop), value))
-        return out
+    def constraint_bits(self) -> tuple[tuple[int, int], ...]:
+        """The forced cells as ``(bit, value)`` pairs, protocol cells first,
+        each in constraint order; computed once, on construction."""
+        return self._bits
 
     def induced_partial_model(self) -> PartialModel:
         bits: list[int | None] = [None] * self.shape.bit_count
@@ -354,11 +357,6 @@ def minimize_conflict(
     return Clause(tuple(lits))
 
 
-def extract_model(asg: Assignment) -> Model:
-    """Decode a total assignment into its model."""
-    return decode_model(asg)
-
-
 class _Search:
     """One satisfiability run.  Not reusable across calls."""
 
@@ -480,9 +478,14 @@ class _Search:
         A clause left unvisited has two non-false watches, or a true one
         and a false one of no lower level; either way it cannot be unit or
         false until a watch becomes false, and a backjump keeps that so.
+        A visit that finds a true watch is blocked: the watch that just
+        became false did so at the current level, no lower than the true
+        one's, so the pair already meets this and nothing is re-picked.
         On a conflict the rest of the pass is dropped: the backjump that
         follows frees every literal that queued it."""
         watchers = self.watchers
+        watched = self.watched
+        value = self.value
         trail = self.trail
         current, self.queue = self.queue, []
         for lit in trail[self.head :]:
@@ -498,16 +501,20 @@ class _Search:
             if i == last:
                 continue
             last = i
-            free = self.rewatch(i)
-            if not free:
-                return self.clauses[i]
-            lit = free[0]
-            if len(free) == 1 and self.value[abs(lit) - 1] is None:
-                self.assign(lit, self.clauses[i])
-                self.stats.propagations += 1
-                self.head += 1
-                for k in watchers[-lit]:
-                    heapq.heappush(current if k > i else upcoming, k)
+            for w in watched[i]:
+                if value[abs(w) - 1] == (w > 0):
+                    break  # a true watch blocks the visit
+            else:
+                free = self.rewatch(i)
+                if not free:
+                    return self.clauses[i]
+                lit = free[0]
+                if len(free) == 1 and value[abs(lit) - 1] is None:
+                    self.assign(lit, self.clauses[i])
+                    self.stats.propagations += 1
+                    self.head += 1
+                    for k in watchers[-lit]:
+                        heapq.heappush(current if k > i else upcoming, k)
         return None
 
     # -- conflict analysis

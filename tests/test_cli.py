@@ -121,6 +121,12 @@ class TestCheck:
             ({"props": 1}, "agents"),
             ({"agents": 3, "props": 1}, "agents"),
             ({"agents": [{"locals": 2}], "props": 1, "cp": [[5, 0, 0, 1]]}, "cp"),
+            # JSON booleans are not integers, though Python's bool is one.
+            ({"agents": [{"locals": True}], "props": 1}, "agents"),
+            ({"agents": [{"locals": 2, "initial": False}], "props": 1}, "agents"),
+            ({"agents": [{"locals": 2}], "props": True}, "props"),
+            ({"agents": [{"locals": 2}], "props": 1, "cp": [[0, 0, 0, True]]}, "cp"),
+            ({"agents": [{"locals": 2}], "props": 1, "cv": [[0, False, 1]]}, "cv"),
         ],
     )
     def test_malformed_requirements_name_the_field(self, data, field, tmp_path, capsys):

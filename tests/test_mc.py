@@ -26,7 +26,7 @@ from atlsat.mas import (
     state_index,
     state_locals,
 )
-from atlsat.mc import atl_pre, full_set, solve_op
+from atlsat.mc import atl_pre, solve_op
 from oracles import (
     enumerate_models,
     fixpoint_globally,
@@ -51,7 +51,7 @@ class TestAtlPre:
         for _ in range(50):
             m = random_model(rng, rng.choice(SMALL_SHAPES))
             everyone = tuple(range(m.shape.agent_count))
-            assert atl_pre(m, everyone, full_set(m)) == full_set(m)
+            assert atl_pre(m, everyone, m.full_mask) == m.full_mask
 
     def test_empty_coalition_on_empty_set(self):
         rng = random.Random(1)
@@ -203,7 +203,7 @@ class TestSolveOp:
         rng = random.Random(7)
         m = random_model(rng, ModelShape([2, 2], [0, 0], 1))
         y = rng.getrandbits(4)
-        assert solve_op("not", m, y) == full_set(m) & ~y
+        assert solve_op("not", m, y) == m.full_mask & ~y
 
     def test_and_is_intersection(self):
         rng = random.Random(8)

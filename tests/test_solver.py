@@ -28,7 +28,6 @@ from atlsat.solver import (
     _make_recheck,
     _Search,
     cone_of_influence,
-    extract_model,
     minimize_conflict,
     solve_satisfiability,
     structural_clauses,
@@ -412,6 +411,7 @@ class TestSolveSatisfiability:
         r = solve_satisfiability(parse_formula("p0 & !p0"), req, config)
         assert not r.satisfiable
         assert (r.stats.decisions, r.stats.conflicts) == (6173, 6174)
+        assert (r.stats.propagations, r.stats.theory_checks) == (7602, 12347)
 
     def test_propagations_counted_and_repeatable(self):
         req = Requirements(ModelShape([2, 2], [0, 0], 1))
@@ -472,16 +472,19 @@ class TestSolveSatisfiability:
 
 
 class TestExtractModel:
+    """The search extracts its witness from a total assignment with
+    ``decode_model``."""
+
     def test_delegates_to_decode(self):
         rng = random.Random(12)
         m = random_model(rng, S22P1)
-        assert extract_model(encode_model(m)) == decode_model(encode_model(m)) == m
+        assert decode_model(encode_model(m)) == m
 
     def test_errors_propagate(self):
         from atlsat.mas import UndefCellError
 
         with pytest.raises(UndefCellError):
-            extract_model(empty_assignment(S22P1))
+            decode_model(empty_assignment(S22P1))
 
 
 class TestPropagation:
@@ -521,11 +524,39 @@ class TestPropagation:
                         changed = True
             return None
 
+    @staticmethod
+    def assert_watches_settled(search):
+        """The invariant of a settled propagation: every clause of two or
+        more literals watches two non-false literals, or a true one and a
+        false one of no lower level; ``watchers[lit]`` holds exactly the
+        clauses that watch ``lit``."""
+        value, level = search.value, search.level
+
+        def truth(lit):
+            x = value[abs(lit) - 1]
+            return None if x is None else x == (lit > 0)
+
+        expected = {lit: set() for lit in search.watchers}
+        for i, (clause, watched) in enumerate(zip(search.clauses, search.watched)):
+            for lit in watched:
+                expected[lit].add(i)
+            if len(clause) < 2:
+                continue
+            assert len(watched) == 2 and set(watched) <= set(clause)
+            a, b = watched
+            if truth(a) is False:
+                a, b = b, a
+            if truth(b) is False:
+                assert truth(a) is True, (clause, watched)
+                assert level[abs(b) - 1] >= level[abs(a) - 1], (clause, watched)
+        assert search.watchers == expected
+
     def test_watched_matches_rescan(self):
         """Both propagations go through the same random decisions, Boolean
         conflicts and theory-style conflicts (the negation of some assigned
         literals), each resolved by analyze, backjump and learn; after every
-        step they agree on the conflict clause, the trail and its reasons."""
+        step they agree on the conflict clause, the trail and its reasons,
+        and a settled watched propagation meets its watch invariant."""
         req = Requirements(self.SHAPE)
         core = normalize(parse_formula("p0"))
         boolean = theory = 0
@@ -547,6 +578,8 @@ class TestPropagation:
                     pair[1].reason[abs(l) - 1] for l in pair[1].trail
                 ]
                 conflict = conflicts[0]
+                if conflict is None:
+                    self.assert_watches_settled(pair[0])
                 free = [v for v in range(n) if pair[0].value[v] is None]
                 # A total assignment always gets a theory verdict; refute it.
                 if conflict is None and (not free or rng.random() < 0.05) and pair[0].trail_lim:
