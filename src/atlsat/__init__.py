@@ -47,7 +47,7 @@ from .mas import (
     state_locals,
     successors,
 )
-from .mc import StateSet, atl_pre, solve_op
+from .mc import StateSet, atl_pre
 from .solver import (
     BoundsError,
     Clause,

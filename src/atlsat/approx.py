@@ -109,8 +109,13 @@ class PartialModel:
 
     @classmethod
     def from_assignment(cls, a: Assignment) -> "PartialModel":
+        return cls.from_cells(a.shape, tuple(a.bits))
+
+    @classmethod
+    def from_cells(cls, shape: ModelShape, cells: tuple[Cell, ...]) -> "PartialModel":
+        """The partial model over a cell vector of the shape's length."""
         pm = cls.__new__(cls)
-        pm._adopt(a.shape, tuple(a.bits))
+        pm._adopt(shape, cells)
         return pm
 
     def to_assignment(self) -> Assignment:
@@ -245,7 +250,8 @@ class Program:
     """A core formula compiled for one shape.
 
     Values live at ``2 * slot + u``, where ``u`` is 0 in ``OVER`` and 1 in
-    ``UNDER``.  For each root mode, ``steps[mode]`` lists the ``(slot, mode)``
+    ``UNDER``; ``steps``, ``roots`` and ``used`` are indexed by the root
+    mode's ``u``.  For each root mode, ``steps[u]`` lists the ``(slot, mode)``
     evaluations it needs, children first, as ``(kind, out, a, b, view,
     coalition)``: ``a`` and ``b`` are the operand positions (for an atom the
     proposition and the valuation side), and a strategic step's ``view`` is
@@ -261,7 +267,7 @@ class Program:
     def __init__(self, f: Formula, shape: ModelShape):
         self.formula = f
         self.shape = shape
-        self.full = (1 << shape.state_count) - 1
+        self.full = shape.full_mask
         slots, self.nodes, root = _cons(f, shape)
         # Bit u of need[slot]: root mode OVER evaluates the slot in mode u.
         # Root mode UNDER needs the same slots with the modes swapped.
@@ -297,15 +303,14 @@ class Program:
                     steps[0].append(step)
                 if under:
                     steps[1].append(step)
-        self.steps = dict(zip(_MODES, steps))
-        self.roots = {mode: 2 * root + u for u, mode in enumerate(_MODES)}
+        self.steps = steps
+        self.roots = (2 * root, 2 * root + 1)
         self.picks = [_picks(shape.agent_count, members, _MODES[u]) for members, u in views]
         self.sides = [1 - u for _, u in views]
         # Per root mode, the views its steps use.
-        self.used = {
-            mode: sorted({step[4] for step in self.steps[mode] if step[4] is not None})
-            for mode in _MODES
-        }
+        self.used = tuple(
+            sorted({step[4] for step in mode_steps if step[4] is not None}) for mode_steps in steps
+        )
         self._last: list[tuple | None] = [None] * (2 * len(slots))
         self._valuation: tuple[Cell, ...] | None = None
         self._masks: tuple[tuple[int, ...], ...] = ()
@@ -320,7 +325,8 @@ class Program:
     def visits(self, mode: Mode) -> list[tuple[Formula, Mode]]:
         """The ``(subformula, mode)`` evaluations of root mode ``mode``, in
         step order."""
-        return [(self.nodes[out >> 1], _MODES[out & 1]) for _, out, *_ in self.steps[mode]]
+        steps = self.steps[_MODES.index(mode)]
+        return [(self.nodes[out >> 1], _MODES[out & 1]) for _, out, *_ in steps]
 
     def approximate(self, pm: PartialModel, mode: Mode) -> StateSet:
         """:func:`sapp` of the compiled formula."""
@@ -329,21 +335,22 @@ class Program:
             self._valuation = valuation
             self._masks = _prop_masks(self.shape, valuation)
         rows, picks = pm._rows, self.picks
+        u = 1 if mode is Mode.UNDER else 0
         enabled: list[tuple | None] = [None] * len(picks)
-        for view in self.used[mode]:
+        for view in self.used[u]:
             enabled[view] = tuple(map(getitem, rows, picks[view]))
-        return self._run(mode, self._masks, enabled, [None] * len(picks), self._last)
+        return self._run(u, self._masks, enabled, [None] * len(picks), self._last)
 
     def exact(self, m: TransitionStructure) -> StateSet:
         """:func:`solve_formula` of the compiled formula.  It neither reads
         nor feeds the reuse cache."""
         views = len(self.picks)
         masks = (m.prop_masks, m.prop_masks)
-        return self._run(Mode.OVER, masks, [m.enabled] * views, [m] * views, [None] * len(self._last))
+        return self._run(0, masks, [m.enabled] * views, [m] * views, [None] * len(self._last))
 
     def _run(
         self,
-        mode: Mode,
+        u: int,
         masks: Sequence[Sequence[int]],
         enabled: list[tuple],
         structures: list[TransitionStructure | None],
@@ -355,7 +362,7 @@ class Program:
         full = self.full
         sides = self.sides
         values: list[StateSet] = [0] * len(last)
-        for kind, out, a, b, view, coalition in self.steps[mode]:
+        for kind, out, a, b, view, coalition in self.steps[u]:
             if kind == _PROP:
                 values[out] = masks[b][a]
             elif kind == _NOT:
@@ -381,7 +388,7 @@ class Program:
                     result = solve_until(st, coalition, x, y)
                 last[out] = (rows, x, y, result)
                 values[out] = result
-        return values[self.roots[mode]]
+        return values[self.roots[u]]
 
 
 def sapp(pm: PartialModel, f: Formula | Program, mode: Mode) -> StateSet:

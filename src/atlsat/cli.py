@@ -100,11 +100,12 @@ def load_requirements(path: str) -> Requirements:
         )
     except ValueError as exc:
         raise ValueError(f"requirements field 'agents': {exc}") from None
+    seen: dict[int, int] = {}
     for field, rows, cell in (("cp", cp, shape.tb_bit), ("cv", cv, shape.vb_bit)):
         for row in rows:
             try:
-                cell(*row[:-1])
-            except IndexError as exc:
+                Requirements.note(seen, cell(*row[:-1]), row[-1])
+            except (IndexError, ValueError) as exc:
                 raise ValueError(f"requirements field {field!r}: {exc}") from None
     return Requirements(shape, cp, cv)
 

@@ -120,20 +120,44 @@ class ModelShape:
             for i, n in enumerate(self.locals_per_agent)
         )
 
-    def elimination_plan(
-        self, coalition: tuple[int, ...]
-    ) -> tuple[tuple[int, bool, int, tuple[int, ...]], ...]:
-        """The shape's part of :meth:`TransitionStructure.choice_masks`: one
-        ``(agent, is member, radix weight, slot masks)`` step per agent,
-        outsiders before members.  Built once per coalition."""
+    @cached_property
+    def full_mask(self) -> int:
+        """Every state of the shape."""
+        return (1 << self.state_count) - 1
+
+    def elimination_plan(self, coalition: tuple[int, ...]) -> tuple[tuple[int, bool], ...]:
+        """The order :func:`~atlsat.mc.atl_pre` eliminates agents in: one
+        ``(agent, is member)`` pair per agent, outsiders before members.
+        Built once per coalition."""
         plan = self._plans.get(coalition)
         if plan is None:
             members = set(coalition)
             plan = self._plans[coalition] = tuple(
-                (i, i in members, self.radix_weights[i], self.slot_masks[i])
+                (i, i in members)
                 for i in sorted(range(self.agent_count), key=members.__contains__)
             )
         return plan
+
+    def agent_shifts(
+        self, agent: int, rows: tuple[tuple[int, ...], ...]
+    ) -> tuple[tuple[int, int], ...]:
+        """One agent's step of the pre-image for its enabled ``rows``: the
+        ``(d, mask_d)`` pairs, one per distinct offset.  An enabled action
+        ``a`` at local state ``l`` moves the agent's coordinate by ``d = (l -
+        a) * radix_weights[agent]``, and ``mask_d`` is the union of the slot
+        masks of the local states that use ``d``.  An empty row is in no
+        mask.  Built once per agent and distinct table."""
+        key = (agent, rows)
+        shifts = self._shifts.get(key)
+        if shifts is None:
+            weight, slots = self.radix_weights[agent], self.slot_masks[agent]
+            masks: dict[int, int] = {}
+            for l, row in enumerate(rows):
+                for a in row:
+                    d = (l - a) * weight
+                    masks[d] = masks.get(d, 0) | slots[l]
+            shifts = self._shifts[key] = tuple(masks.items())
+        return shifts
 
     def protocol_rows(
         self, table: tuple[int | None, ...]
@@ -152,9 +176,13 @@ class ModelShape:
             )
         return rows
 
-    # Per-shape memos of the two methods above, keyed by their argument.
+    # Per-shape memos of the three methods above, keyed by their arguments.
     @cached_property
     def _plans(self) -> dict:
+        return {}
+
+    @cached_property
+    def _shifts(self) -> dict:
         return {}
 
     @cached_property
@@ -177,21 +205,6 @@ class ModelShape:
         if not (0 <= state < self.state_count and 0 <= prop < self.prop_count):
             raise IndexError(f"valuation cell ({state},{prop}) out of range")
         return self.vb_offset + state * self.prop_count + prop
-
-    def bit_owner(self, index: int) -> tuple:
-        """Classify a cell index: ('tb', agent, local, action) or
-        ('vb', state, prop)."""
-        if not 0 <= index < self.bit_count:
-            raise IndexError(f"cell {index} out of range (bit count {self.bit_count})")
-        if index >= self.vb_offset:
-            rel = index - self.vb_offset
-            return ("vb", rel // self.prop_count, rel % self.prop_count)
-        for agent in range(self.agent_count - 1, -1, -1):
-            if index >= self.tb_offsets[agent]:
-                rel = index - self.tb_offsets[agent]
-                n = self.locals_per_agent[agent]
-                return ("tb", agent, rel // n, rel % n)
-        raise AssertionError
 
 
 def state_index(shape: ModelShape, locals_tuple: Sequence[int]) -> int:
@@ -220,6 +233,9 @@ class TransitionStructure:
     successors.
     """
 
+    # Whether choice_masks keeps the plans it builds.
+    _keeps_plans = True
+
     def __init__(
         self,
         shape: ModelShape,
@@ -233,28 +249,42 @@ class TransitionStructure:
             table if isinstance(table, tuple) else tuple(map(tuple, table)) for table in enabled
         )
         self.prop_masks = tuple(prop_masks)
+        self._choice_masks: dict[tuple[int, ...], tuple] = {}
 
-    @cached_property
+    @property
     def full_mask(self) -> int:
-        return (1 << self.shape.state_count) - 1
+        return self.shape.full_mask
 
-    def choice_masks(self, coalition: Sequence[int]) -> list[tuple]:
+    def choice_masks(self, coalition: Sequence[int]) -> tuple[tuple[bool, tuple], ...]:
         """The plan :func:`~atlsat.mc.atl_pre` follows: one ``(is member,
-        radix weight, slot masks, enabled rows)`` step per agent, outsiders
-        (for all) before members (exists).  An empty coalition row gives no
-        choice; an empty outsider row constrains nothing.  Only the enabled
-        rows are this structure's; the rest is the shape's
-        :meth:`~ModelShape.elimination_plan`."""
-        enabled = self.enabled
-        return [
-            (member, weight, slots, enabled[i])
-            for i, member, weight, slots in self.shape.elimination_plan(tuple(coalition))
-        ]
+        shifts)`` step per agent, outsiders (for all) before members
+        (exists), where ``shifts`` are the shape's
+        :meth:`~ModelShape.agent_shifts` for this structure's rows of the
+        agent.  Built once per coalition (a split structure serves one),
+        except on a :class:`Model`, which builds it per call."""
+        key = tuple(coalition)
+        plan = self._choice_masks.get(key)
+        if plan is None:
+            shape, enabled = self.shape, self.enabled
+            plan = tuple([
+                (member, shape.agent_shifts(i, enabled[i]))
+                for i, member in shape.elimination_plan(key)
+            ])
+            if self._keeps_plans:
+                self._choice_masks[key] = plan
+        return plan
 
 
 class Model(TransitionStructure):
     """A concrete model: total protocols (every row nonempty) plus a total
-    valuation.  Immutable once built."""
+    valuation.  Immutable once built.
+
+    A model keeps no pre-image plans: it outlives the checks made on it (a
+    solve returns its witness), and a caller keeping many witnesses would
+    keep their plans too.
+    """
+
+    _keeps_plans = False
 
     def __init__(
         self,

@@ -4,9 +4,14 @@ State sets are int bitmasks over the global state indices of the ambient
 shape.  Strategic operators are round-based fixpoints of the coalition
 pre-image :func:`atl_pre`, which never enumerates joint actions: it
 eliminates the outsiders (for all), then the coalition members (exists), one
-agent at a time.  Protocol rows may be empty in the split structures of
-:mod:`atlsat.approx`, whose formula recursion calls these: an empty
-coalition row gives no choice, an empty outsider row constrains nothing.
+agent at a time.  Each agent's step is a few grouped shifts: the enabled
+cells of its protocol table are grouped by the offset they move the agent's
+coordinate by, one shift and one mask per distinct offset, planned once per
+table by :meth:`~atlsat.mas.ModelShape.agent_shifts`.  A member's step ORs
+the masked shifts of the set; an outsider's step is the same OR on the
+complement, complemented back.  Protocol rows may be empty in the split
+structures of :mod:`atlsat.approx`: an empty row is in no mask, so an empty
+coalition row gives no choice and an empty outsider row constrains nothing.
 """
 
 from __future__ import annotations
@@ -23,26 +28,22 @@ def atl_pre(m: TransitionStructure, coalition, x: StateSet) -> StateSet:
     gives the existential pre-image, the empty coalition the universal one.
 
     Each step of the :meth:`~atlsat.mas.TransitionStructure.choice_masks`
-    plan moves one agent from target to source coordinate: slot ``l`` takes
-    the slices of ``y`` at the actions enabled at local state ``l``, shifted
-    into place, ANDed for an outsider and ORed for a member.
+    plan moves one agent from target to source coordinate: ``z = OR_d
+    shift(y, d) & mask_d`` over the agent's distinct offsets ``d``.  That is
+    a member's step.  An outsider's is its dual, ``full & ~z`` with ``z``
+    taken on ``full & ~y``; the outsiders come first, so the set is
+    complemented once before them and once after.
     """
-    y = x
-    for member, weight, slots, rows in m.choice_masks(tuple(coalition)):
+    full = m.shape.full_mask
+    y, complemented = x, False
+    for member, shifts in m.choice_masks(coalition):
+        if member == complemented:
+            y, complemented = full & ~y, not complemented
         z = 0
-        for l, (slot, row) in enumerate(zip(slots, rows)):
-            if member:
-                for a in row:
-                    d = (l - a) * weight
-                    z |= (y << d if d >= 0 else y >> -d) & slot
-                continue
-            acc = slot
-            for a in row:
-                d = (l - a) * weight
-                acc &= y << d if d >= 0 else y >> -d
-            z |= acc
+        for d, mask in shifts:
+            z |= (y << d if d >= 0 else y >> -d) & mask
         y = z
-    return y
+    return full & ~y if complemented else y
 
 
 def solve_next(m: TransitionStructure, coalition, x: StateSet) -> StateSet:
@@ -65,23 +66,3 @@ def solve_until(m: TransitionStructure, coalition, x1: StateSet, x2: StateSet) -
         if y2 == y:
             return y
         y = y2
-
-
-def solve_op(op: str, m: TransitionStructure, y1: StateSet, y2: StateSet | None = None, coalition=()) -> StateSet:
-    """Evaluate one operator on already-solved argument sets."""
-    binary = op in ("and", "until")
-    if binary and y2 is None:
-        raise ValueError(f"operator {op!r} takes two state sets")
-    if not binary and y2 is not None:
-        raise ValueError(f"operator {op!r} takes one state set")
-    if op == "not":
-        return m.full_mask & ~y1
-    if op == "and":
-        return y1 & y2
-    if op == "next":
-        return solve_next(m, coalition, y1)
-    if op == "globally":
-        return solve_globally(m, coalition, y1)
-    if op == "until":
-        return solve_until(m, coalition, y1, y2)
-    raise ValueError(f"unknown operator {op!r}")

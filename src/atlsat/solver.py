@@ -91,13 +91,16 @@ class Requirements:
         )
         seen: dict[int, int] = {}
         for bit, value in bits:
-            self._note(seen, bit, value)
+            self.note(seen, bit, value)
         object.__setattr__(self, "_bits", bits)
         # Raises if some protocol row is forced entirely empty.
         self.induced_partial_model()
 
     @staticmethod
-    def _note(seen: dict[int, int], bit: int, value: int) -> None:
+    def note(seen: dict[int, int], bit: int, value: int) -> None:
+        """Record that ``bit`` is forced to ``value`` in ``seen``; raises
+        ``ValueError`` for a value other than 0 or 1, or for a bit that
+        ``seen`` already forces the other way."""
         if value not in (0, 1):
             raise ValueError(f"constraint value must be 0 or 1, got {value!r}")
         if seen.setdefault(bit, value) != value:
@@ -294,8 +297,8 @@ def cone_of_influence(f: Formula, shape: ModelShape) -> frozenset[int]:
     recheck per literal dropped.  Every recheck assigns a subset of the
     conflicting assignment, which agrees with the requirements and leaves
     no protocol row empty; refinement cannot empty a row, so the recheck
-    never takes its ``ValueError`` path and its answer depends on cone
-    cells alone.  Greedy keeps its current set a conflict throughout, so at
+    never takes its impossible-assignment paths and its answer depends on
+    cone cells alone.  Greedy keeps its current set a conflict throughout, so at
     a literal outside the cone the recheck answers conflict and the literal
     goes; a literal in the cone meets a current set that differs from the
     unfiltered run only outside the cone, and gets the same answer."""
@@ -319,22 +322,28 @@ def _make_recheck(
     """Oracle for clause minimization: does the conflict survive when only
     the cells named by these clause literals stay assigned?  ``deadline``
     runs before each recheck, so a time limit holds inside a minimization."""
-    iota = req.shape.initial_state
-    program = Program.of(f, req.shape)
+    shape = req.shape
+    iota = shape.initial_state
+    program = Program.of(f, shape)
+    # The requirement cells, preset once; each recheck copies them.
+    required = list(req.induced_partial_model().cells)
 
     def recheck(candidate: tuple[int, ...]) -> bool:
         if deadline is not None:
             deadline()
         stats.rechecks += 1
-        bits: list[int | None] = [None] * req.shape.bit_count
+        cells = required.copy()
         for lit in candidate:
-            bits[abs(lit) - 1] = 0 if lit > 0 else 1
+            v, value = abs(lit) - 1, 0 if lit > 0 else 1
+            if cells[v] == 1 - value:
+                # A literal that contradicts a requirement: that
+                # assignment cannot occur, treat as conflicting.
+                return True
+            cells[v] = value
         try:
-            merged = _merge_with_requirements(Assignment(req.shape, tuple(bits)), req)
-            pm = PartialModel.from_assignment(Assignment(req.shape, tuple(merged)))
+            pm = PartialModel.from_cells(shape, tuple(cells))
         except ValueError:
-            # Dropping cells uncovered a requirement contradiction or an
-            # empty row; that assignment cannot occur, treat as conflicting.
+            # Dropping cells uncovered an empty row; likewise.
             return True
         return not sapp(pm, program, Mode.OVER) >> iota & 1
 
@@ -581,7 +590,7 @@ class _Search:
 
     def run_theory(self) -> TheoryOutcome:
         self.stats.theory_checks += 1
-        pm = PartialModel.from_assignment(Assignment(self.shape, tuple(self.value)))
+        pm = PartialModel.from_cells(self.shape, tuple(self.value))
         return _decide(pm, self.program, self._minimize)
 
     # -- decisions

@@ -29,8 +29,8 @@ from atlsat.formula import (
     strategic_depth,
 )
 from atlsat.mas import Assignment, Model, ModelShape, decode_model, encode_model
-from atlsat.mc import solve_op
 from atlsat.solver import Requirements, SolverConfig, solve_satisfiability
+from helpers import solve_op
 from oracles import compatible_completions, enumerate_models
 from samplers import TINY_SHAPES, random_core_formula, random_model, random_partial_model
 

@@ -25,7 +25,7 @@ from atlsat.formula import (
     iter_subformulas,
     normalize,
 )
-from atlsat.mas import Assignment, Model, ModelShape, encode_model
+from atlsat.mas import Assignment, Model, ModelShape, encode_model, state_index
 from atlsat.mc import solve_globally, solve_next, solve_until
 from oracles import compatible_completions, enumerate_models
 from samplers import (
@@ -107,15 +107,33 @@ class TestDerivation:
                             for i in range(agents)
                         )
                     outsiders_first = [i for i in range(agents) if i not in coal] + list(coal)
-                    assert st.choice_masks(coal) == [
-                        (i in coal, shape.radix_weights[i], shape.slot_masks[i], st.enabled[i])
-                        for i in outsiders_first
-                    ]
-            # Equal slices share one memo entry.
+                    plan = st.choice_masks(coal)
+                    assert [member for member, _ in plan] == [i in coal for i in outsiders_first]
+                    for i, (_, shifts) in zip(outsiders_first, plan):
+                        assert all(mask for _, mask in shifts)
+                        assert dict(shifts) == per_cell_shifts(shape, i, st.enabled[i])
+                        assert len(shifts) == len(dict(shifts))
+            # Equal slices share one memo entry, and so do their shifts.
             twin = PartialModel.from_assignment(Assignment(shape, cells))
             for a, b in zip(all_necessary(pm).enabled, all_necessary(twin).enabled):
                 assert a is b
+            coal = tuple(range(agents))
+            for mode in Mode:
+                plans = [split_structure(p, coal, mode).choice_masks(coal) for p in (pm, twin)]
+                for (_, a), (_, b) in zip(*plans):
+                    assert a is b
         assert rejected > 20 and accepted > 20
+
+
+def per_cell_shifts(shape, agent, rows):
+    # Per offset d, the states s with an enabled action a at agent's local
+    # state in s such that s - d is s with that coordinate set to a.
+    shifts = {}
+    for s, locs in enumerate(shape.state_locals_table):
+        for a in rows[locs[agent]]:
+            d = s - state_index(shape, locs[:agent] + (a,) + locs[agent + 1 :])
+            shifts[d] = shifts.get(d, 0) | 1 << s
+    return shifts
 
 
 def all_necessary(pm):

@@ -127,6 +127,11 @@ class TestCheck:
             ({"agents": [{"locals": 2}], "props": True}, "props"),
             ({"agents": [{"locals": 2}], "props": 1, "cp": [[0, 0, 0, True]]}, "cp"),
             ({"agents": [{"locals": 2}], "props": 1, "cv": [[0, False, 1]]}, "cv"),
+            # Values outside 0/1, and two rows forcing one cell both ways.
+            ({"agents": [{"locals": 2}], "props": 1, "cp": [[0, 0, 0, 2]]}, "cp"),
+            ({"agents": [{"locals": 2}], "props": 1, "cv": [[0, 0, -1]]}, "cv"),
+            ({"agents": [{"locals": 2}], "props": 1, "cp": [[0, 1, 1, 1], [0, 1, 1, 0]]}, "cp"),
+            ({"agents": [{"locals": 2}], "props": 1, "cv": [[1, 0, 0], [1, 0, 1]]}, "cv"),
         ],
     )
     def test_malformed_requirements_name_the_field(self, data, field, tmp_path, capsys):

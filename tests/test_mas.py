@@ -14,6 +14,7 @@ from atlsat.mas import (
     state_locals,
     successors,
 )
+from helpers import bit_owner
 from samplers import random_model, random_shape
 
 # The worked two-agent example: agent 0 with three local states and protocol
@@ -62,11 +63,11 @@ class TestShape:
             for local in range(n):
                 for action in range(n):
                     bit = shape.tb_bit(agent, local, action)
-                    assert shape.bit_owner(bit) == ("tb", agent, local, action)
+                    assert bit_owner(shape, bit) == ("tb", agent, local, action)
         for state in range(shape.state_count):
             for prop in range(shape.prop_count):
                 bit = shape.vb_bit(state, prop)
-                assert shape.bit_owner(bit) == ("vb", state, prop)
+                assert bit_owner(shape, bit) == ("vb", state, prop)
 
     def test_invalid_shape(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,8 @@ from atlsat.mas import (
     state_index,
     state_locals,
 )
-from atlsat.mc import atl_pre, solve_op
+from atlsat.mc import atl_pre
+from helpers import solve_op
 from oracles import (
     enumerate_models,
     fixpoint_globally,
