@@ -8,7 +8,6 @@ from .approx import (
     is_compatible,
     sapp,
     solve_formula,
-    split_structure,
 )
 from .formula import (
     And,

@@ -9,8 +9,8 @@ excluded) or optimistically (*possible*: undef included).
 :func:`sapp` computes, for a core formula, a state set guaranteed to contain
 (mode ``OVER``) or be contained in (mode ``UNDER``) the exact satisfaction
 set of every total model compatible with the partial model.  Negation swaps
-the mode of the subformula; strategic operators evaluate on the
-:func:`split_structure`, whose optimism is split by coalition membership:
+the mode of the subformula; strategic operators evaluate on a split
+structure, whose optimism is split by coalition membership:
 
 * ``OVER``: coalition agents get possible protocols, all others necessary
   ones, and the valuation is possible — extra coalition options and fewer
@@ -29,8 +29,9 @@ itself as the structure for every coalition and mode.
 
 Both run a :class:`Program`: the core formula compiled for a shape into
 hash-consed slots, evaluated by one loop with no recursion.  A program kept
-across the theory calls of one solve reuses each strategic step's last
-result while its inputs repeat.
+across the theory calls of one solve keeps each split structure, and so its
+pre-image plan, while the structure's enabled rows repeat, and reuses each
+strategic step's last result while its inputs repeat.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 from enum import Enum
 from itertools import compress, repeat
 from operator import eq, getitem, ne
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .formula import And, Formula, Globally, Next, Not, Prop, Until
 from .mas import Assignment, Model, ModelShape, TransitionStructure, encode_model
@@ -65,26 +66,11 @@ class PartialModel:
     admits no compatible model.
     """
 
-    def __init__(
-        self,
-        shape: ModelShape,
-        cp: Sequence[Sequence[Sequence[Cell]]],
-        cv: Sequence[Sequence[Cell]],
-    ):
-        cp = tuple(tuple(tuple(row) for row in table) for table in cp)
-        cv = tuple(tuple(row) for row in cv)
-        if len(cp) != shape.agent_count:
-            raise ValueError("one partial protocol per agent required")
-        for i, table in enumerate(cp):
-            n = shape.locals_per_agent[i]
-            if len(table) != n or any(len(row) != n for row in table):
-                raise ValueError(f"partial protocol of agent {i} must be {n}x{n}")
-        if len(cv) != shape.state_count or any(len(row) != shape.prop_count for row in cv):
-            raise ValueError("partial valuation must be |St| x prop_count")
-        cells = tuple(c for table in cp for row in table for c in row)
-        self._adopt(shape, cells + tuple(c for row in cv for c in row))
-
-    def _adopt(self, shape: ModelShape, cells: tuple[Cell, ...]) -> None:
+    def __init__(self, shape: ModelShape, cells: tuple[Cell, ...]):
+        if len(cells) != shape.bit_count:
+            raise ValueError(
+                f"partial model has {len(cells)} cells, shape needs {shape.bit_count}"
+            )
         if not _CELL_VALUES.issuperset(cells):
             raise ValueError("cells must be 0, 1 or None")
         # Per agent its (necessary, possible) enabled rows, one lookup of the
@@ -109,36 +95,10 @@ class PartialModel:
 
     @classmethod
     def from_assignment(cls, a: Assignment) -> "PartialModel":
-        return cls.from_cells(a.shape, tuple(a.bits))
-
-    @classmethod
-    def from_cells(cls, shape: ModelShape, cells: tuple[Cell, ...]) -> "PartialModel":
-        """The partial model over a cell vector of the shape's length."""
-        pm = cls.__new__(cls)
-        pm._adopt(shape, cells)
-        return pm
+        return cls(a.shape, tuple(a.bits))
 
     def to_assignment(self) -> Assignment:
         return Assignment(self.shape, self.cells)
-
-    def with_cell(self, index: int, value: Cell) -> "PartialModel":
-        """A refined copy with one cell set (used by tests and diagnostics)."""
-        cells = list(self.cells)
-        cells[index] = value
-        return PartialModel.from_assignment(Assignment(self.shape, tuple(cells)))
-
-    @property
-    def cp(self) -> tuple[tuple[tuple[Cell, ...], ...], ...]:
-        """Per agent, the partial protocol table, row = local state."""
-        return tuple(map(tuple, _tables(self.shape, self.cells)))
-
-    @property
-    def cv(self) -> tuple[tuple[Cell, ...], ...]:
-        """Per global state, the partial valuation row."""
-        p, off = self.shape.prop_count, self.shape.vb_offset
-        return tuple(
-            self.cells[off + s * p : off + s * p + p] for s in range(self.shape.state_count)
-        )
 
 
 def _prop_masks(shape: ModelShape, valuation: Sequence[Cell]) -> tuple[tuple[int, ...], ...]:
@@ -152,36 +112,11 @@ def _prop_masks(shape: ModelShape, valuation: Sequence[Cell]) -> tuple[tuple[int
     )
 
 
-def _tables(shape: ModelShape, seq: Sequence) -> Iterator[Iterator[Sequence]]:
-    # Per agent, the slices of a cell-indexed sequence that hold its
-    # protocol rows, lazily.
-    return (
-        (seq[k : k + n] for k in range(off, off + n * n, n))
-        for off, n in zip(shape.tb_offsets, shape.locals_per_agent)
-    )
-
-
 def _picks(agent_count: int, members, mode: Mode) -> tuple[int, ...]:
     # Per agent, which of its (necessary, possible) rows the split structure
     # for this coalition and mode takes.
     optimistic = mode is Mode.OVER
     return tuple(int((i in members) == optimistic) for i in range(agent_count))
-
-
-def split_structure(pm: PartialModel, coalition, mode: Mode) -> TransitionStructure:
-    """The structure a strategic operator over ``coalition`` evaluates on in
-    ``mode``: in ``OVER`` coalition agents get possible protocols, the rest
-    necessary ones, and the valuation is possible; ``UNDER`` is the dual.
-
-    ``split_structure(pm, all agents, Mode.UNDER)`` is the all-necessary
-    structure.  Its rows may be empty, which leaves a state without
-    successors; a goal state with no successors still under-approximates
-    soundly, since every compatible total model is serial.
-    """
-    shape = pm.shape
-    enabled = tuple(map(getitem, pm._rows, _picks(shape.agent_count, set(coalition), mode)))
-    masks = _prop_masks(shape, pm.cells[shape.vb_offset :])
-    return TransitionStructure(shape, enabled, masks[mode is Mode.OVER])
 
 
 def is_compatible(m: Model, pm: PartialModel) -> bool:
@@ -257,11 +192,13 @@ class Program:
     proposition and the valuation side), and a strategic step's ``view`` is
     its ``(coalition, mode)`` split, one of ``picks``.
 
-    Each strategic step keeps its last enabled rows, operand sets and
-    result, and reuses the result when the inputs repeat; the program also
-    keeps the last valuation slice and its proposition masks.  ``reused``
-    counts the steps answered from their last result.  Keep a program to
-    one solve: both caches hold one entry and live as long as it does.
+    Each view keeps its split structure, with the structure's pre-image
+    plan, until the view's enabled rows change.  Each strategic step keeps
+    its last enabled rows, operand sets and result, and reuses the result
+    when the inputs repeat; the program also keeps the last valuation slice
+    and its proposition masks.  ``reused`` counts the steps answered from
+    their last result.  Keep a program to one solve: these caches hold one
+    entry each and live as long as it does.
     """
 
     def __init__(self, f: Formula, shape: ModelShape):
@@ -306,11 +243,11 @@ class Program:
         self.steps = steps
         self.roots = (2 * root, 2 * root + 1)
         self.picks = [_picks(shape.agent_count, members, _MODES[u]) for members, u in views]
-        self.sides = [1 - u for _, u in views]
         # Per root mode, the views its steps use.
         self.used = tuple(
             sorted({step[4] for step in mode_steps if step[4] is not None}) for mode_steps in steps
         )
+        self._structures: list[TransitionStructure | None] = [None] * len(views)
         self._last: list[tuple | None] = [None] * (2 * len(slots))
         self._valuation: tuple[Cell, ...] | None = None
         self._masks: tuple[tuple[int, ...], ...] = ()
@@ -318,9 +255,13 @@ class Program:
 
     @classmethod
     def of(cls, f: Formula | Program, shape: ModelShape) -> Program:
-        """``f`` itself when it is a program (compiled for ``shape``),
-        otherwise ``f`` compiled."""
-        return f if isinstance(f, Program) else cls(f, shape)
+        """``f`` itself when it is a program, otherwise ``f`` compiled.  A
+        program compiled for another shape raises ``ValueError``."""
+        if not isinstance(f, Program):
+            return cls(f, shape)
+        if f.shape is not shape and f.shape != shape:
+            raise ValueError(f"program compiled for {f.shape}, used with {shape}")
+        return f
 
     def visits(self, mode: Mode) -> list[tuple[Formula, Mode]]:
         """The ``(subformula, mode)`` evaluations of root mode ``mode``, in
@@ -334,33 +275,36 @@ class Program:
         if valuation != self._valuation:
             self._valuation = valuation
             self._masks = _prop_masks(self.shape, valuation)
-        rows, picks = pm._rows, self.picks
+        rows, picks, structures = pm._rows, self.picks, self._structures
         u = 1 if mode is Mode.UNDER else 0
-        enabled: list[tuple | None] = [None] * len(picks)
         for view in self.used[u]:
-            enabled[view] = tuple(map(getitem, rows, picks[view]))
-        return self._run(u, self._masks, enabled, [None] * len(picks), self._last)
+            enabled = tuple(map(getitem, rows, picks[view]))
+            st = structures[view]
+            if st is None or st.enabled != enabled:
+                # A split structure's propositions are never read: atoms
+                # take their sets from the program's masks.
+                structures[view] = TransitionStructure(self.shape, enabled, ())
+        return self._run(u, self._masks, structures, self._last)
 
     def exact(self, m: TransitionStructure) -> StateSet:
         """:func:`solve_formula` of the compiled formula.  It neither reads
-        nor feeds the reuse cache."""
-        views = len(self.picks)
+        nor feeds the reuse caches, and evaluates on a copy of ``m``, so no
+        pre-image plan outlives the call on ``m``."""
+        st = TransitionStructure(m.shape, m.enabled, m.prop_masks)
         masks = (m.prop_masks, m.prop_masks)
-        return self._run(0, masks, [m.enabled] * views, [m] * views, [None] * len(self._last))
+        return self._run(0, masks, [st] * len(self.picks), [None] * len(self._last))
 
     def _run(
         self,
         u: int,
         masks: Sequence[Sequence[int]],
-        enabled: list[tuple],
-        structures: list[TransitionStructure | None],
+        structures: Sequence[TransitionStructure | None],
         last: list[tuple | None],
     ) -> StateSet:
-        # ``enabled[view]`` are the rows a view's structure has, and
-        # ``structures[view]`` the structure, built on first need; ``last``
-        # holds each strategic step's last inputs and result.
+        # ``structures[view]`` is the structure of each view the steps of
+        # ``u`` use; ``last`` holds each strategic step's last inputs and
+        # result.
         full = self.full
-        sides = self.sides
         values: list[StateSet] = [0] * len(last)
         for kind, out, a, b, view, coalition in self.steps[u]:
             if kind == _PROP:
@@ -370,16 +314,14 @@ class Program:
             elif kind == _AND:
                 values[out] = values[a] & values[b]
             else:
-                rows, x = enabled[view], values[a]
+                st, x = structures[view], values[a]
+                rows = st.enabled
                 y = None if b is None else values[b]
                 prior = last[out]
                 if prior is not None and prior[1] == x and prior[2] == y and prior[0] == rows:
                     self.reused += 1
                     values[out] = prior[3]
                     continue
-                st = structures[view]
-                if st is None:
-                    st = structures[view] = TransitionStructure(self.shape, rows, masks[sides[view]])
                 if kind == _NEXT:
                     result = solve_next(st, coalition, x)
                 elif kind == _GLOBALLY:

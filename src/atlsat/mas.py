@@ -233,9 +233,6 @@ class TransitionStructure:
     successors.
     """
 
-    # Whether choice_masks keeps the plans it builds.
-    _keeps_plans = True
-
     def __init__(
         self,
         shape: ModelShape,
@@ -260,31 +257,21 @@ class TransitionStructure:
         shifts)`` step per agent, outsiders (for all) before members
         (exists), where ``shifts`` are the shape's
         :meth:`~ModelShape.agent_shifts` for this structure's rows of the
-        agent.  Built once per coalition (a split structure serves one),
-        except on a :class:`Model`, which builds it per call."""
+        agent.  Built once per coalition (a split structure serves one)."""
         key = tuple(coalition)
         plan = self._choice_masks.get(key)
         if plan is None:
             shape, enabled = self.shape, self.enabled
-            plan = tuple([
+            plan = self._choice_masks[key] = tuple([
                 (member, shape.agent_shifts(i, enabled[i]))
                 for i, member in shape.elimination_plan(key)
             ])
-            if self._keeps_plans:
-                self._choice_masks[key] = plan
         return plan
 
 
 class Model(TransitionStructure):
     """A concrete model: total protocols (every row nonempty) plus a total
-    valuation.  Immutable once built.
-
-    A model keeps no pre-image plans: it outlives the checks made on it (a
-    solve returns its witness), and a caller keeping many witnesses would
-    keep their plans too.
-    """
-
-    _keeps_plans = False
+    valuation.  Immutable once built."""
 
     def __init__(
         self,
@@ -346,9 +333,6 @@ class Assignment:
             raise ValueError(
                 f"assignment has {len(self.bits)} cells, shape needs {self.shape.bit_count}"
             )
-
-    def is_total(self) -> bool:
-        return all(b is not None for b in self.bits)
 
     def to_string(self) -> str:
         return "".join("x" if b is None else str(b) for b in self.bits)

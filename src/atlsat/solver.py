@@ -6,11 +6,10 @@ nonempty, plus one unit clause per requirement) and learned clauses.  Each
 clause watches two literals, non-false ones while it has them, and is
 visited only when a watched literal becomes false; a visit that finds the
 other watch true ends there, since the clause is satisfied (the blocker
-rule).  Visits follow the order of a pass-by-pass rescan of every clause in
-index order, so the trail, the reasons and the conflict clauses are those
-such a rescan would give.  After propagation settles at each level, the
-partial assignment is read as a partial model and the two-sided
-approximation decides the step:
+rule).  Propagation walks the trail in order, as in Chaff and MiniSat, after
+one visit of each clause added since it last ran.  After propagation settles
+at each level, the partial assignment is read as a partial model and the
+two-sided approximation decides the step:
 
 * initial state outside the over set: no compatible completion can satisfy
   the formula, so a conflict clause over the assigned cells is learned;
@@ -26,7 +25,6 @@ they are returned.
 
 from __future__ import annotations
 
-import heapq
 import random
 import time
 from dataclasses import dataclass, field
@@ -341,7 +339,7 @@ def _make_recheck(
                 return True
             cells[v] = value
         try:
-            pm = PartialModel.from_cells(shape, tuple(cells))
+            pm = PartialModel(shape, tuple(cells))
         except ValueError:
             # Dropping cells uncovered an empty row; likewise.
             return True
@@ -395,8 +393,8 @@ class _Search:
         self.watchers: dict[int, set[int]] = {
             lit: set() for v in range(1, self.n + 1) for lit in (v, -v)
         }
-        # A heap of clauses added since the last propagation; trail literals
-        # before ``head`` have already queued their watchers.
+        # Clauses added since the last propagation, in the order added;
+        # trail literals before ``head`` have had their watchers visited.
         self.queue: list[int] = []
         self.head = 0
         for c in structural_clauses(req):
@@ -439,7 +437,7 @@ class _Search:
         self.clauses.append(tuple(clause))
         self.watched.append(())
         self.rewatch(len(self.clauses) - 1)
-        heapq.heappush(self.queue, len(self.clauses) - 1)
+        self.queue.append(len(self.clauses) - 1)
 
     def rewatch(self, i: int) -> list[int]:
         """Re-pick clause ``i``'s watches and return its non-false literals,
@@ -475,56 +473,44 @@ class _Search:
     def propagate(self) -> tuple[int, ...] | None:
         """Unit-propagate to fixpoint; returns a falsified clause or None.
 
-        Only clauses watching a literal that became false are visited, in
-        the order a pass-by-pass rescan of every clause would meet them:
-        one heap holds the indices left in the current pass, another those
-        for the next.  A decision dirties its watchers into the current
-        pass; a literal implied by clause ``j`` dirties watchers above ``j``
-        into the current pass and the rest into the next, where a rescan
-        would next see them.  So trail order, reasons and conflict clauses
-        are those of the rescan.
+        Clauses added since the last call are visited first, in the order
+        they were added.  Then the trail is walked from ``head``: for each
+        literal, the clauses watching its negation are visited in ascending
+        index, from a snapshot taken when the walk reaches it.  A visit that
+        finds a true watch ends there (the blocker rule); otherwise the
+        clause is re-watched, and it is the conflict when no literal of it
+        is left non-false, or implies its one unassigned literal.
 
         A clause left unvisited has two non-false watches, or a true one
         and a false one of no lower level; either way it cannot be unit or
-        false until a watch becomes false, and a backjump keeps that so.
-        A visit that finds a true watch is blocked: the watch that just
-        became false did so at the current level, no lower than the true
-        one's, so the pair already meets this and nothing is re-picked.
-        On a conflict the rest of the pass is dropped: the backjump that
-        follows frees every literal that queued it."""
+        false until a watch becomes false, and a backjump keeps that so.  A
+        blocked visit keeps this too: the watch that just became false did
+        so at the current level, no lower than the true one's.  On a
+        conflict the rest of the walk is dropped: the backjump that follows
+        rewinds ``head`` below every literal whose visits were cut short."""
         watchers = self.watchers
         watched = self.watched
         value = self.value
         trail = self.trail
-        current, self.queue = self.queue, []
-        for lit in trail[self.head :]:
-            for i in watchers[-lit]:
-                heapq.heappush(current, i)
-        self.head = len(trail)
-        upcoming: list[int] = []
-        last = -1
-        while current or upcoming:
-            if not current:
-                current, upcoming, last = upcoming, current, -1
-            i = heapq.heappop(current)
-            if i == last:
-                continue
-            last = i
-            for w in watched[i]:
-                if value[abs(w) - 1] == (w > 0):
-                    break  # a true watch blocks the visit
-            else:
-                free = self.rewatch(i)
-                if not free:
-                    return self.clauses[i]
-                lit = free[0]
-                if len(free) == 1 and value[abs(lit) - 1] is None:
-                    self.assign(lit, self.clauses[i])
-                    self.stats.propagations += 1
-                    self.head += 1
-                    for k in watchers[-lit]:
-                        heapq.heappush(current if k > i else upcoming, k)
-        return None
+        batch, self.queue = self.queue, []
+        while True:
+            for i in batch:
+                for w in watched[i]:
+                    if value[abs(w) - 1] == (w > 0):
+                        break  # a true watch blocks the visit
+                else:
+                    free = self.rewatch(i)
+                    if not free:
+                        return self.clauses[i]
+                    unit = free[0]
+                    if len(free) == 1 and value[abs(unit) - 1] is None:
+                        self.assign(unit, self.clauses[i])
+                        self.stats.propagations += 1
+            if self.head == len(trail):
+                return None
+            lit = trail[self.head]
+            self.head += 1
+            batch = sorted(watchers[-lit])
 
     # -- conflict analysis
 
@@ -590,7 +576,7 @@ class _Search:
 
     def run_theory(self) -> TheoryOutcome:
         self.stats.theory_checks += 1
-        pm = PartialModel.from_cells(self.shape, tuple(self.value))
+        pm = PartialModel(self.shape, tuple(self.value))
         return _decide(pm, self.program, self._minimize)
 
     # -- decisions

@@ -1,8 +1,12 @@
 """Helpers the tests share that the solver itself does not need: operator
-evaluation one operator at a time, and cell classification."""
+evaluation one operator at a time, cell classification, partial models
+built from and read as tables, and split structures built on their own."""
 
 from __future__ import annotations
 
+from operator import getitem
+
+from atlsat.approx import Mode, PartialModel, _picks, _prop_masks
 from atlsat.mas import ModelShape, TransitionStructure
 from atlsat.mc import StateSet, solve_globally, solve_next, solve_until
 
@@ -43,3 +47,58 @@ def bit_owner(shape: ModelShape, index: int) -> tuple:
             n = shape.locals_per_agent[agent]
             return ("tb", agent, rel // n, rel % n)
     raise AssertionError
+
+
+def partial_model(shape: ModelShape, cp, cv) -> PartialModel:
+    """The partial model of per-agent partial protocol tables ``cp`` (row =
+    local state) and per-state partial valuation rows ``cv``."""
+    cp = tuple(tuple(tuple(row) for row in table) for table in cp)
+    cv = tuple(tuple(row) for row in cv)
+    if len(cp) != shape.agent_count:
+        raise ValueError("one partial protocol per agent required")
+    for i, table in enumerate(cp):
+        n = shape.locals_per_agent[i]
+        if len(table) != n or any(len(row) != n for row in table):
+            raise ValueError(f"partial protocol of agent {i} must be {n}x{n}")
+    if len(cv) != shape.state_count or any(len(row) != shape.prop_count for row in cv):
+        raise ValueError("partial valuation must be |St| x prop_count")
+    cells = tuple(c for table in cp for row in table for c in row)
+    return PartialModel(shape, cells + tuple(c for row in cv for c in row))
+
+
+def with_cell(pm: PartialModel, index: int, value) -> PartialModel:
+    """A refined copy of ``pm`` with one cell set."""
+    cells = list(pm.cells)
+    cells[index] = value
+    return PartialModel(pm.shape, tuple(cells))
+
+
+def protocol_tables(pm: PartialModel) -> tuple:
+    """Per agent, the partial protocol table, row = local state."""
+    shape = pm.shape
+    return tuple(
+        tuple(pm.cells[k : k + n] for k in range(off, off + n * n, n))
+        for off, n in zip(shape.tb_offsets, shape.locals_per_agent)
+    )
+
+
+def valuation_rows(pm: PartialModel) -> tuple:
+    """Per global state, the partial valuation row."""
+    p, off = pm.shape.prop_count, pm.shape.vb_offset
+    return tuple(pm.cells[off + s * p : off + s * p + p] for s in range(pm.shape.state_count))
+
+
+def split_structure(pm: PartialModel, coalition, mode: Mode) -> TransitionStructure:
+    """The structure a strategic operator over ``coalition`` evaluates on in
+    ``mode``: in ``OVER`` coalition agents get possible protocols, the rest
+    necessary ones, and the valuation is possible; ``UNDER`` is the dual.
+
+    ``split_structure(pm, all agents, Mode.UNDER)`` is the all-necessary
+    structure.  Its rows may be empty, which leaves a state without
+    successors; a goal state with no successors still under-approximates
+    soundly, since every compatible total model is serial.
+    """
+    shape = pm.shape
+    enabled = tuple(map(getitem, pm._rows, _picks(shape.agent_count, set(coalition), mode)))
+    masks = _prop_masks(shape, pm.cells[shape.vb_offset :])
+    return TransitionStructure(shape, enabled, masks[mode is Mode.OVER])

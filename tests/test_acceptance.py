@@ -30,7 +30,7 @@ from atlsat.formula import (
 )
 from atlsat.mas import Assignment, Model, ModelShape, decode_model, encode_model
 from atlsat.solver import Requirements, SolverConfig, solve_satisfiability
-from helpers import solve_op
+from helpers import solve_op, with_cell
 from oracles import compatible_completions, enumerate_models
 from samplers import TINY_SHAPES, random_core_formula, random_model, random_partial_model
 
@@ -275,9 +275,9 @@ def test_criterion_3_monotonicity_suites():
         under, over = sapp(pm, f, Mode.UNDER), sapp(pm, f, Mode.OVER)
         cell = rng.choice(undef)
         try:
-            refined = pm.with_cell(cell, rng.randint(0, 1))
+            refined = with_cell(pm, cell, rng.randint(0, 1))
         except ValueError:
-            refined = pm.with_cell(cell, 1)
+            refined = with_cell(pm, cell, 1)
         under2, over2 = sapp(refined, f, Mode.UNDER), sapp(refined, f, Mode.OVER)
         if under & ~under2 or over2 & ~over:
             bad += 1

@@ -7,10 +7,10 @@ from atlsat.approx import (
     Mode,
     PartialModel,
     Program,
+    check_validity,
     is_compatible,
     sapp,
     solve_formula,
-    split_structure,
 )
 from atlsat.formula import (
     And,
@@ -27,6 +27,7 @@ from atlsat.formula import (
 )
 from atlsat.mas import Assignment, Model, ModelShape, encode_model, state_index
 from atlsat.mc import solve_globally, solve_next, solve_until
+from helpers import partial_model, protocol_tables, split_structure, with_cell
 from oracles import compatible_completions, enumerate_models
 from samplers import (
     TINY_SHAPES,
@@ -40,7 +41,7 @@ from samplers import (
 def all_ones_pm(shape):
     cp = tuple(tuple((1,) * n for _ in range(n)) for n in shape.locals_per_agent)
     cv = tuple((1,) * shape.prop_count for _ in range(shape.state_count))
-    return PartialModel(shape, cp, cv)
+    return partial_model(shape, cp, cv)
 
 
 class TestPartialModel:
@@ -49,16 +50,22 @@ class TestPartialModel:
         # flat-vector path must raise it too.
         shape = ModelShape([2], [0], 0)
         with pytest.raises(ValueError):
-            PartialModel(shape, (((0, 0), (1, None)),), ((), ()))
+            partial_model(shape, (((0, 0), (1, None)),), ((), ()))
         with pytest.raises(ValueError):
             PartialModel.from_assignment(Assignment(shape, (0, 0, 1, None)))
+
+    def test_rejects_wrong_cell_count(self):
+        shape = ModelShape([2], [0], 1)
+        with pytest.raises(ValueError, match="has 5 cells, shape needs 6"):
+            PartialModel(shape, (None,) * 5)
 
     def test_assignment_round_trip(self):
         rng = random.Random(0)
         for _ in range(200):
             shape = rng.choice(TINY_SHAPES)
             pm = random_partial_model(rng, shape)
-            assert PartialModel.from_assignment(pm.to_assignment()).cp == pm.cp
+            round_trip = PartialModel.from_assignment(pm.to_assignment())
+            assert protocol_tables(round_trip) == protocol_tables(pm)
 
 
 class TestDerivation:
@@ -157,7 +164,7 @@ class TestUnderModel:
             for _ in range(2)
         )
         cv = tuple((None,) for _ in range(4))
-        under = all_necessary(PartialModel(shape, cp, cv))
+        under = all_necessary(partial_model(shape, cp, cv))
         assert under.enabled == ((((0,), (1,))) , (((0,), (1,))))
         assert under.prop_masks == (0,)
 
@@ -235,7 +242,7 @@ class TestCompatibility:
     def test_determined_zero_cell_rejects(self):
         shape = ModelShape([2], [0], 0)
         m = Model(shape, (((1, 1), (0, 1)),), ((), ()))
-        pm = PartialModel(shape, (((1, 0), (None, None)),), ((), ()))
+        pm = partial_model(shape, (((1, 0), (None, None)),), ((), ()))
         assert not is_compatible(m, pm)
 
     def test_shape_mismatch_raises(self):
@@ -311,9 +318,9 @@ class TestSApp:
             while undef:
                 cell = rng.choice(undef)
                 try:
-                    pm = pm.with_cell(cell, rng.randint(0, 1))
+                    pm = with_cell(pm, cell, rng.randint(0, 1))
                 except ValueError:
-                    pm = pm.with_cell(cell, 1)
+                    pm = with_cell(pm, cell, 1)
                 undef.remove(cell)
                 under2, over2 = sapp(pm, f, Mode.UNDER), sapp(pm, f, Mode.OVER)
                 assert under & ~under2 == 0, "under set shrank on refinement"
@@ -439,6 +446,29 @@ class TestProgram:
                     assert sapp(pm, f, mode) == expected
             reused += program.reused
         assert reused > 0
+
+    def test_program_for_another_shape_raises(self):
+        # A program compiled for [2] read a [2,2] partial model's cells at
+        # the wrong offsets: p0 came out as 0b11, where the formula compiled
+        # for the right shape gives 0b1000.
+        f = normalize(Prop(0))
+        program = Program(f, ModelShape([2], [0], 1))
+        shape = ModelShape([2, 2], [1, 1], 1)
+        cells = (1,) * shape.vb_offset + (0, 0, 0, 1)
+        pm = PartialModel(shape, cells)
+        assert sapp(pm, f, Mode.OVER) == 0b1000
+        m = random_model(random.Random(14), shape)
+        for call in (
+            lambda: sapp(pm, program, Mode.OVER),
+            lambda: solve_formula(m, program),
+            lambda: check_validity(m, program),
+        ):
+            with pytest.raises(ValueError, match=r"compiled for .*\(2,\).*, used with .*\(2, 2\)"):
+                call()
+        # An equal shape built separately is the same shape.
+        same = Program(f, ModelShape([2, 2], [1, 1], 1))
+        assert sapp(pm, same, Mode.OVER) == 0b1000
+        assert check_validity(m, same) == bool(m.valuation[shape.initial_state][0])
 
     def test_shared_subformulas_share_a_slot(self):
         shape = ModelShape([2, 2], [0, 0], 2)

@@ -33,6 +33,7 @@ from atlsat.solver import (
     structural_clauses,
     theory_check,
 )
+from helpers import protocol_tables, valuation_rows
 from oracles import enumerate_models, oracle_check_validity
 from samplers import random_core_formula, random_model, random_partial_model
 from test_acceptance import BENCH_FORMULA_1, BENCH_ROWS
@@ -62,8 +63,8 @@ class TestRequirements:
     def test_induced_partial_model(self):
         req = Requirements(S22P1, ((0, 0, 1, 1),), ((3, 0, 0),))
         pm = req.induced_partial_model()
-        assert pm.cp[0][0] == (None, 1)
-        assert pm.cv[3] == (0,)
+        assert protocol_tables(pm)[0][0] == (None, 1)
+        assert valuation_rows(pm)[3] == (0,)
 
 
 class TestStructuralClauses:
@@ -413,6 +414,31 @@ class TestSolveSatisfiability:
         assert (r.stats.decisions, r.stats.conflicts) == (6173, 6174)
         assert (r.stats.propagations, r.stats.theory_checks) == (7602, 12347)
 
+    def test_criterion_6_search_is_pinned(self):
+        # Formula 1 and the criterion-6 rows at [2,2,2] under the default
+        # config: (verdict, decisions, conflicts, theory checks) pin the
+        # search that propagation order and the theory verdicts drive.
+        req = Requirements(ModelShape([2, 2, 2], [0, 0, 0], 3))
+        formulas = [parse_formula(BENCH_FORMULA_1)] + [
+            generate_random_formula(GenParams(3, 4, 3, depth, seed))
+            for depth, _, seed in BENCH_ROWS
+        ]
+        runs = [solve_satisfiability(f, req, SolverConfig()) for f in formulas]
+        assert [
+            (r.satisfiable, r.stats.decisions, r.stats.conflicts, r.stats.theory_checks)
+            for r in runs
+        ] == [
+            (True, 22, 0, 23),
+            (True, 25, 0, 26),
+            (True, 36, 1, 38),
+            (True, 14, 0, 15),
+            (True, 28, 0, 29),
+            (True, 43, 13, 57),
+            (True, 23, 0, 24),
+            (True, 27, 0, 28),
+            (True, 35, 2, 38),
+        ]
+
     def test_propagations_counted_and_repeatable(self):
         req = Requirements(ModelShape([2, 2], [0, 0], 1))
         runs = [solve_satisfiability(parse_formula("p0 & !p0"), req) for _ in range(2)]
@@ -497,6 +523,15 @@ class TestPropagation:
         def add_clause(self, clause):
             self.clauses.append(tuple(clause))
 
+        def mirror(self, search):
+            """Take over the clauses and the assignment of ``search``."""
+            self.clauses = list(search.clauses)
+            self.value = list(search.value)
+            self.level = list(search.level)
+            self.reason = list(search.reason)
+            self.trail = list(search.trail)
+            self.trail_lim = list(search.trail_lim)
+
         def propagate(self):
             changed = True
             while changed:
@@ -551,58 +586,71 @@ class TestPropagation:
                 assert level[abs(b) - 1] >= level[abs(a) - 1], (clause, watched)
         assert search.watchers == expected
 
+    @staticmethod
+    def assert_reasons_hold(search):
+        """Every implied literal on the trail is in its reason, and the
+        reason's other literals are false and earlier on the trail."""
+        position = {abs(lit): k for k, lit in enumerate(search.trail)}
+        for k, lit in enumerate(search.trail):
+            reason = search.reason[abs(lit) - 1]
+            if reason is None:
+                continue
+            assert lit in reason, (lit, reason)
+            for other in reason:
+                if other != lit:
+                    assert search.value[abs(other) - 1] == (other < 0), (lit, reason)
+                    assert position[abs(other)] < k, (lit, reason)
+
     def test_watched_matches_rescan(self):
-        """Both propagations go through the same random decisions, Boolean
-        conflicts and theory-style conflicts (the negation of some assigned
-        literals), each resolved by analyze, backjump and learn; after every
-        step they agree on the conflict clause, the trail and its reasons,
-        and a settled watched propagation meets its watch invariant."""
+        """The search goes through random decisions, Boolean conflicts and
+        theory-style conflicts (the negation of some assigned literals), each
+        resolved by analyze, backjump and learn.  Before every propagation a
+        rescan takes over its clauses and assignment; the propagation returns
+        a conflict exactly when the rescan finds one, the clause it returns
+        is falsified, and without a conflict it reaches the rescan's closure.
+        Every reason holds, and a settled propagation meets its watch
+        invariant."""
         req = Requirements(self.SHAPE)
         core = normalize(parse_formula("p0"))
         boolean = theory = 0
         for seed in range(500):
             rng = random.Random(seed)
-            pair = [cls(core, req, SolverConfig()) for cls in (_Search, self.Rescan)]
-            n = pair[0].n
+            search = _Search(core, req, SolverConfig())
+            rescan = self.Rescan(core, req, SolverConfig())
+            n = search.n
             for _ in range(rng.randint(16, 48)):
                 length = rng.choice((1, 2, 3, 3, 3, 4, 4, 5, 6, 7, 8))
                 cells = rng.sample(range(1, n + 1), length)
-                clause = tuple(v if rng.random() < 0.5 else -v for v in cells)
-                for search in pair:
-                    search.add_clause(clause)
+                search.add_clause(tuple(v if rng.random() < 0.5 else -v for v in cells))
             for _ in range(200):
-                conflicts = [search.propagate() for search in pair]
-                assert conflicts[0] == conflicts[1]
-                assert pair[0].trail == pair[1].trail
-                assert [pair[0].reason[abs(l) - 1] for l in pair[0].trail] == [
-                    pair[1].reason[abs(l) - 1] for l in pair[1].trail
-                ]
-                conflict = conflicts[0]
+                rescan.mirror(search)
+                conflict = search.propagate()
+                assert (conflict is None) == (rescan.propagate() is None)
                 if conflict is None:
-                    self.assert_watches_settled(pair[0])
-                free = [v for v in range(n) if pair[0].value[v] is None]
+                    assert search.value == rescan.value
+                    self.assert_watches_settled(search)
+                else:
+                    assert all(search.value[abs(lit) - 1] == (lit < 0) for lit in conflict)
+                self.assert_reasons_hold(search)
+                free = [v for v in range(n) if search.value[v] is None]
                 # A total assignment always gets a theory verdict; refute it.
-                if conflict is None and (not free or rng.random() < 0.05) and pair[0].trail_lim:
-                    above = [l for l in pair[0].trail if pair[0].level[abs(l) - 1]]
+                if conflict is None and (not free or rng.random() < 0.05) and search.trail_lim:
+                    above = [l for l in search.trail if search.level[abs(l) - 1]]
                     conflict = tuple(-l for l in rng.sample(above, rng.randint(1, len(above))))
                     theory += 1
                 elif conflict is not None:
                     boolean += 1
                 if conflict is not None:
-                    results = [search.analyze(conflict) for search in pair]
-                    assert results[0] == results[1]
-                    if results[0] is None:
+                    result = search.analyze(conflict)
+                    if result is None:
                         break
-                    learned, level = results[0]
-                    for search in pair:
-                        search.backjump(level)
-                        search.learn(learned)
+                    learned, level = result
+                    search.backjump(level)
+                    search.learn(learned)
                     continue
                 if not free:
                     break
                 v = rng.choice(free) + 1
-                decision = v if rng.random() < 0.5 else -v
-                for search in pair:
-                    search.trail_lim.append(len(search.trail))
-                    search.assign(decision, None)
+                search.trail_lim.append(len(search.trail))
+                search.assign(v if rng.random() < 0.5 else -v, None)
         assert boolean > 500 and theory > 500  # both kinds of conflict were driven
