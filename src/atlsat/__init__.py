@@ -59,7 +59,6 @@ from .solver import (
     minimize_conflict,
     solve_satisfiability,
     structural_clauses,
-    theory_check,
 )
 from .witness import (
     read_witness_json,

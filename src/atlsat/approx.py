@@ -54,9 +54,6 @@ class Mode(Enum):
     OVER = "over"
     UNDER = "under"
 
-    def flipped(self) -> "Mode":
-        return Mode.UNDER if self is Mode.OVER else Mode.OVER
-
 
 class PartialModel:
     """Shape plus the three-valued cell vector, laid out as in
@@ -90,15 +87,8 @@ class PartialModel:
         self._rows = rows
 
     @classmethod
-    def unconstrained(cls, shape: ModelShape) -> "PartialModel":
-        return cls.from_assignment(Assignment(shape, (None,) * shape.bit_count))
-
-    @classmethod
     def from_assignment(cls, a: Assignment) -> "PartialModel":
         return cls(a.shape, tuple(a.bits))
-
-    def to_assignment(self) -> Assignment:
-        return Assignment(self.shape, self.cells)
 
 
 def _prop_masks(shape: ModelShape, valuation: Sequence[Cell]) -> tuple[tuple[int, ...], ...]:
@@ -164,11 +154,16 @@ def _cons(f: Formula, shape: ModelShape) -> tuple[list[tuple], list[Formula], in
         if kind == _PROP:
             arg = node.index
             if arg >= shape.prop_count:
-                raise IndexError(f"p{arg} out of range ({shape.prop_count} propositions)")
+                raise IndexError(
+                    f"formula uses p{arg} but only {shape.prop_count} propositions are declared"
+                )
         elif kind >= _NEXT:
             arg = node.coalition.members
             if arg and arg[-1] >= shape.agent_count:
-                raise IndexError(f"agent {arg[-1]} out of range ({shape.agent_count} agents)")
+                raise IndexError(
+                    f"formula names agent {arg[-1]} but only {shape.agent_count} agents "
+                    "are declared"
+                )
         else:
             arg = None
         key = (kind, arg, tuple([slot_of[id(c)] for c in children]))
@@ -262,12 +257,6 @@ class Program:
         if f.shape is not shape and f.shape != shape:
             raise ValueError(f"program compiled for {f.shape}, used with {shape}")
         return f
-
-    def visits(self, mode: Mode) -> list[tuple[Formula, Mode]]:
-        """The ``(subformula, mode)`` evaluations of root mode ``mode``, in
-        step order."""
-        steps = self.steps[_MODES.index(mode)]
-        return [(self.nodes[out >> 1], _MODES[out & 1]) for _, out, *_ in steps]
 
     def approximate(self, pm: PartialModel, mode: Mode) -> StateSet:
         """:func:`sapp` of the compiled formula."""

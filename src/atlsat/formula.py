@@ -468,30 +468,6 @@ def connective_count(f: Formula) -> int:
     return sum(1 for n in iter_subformulas(f) if isinstance(n, (Not, And, Or, Implies)))
 
 
-def max_prop_index(f: Formula) -> int:
-    """Largest atom index used, or -1 if none."""
-    return max((n.index for n in iter_subformulas(f) if isinstance(n, Prop)), default=-1)
-
-
-def max_agent_index(f: Formula) -> int:
-    """Largest agent index named by any coalition, or -1 if none."""
-    best = -1
-    for n in iter_subformulas(f):
-        if isinstance(n, (Next, Globally, Eventually, Until)) and len(n.coalition):
-            best = max(best, n.coalition.members[-1])
-    return best
-
-
-def validate_within(f: Formula, agent_count: int, prop_count: int) -> None:
-    """Check all atom and agent indices against the ambient counts."""
-    p = max_prop_index(f)
-    if p >= prop_count:
-        raise ValueError(f"formula uses p{p} but only {prop_count} propositions are declared")
-    a = max_agent_index(f)
-    if a >= agent_count:
-        raise ValueError(f"formula names agent {a} but only {agent_count} agents are declared")
-
-
 # ---------------------------------------------------------------------------
 # Random generation
 
@@ -516,8 +492,9 @@ class GenParams:
     def __post_init__(self) -> None:
         if self.agent_count < 1 or self.group_count < 1 or self.prop_count < 1:
             raise ValueError("agent, group and proposition counts must be >= 1")
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
+        if not 0 <= self.max_depth <= MAX_NESTING:
+            # A deeper formula nests past what parse_formula accepts.
+            raise ValueError(f"max_depth must be between 0 and {MAX_NESTING}")
         if self.group_count > 2**self.agent_count - 1:
             raise ValueError("group_count exceeds the number of nonempty coalitions")
         if self.coalition_pool is not None:

@@ -359,7 +359,8 @@ def encode_model(m: Model) -> Assignment:
 
 
 def decode_model(a: Assignment) -> Model:
-    """Rebuild the model; every cell must be assigned and rows nonempty."""
+    """Rebuild the model; every cell must be assigned and rows nonempty
+    (``Model`` raises :class:`EmptyProtocolRowError` for an empty one)."""
     for idx, b in enumerate(a.bits):
         if b is None:
             raise UndefCellError(idx)
@@ -367,13 +368,9 @@ def decode_model(a: Assignment) -> Model:
     protocols = []
     for i, n in enumerate(shape.locals_per_agent):
         off = shape.tb_offsets[i]
-        table = []
-        for k in range(n):
-            row = tuple(bool(a.bits[off + k * n + j]) for j in range(n))
-            if not any(row):
-                raise EmptyProtocolRowError(i, k)
-            table.append(row)
-        protocols.append(tuple(table))
+        protocols.append(
+            tuple(tuple(bool(a.bits[off + k * n + j]) for j in range(n)) for k in range(n))
+        )
     valuation = []
     off = shape.vb_offset
     for s in range(shape.state_count):

@@ -31,16 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .approx import Mode, PartialModel, Program, check_validity, is_compatible, sapp
-from .formula import (
-    Formula,
-    Globally,
-    Next,
-    Prop,
-    Until,
-    iter_subformulas,
-    normalize,
-    validate_within,
-)
+from .formula import Formula, Globally, Next, Prop, Until, iter_subformulas, normalize
 from .mas import Assignment, Model, ModelShape, decode_model
 
 
@@ -211,78 +202,6 @@ def structural_clauses(req: Requirements) -> list[Clause]:
     return clauses
 
 
-def _merge_with_requirements(asg: Assignment, req: Requirements) -> list[int | None]:
-    bits = list(asg.bits)
-    for bit, value in req.constraint_bits():
-        if bits[bit] is None:
-            bits[bit] = value
-        elif bits[bit] != value:
-            raise ValueError(f"assignment contradicts requirement on cell {bit}")
-    return bits
-
-
-def theory_check(
-    asg: Assignment,
-    f: Formula,
-    req: Requirements,
-    minimize: bool = False,
-) -> TheoryOutcome:
-    """Run the approximation on the assignment merged with the requirements.
-
-    Conflict means no compatible completion satisfies the formula; the
-    returned clause negates the currently assigned cells (greedily reduced
-    when ``minimize``).  Early acceptance means every compatible completion
-    satisfies it.
-    """
-    program = Program(normalize(f), req.shape)
-    bits = _merge_with_requirements(asg, req)
-    pm = PartialModel.from_assignment(Assignment(req.shape, tuple(bits)))
-    return _decide(pm, program, _make_minimize(program, req, SolverStats()) if minimize else None)
-
-
-def _decide(
-    pm: PartialModel, program: Program, minimize: Callable[[Clause], Clause] | None
-) -> TheoryOutcome:
-    """The theory verdict on a partial model; a conflict clause negates
-    every determined cell, reduced by ``minimize`` when given."""
-    iota = pm.shape.initial_state
-    if not sapp(pm, program, Mode.OVER) >> iota & 1:
-        clause = Clause(
-            tuple(
-                -(v + 1) if value else (v + 1)
-                for v, value in enumerate(pm.cells)
-                if value is not None
-            )
-        )
-        if minimize is not None:
-            clause = minimize(clause)
-        return TheoryOutcome("conflict", clause)
-    if sapp(pm, program, Mode.UNDER) >> iota & 1:
-        return TheoryOutcome("early_accept")
-    return TheoryOutcome("pass")
-
-
-def _make_minimize(
-    program: Program,
-    req: Requirements,
-    stats: SolverStats,
-    deadline: Callable[[], None] | None = None,
-) -> Callable[[Clause], Clause]:
-    """Conflict minimization: keep a clause's literals on cells in the cone
-    of influence of the program's formula, then reduce them with
-    :func:`minimize_conflict`.  ``stats.rechecks`` counts the theory
-    rechecks; ``deadline`` runs before each."""
-    cone = cone_of_influence(program.formula, req.shape)
-    recheck = _make_recheck(program, req, stats, deadline)
-
-    def minimize(clause: Clause) -> Clause:
-        return minimize_conflict(
-            Clause(tuple(lit for lit in clause if abs(lit) - 1 in cone)), recheck
-        )
-
-    return minimize
-
-
 def cone_of_influence(f: Formula, shape: ModelShape) -> frozenset[int]:
     """The cells the theory verdict on core formula ``f`` can read: the
     valuation cells of the propositions ``f`` names and, when ``f`` has a
@@ -292,11 +211,8 @@ def cone_of_influence(f: Formula, shape: ModelShape) -> frozenset[int]:
 
     Dropping a conflict clause's literals outside the cone before greedy
     minimization leaves the clause it returns unchanged and saves one
-    recheck per literal dropped.  Every recheck assigns a subset of the
-    conflicting assignment, which agrees with the requirements and leaves
-    no protocol row empty; refinement cannot empty a row, so the recheck
-    never takes its impossible-assignment paths and its answer depends on
-    cone cells alone.  Greedy keeps its current set a conflict throughout, so at
+    recheck per literal dropped, since a recheck's answer depends on cone
+    cells alone.  Greedy keeps its current set a conflict throughout, so at
     a literal outside the cone the recheck answers conflict and the literal
     goes; a literal in the cone meets a current set that differs from the
     unfiltered run only outside the cone, and gets the same answer."""
@@ -309,43 +225,6 @@ def cone_of_influence(f: Formula, shape: ModelShape) -> frozenset[int]:
         states, cells = (shape.initial_state,), set()
     cells.update(shape.vb_bit(s, v) for s in states for v in props)
     return frozenset(cells)
-
-
-def _make_recheck(
-    f: Formula | Program,
-    req: Requirements,
-    stats: SolverStats,
-    deadline: Callable[[], None] | None = None,
-) -> Callable[[tuple[int, ...]], bool]:
-    """Oracle for clause minimization: does the conflict survive when only
-    the cells named by these clause literals stay assigned?  ``deadline``
-    runs before each recheck, so a time limit holds inside a minimization."""
-    shape = req.shape
-    iota = shape.initial_state
-    program = Program.of(f, shape)
-    # The requirement cells, preset once; each recheck copies them.
-    required = list(req.induced_partial_model().cells)
-
-    def recheck(candidate: tuple[int, ...]) -> bool:
-        if deadline is not None:
-            deadline()
-        stats.rechecks += 1
-        cells = required.copy()
-        for lit in candidate:
-            v, value = abs(lit) - 1, 0 if lit > 0 else 1
-            if cells[v] == 1 - value:
-                # A literal that contradicts a requirement: that
-                # assignment cannot occur, treat as conflicting.
-                return True
-            cells[v] = value
-        try:
-            pm = PartialModel(shape, tuple(cells))
-        except ValueError:
-            # Dropping cells uncovered an empty row; likewise.
-            return True
-        return not sapp(pm, program, Mode.OVER) >> iota & 1
-
-    return recheck
 
 
 def minimize_conflict(
@@ -365,21 +244,24 @@ def minimize_conflict(
 
 
 class _Search:
-    """One satisfiability run.  Not reusable across calls."""
+    """One satisfiability run: the Boolean search and its theory side (the
+    verdict on each settled assignment and conflict minimization).  Not
+    reusable across calls."""
 
     def __init__(
         self,
-        f: Formula,
+        f: Formula | Program,
         req: Requirements,
         config: SolverConfig,
-        deadline: Callable[[], None] | None = None,
+        deadline: Callable[[], None] = lambda: None,
     ):
         self.req = req
         self.config = config
         self.shape = req.shape
         # Compiled once: its strategic steps reuse results across the
         # theory calls and rechecks of this run.
-        self.program = Program(f, req.shape)
+        self.program = Program.of(f, req.shape)
+        self.deadline = deadline
         self.n = self.shape.bit_count
         self.value: list[int | None] = [None] * self.n
         self.level: list[int] = [0] * self.n
@@ -401,11 +283,10 @@ class _Search:
             self.add_clause(c.literals)
         self.stats = SolverStats()
         self.rng = random.Random(config.seed) if config.policy == "random" else None
-        self._minimize = (
-            _make_minimize(self.program, req, self.stats, deadline)
-            if config.minimize_conflicts
-            else None
-        )
+        if config.minimize_conflicts:
+            self.cone = cone_of_influence(self.program.formula, self.shape)
+            # The requirement cells, preset once; each recheck copies them.
+            self.required = list(req.induced_partial_model().cells)
 
     # -- assignment plumbing
 
@@ -575,9 +456,43 @@ class _Search:
     # -- theory interface
 
     def run_theory(self) -> TheoryOutcome:
+        """The theory verdict on the current assignment.  A conflict clause
+        negates every assigned cell; when minimizing, its literals outside
+        the cone of influence are dropped and the rest reduced greedily."""
         self.stats.theory_checks += 1
         pm = PartialModel(self.shape, tuple(self.value))
-        return _decide(pm, self.program, self._minimize)
+        iota = self.shape.initial_state
+        if not sapp(pm, self.program, Mode.OVER) >> iota & 1:
+            clause = Clause(
+                tuple(
+                    -(v + 1) if value else (v + 1)
+                    for v, value in enumerate(self.value)
+                    if value is not None
+                )
+            )
+            if self.config.minimize_conflicts:
+                cone = self.cone
+                clause = minimize_conflict(
+                    Clause(tuple(lit for lit in clause if abs(lit) - 1 in cone)), self.recheck
+                )
+            return TheoryOutcome("conflict", clause)
+        if sapp(pm, self.program, Mode.UNDER) >> iota & 1:
+            return TheoryOutcome("early_accept")
+        return TheoryOutcome("pass")
+
+    def recheck(self, candidate: tuple[int, ...]) -> bool:
+        """Oracle for clause minimization: does the conflict survive when only
+        the requirements and the cells these clause literals negate stay
+        assigned?  The deadline runs first, so a time limit holds inside a
+        minimization.  A candidate that empties a protocol row raises
+        ``ValueError``."""
+        self.deadline()
+        self.stats.rechecks += 1
+        cells = self.required.copy()
+        for lit in candidate:
+            cells[abs(lit) - 1] = 0 if lit > 0 else 1
+        pm = PartialModel(self.shape, tuple(cells))
+        return not sapp(pm, self.program, Mode.OVER) >> self.shape.initial_state & 1
 
     # -- decisions
 
@@ -620,17 +535,16 @@ def solve_satisfiability(
 ) -> SolverResult:
     """Decide whether some model of the required shape satisfies the formula
     at the initial state; on success the witness is verified exactly before
-    being returned."""
+    being returned.  A formula naming an agent or proposition the shape
+    lacks raises :class:`BoundsError`."""
     config = config or SolverConfig()
     start = _clock()
     deadline = _deadline(start, config.time_limit)
-    core = normalize(f)
     try:
-        validate_within(core, req.shape.agent_count, req.shape.prop_count)
-    except ValueError as exc:
+        program = Program(normalize(f), req.shape)
+    except IndexError as exc:
         raise BoundsError(str(exc)) from None
-
-    search = _Search(core, req, config, deadline)
+    search = _Search(program, req, config, deadline)
 
     def finish(satisfiable: bool, witness: Model | None) -> SolverResult:
         search.stats.wall_time = _clock() - start
@@ -641,6 +555,14 @@ def solve_satisfiability(
         deadline()
 
         conflict = search.propagate()
+        if conflict is None:
+            outcome = search.run_theory()
+            if outcome.is_early_accept():
+                witness = search.complete_and_extract()
+                _verify_witness(witness, search.program, req)
+                return finish(True, witness)
+            if outcome.is_conflict():
+                conflict = outcome.clause.literals
         if conflict is not None:
             search.stats.conflicts += 1
             result = search.analyze(conflict)
@@ -650,21 +572,6 @@ def solve_satisfiability(
             search.backjump(backjump)
             search.learn(learned)
             continue
-
-        outcome = search.run_theory()
-        if outcome.is_conflict():
-            search.stats.conflicts += 1
-            result = search.analyze(outcome.clause.literals)
-            if result is None:
-                return finish(False, None)
-            learned, backjump = result
-            search.backjump(backjump)
-            search.learn(learned)
-            continue
-        if outcome.is_early_accept():
-            witness = search.complete_and_extract()
-            _verify_witness(witness, search.program, req)
-            return finish(True, witness)
 
         decision = search.decide()
         if decision is None:

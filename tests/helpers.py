@@ -1,13 +1,15 @@
 """Helpers the tests share that the solver itself does not need: operator
 evaluation one operator at a time, cell classification, partial models
-built from and read as tables, and split structures built on their own."""
+built from and read as tables or assignments, split structures built on
+their own, and the evaluations a compiled program makes."""
 
 from __future__ import annotations
 
 from operator import getitem
 
-from atlsat.approx import Mode, PartialModel, _picks, _prop_masks
-from atlsat.mas import ModelShape, TransitionStructure
+from atlsat.approx import _MODES, Mode, PartialModel, Program, _picks, _prop_masks
+from atlsat.formula import Formula
+from atlsat.mas import Assignment, ModelShape, TransitionStructure
 from atlsat.mc import StateSet, solve_globally, solve_next, solve_until
 
 
@@ -64,6 +66,28 @@ def partial_model(shape: ModelShape, cp, cv) -> PartialModel:
         raise ValueError("partial valuation must be |St| x prop_count")
     cells = tuple(c for table in cp for row in table for c in row)
     return PartialModel(shape, cells + tuple(c for row in cv for c in row))
+
+
+def unconstrained(shape: ModelShape) -> PartialModel:
+    """The partial model with every cell undefined."""
+    return PartialModel(shape, (None,) * shape.bit_count)
+
+
+def to_assignment(pm: PartialModel) -> Assignment:
+    """The partial model's cells as an assignment."""
+    return Assignment(pm.shape, pm.cells)
+
+
+def flipped(mode: Mode) -> Mode:
+    """The other approximation mode."""
+    return Mode.UNDER if mode is Mode.OVER else Mode.OVER
+
+
+def visits(program: Program, mode: Mode) -> list[tuple[Formula, Mode]]:
+    """The ``(subformula, mode)`` evaluations of root mode ``mode``, in step
+    order."""
+    steps = program.steps[_MODES.index(mode)]
+    return [(program.nodes[out >> 1], _MODES[out & 1]) for _, out, *_ in steps]
 
 
 def with_cell(pm: PartialModel, index: int, value) -> PartialModel:

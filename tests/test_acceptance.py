@@ -30,7 +30,7 @@ from atlsat.formula import (
 )
 from atlsat.mas import Assignment, Model, ModelShape, decode_model, encode_model
 from atlsat.solver import Requirements, SolverConfig, solve_satisfiability
-from helpers import solve_op, with_cell
+from helpers import solve_op, to_assignment, with_cell
 from oracles import compatible_completions, enumerate_models
 from samplers import TINY_SHAPES, random_core_formula, random_model, random_partial_model
 
@@ -268,7 +268,7 @@ def test_criterion_3_monotonicity_suites():
     while done < 1000:
         s = rng.choice([t for t in TINY_SHAPES if t.prop_count > 0])
         pm = random_partial_model(rng, s, max_undef=6)
-        undef = [i for i, b in enumerate(pm.to_assignment().bits) if b is None]
+        undef = [i for i, b in enumerate(to_assignment(pm).bits) if b is None]
         if not undef:
             continue
         f = random_core_formula(rng, s.agent_count, s.prop_count, rng.randint(1, 2))

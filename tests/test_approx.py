@@ -27,7 +27,16 @@ from atlsat.formula import (
 )
 from atlsat.mas import Assignment, Model, ModelShape, encode_model, state_index
 from atlsat.mc import solve_globally, solve_next, solve_until
-from helpers import partial_model, protocol_tables, split_structure, with_cell
+from helpers import (
+    flipped,
+    partial_model,
+    protocol_tables,
+    split_structure,
+    to_assignment,
+    unconstrained,
+    visits,
+    with_cell,
+)
 from oracles import compatible_completions, enumerate_models
 from samplers import (
     TINY_SHAPES,
@@ -64,7 +73,7 @@ class TestPartialModel:
         for _ in range(200):
             shape = rng.choice(TINY_SHAPES)
             pm = random_partial_model(rng, shape)
-            round_trip = PartialModel.from_assignment(pm.to_assignment())
+            round_trip = PartialModel.from_assignment(to_assignment(pm))
             assert protocol_tables(round_trip) == protocol_tables(pm)
 
 
@@ -191,7 +200,7 @@ def _some_coalitions(rng, agent_count):
 class TestOverModel:
     def test_all_undef_grand_coalition_is_universal(self):
         shape = ModelShape([2, 2], [0, 0], 1)
-        pm = PartialModel.unconstrained(shape)
+        pm = unconstrained(shape)
         over = split_structure(pm, (0, 1), Mode.OVER)
         assert over.enabled == tuple(
             tuple(tuple(range(n)) for _ in range(n)) for n in shape.locals_per_agent
@@ -236,7 +245,7 @@ class TestCompatibility:
         rng = random.Random(4)
         for _ in range(100):
             shape = rng.choice(TINY_SHAPES)
-            pm = PartialModel.unconstrained(shape)
+            pm = unconstrained(shape)
             assert is_compatible(random_model(rng, shape), pm)
 
     def test_determined_zero_cell_rejects(self):
@@ -248,7 +257,7 @@ class TestCompatibility:
     def test_shape_mismatch_raises(self):
         m = Model(ModelShape([2], [0], 0), (((1, 1), (1, 1)),), ((), ()))
         with pytest.raises(ValueError):
-            is_compatible(m, PartialModel.unconstrained(ModelShape([3], [0], 0)))
+            is_compatible(m, unconstrained(ModelShape([3], [0], 0)))
 
     def test_compatible_set_equals_agreeing_encodings(self):
         # Brute force over every model of the shape: compatibility holds
@@ -258,7 +267,7 @@ class TestCompatibility:
         for _ in range(10):
             pm = random_partial_model(rng, shape, max_undef=10)
             determined = {
-                i: b for i, b in enumerate(pm.to_assignment().bits) if b is not None
+                i: b for i, b in enumerate(to_assignment(pm).bits) if b is not None
             }
             for m in enumerate_models(shape):
                 bits = encode_model(m).bits
@@ -280,7 +289,7 @@ class TestSApp:
 
     def test_all_undef_atom(self):
         shape = ModelShape([2, 2], [0, 0], 1)
-        pm = PartialModel.unconstrained(shape)
+        pm = unconstrained(shape)
         assert sapp(pm, Prop(0), Mode.UNDER) == 0
         assert sapp(pm, Prop(0), Mode.OVER) == (1 << shape.state_count) - 1
 
@@ -310,7 +319,7 @@ class TestSApp:
         while done < 1000:
             shape = rng.choice([s for s in TINY_SHAPES if s.prop_count > 0])
             pm = random_partial_model(rng, shape, max_undef=6)
-            undef = [i for i, b in enumerate(pm.to_assignment().bits) if b is None]
+            undef = [i for i, b in enumerate(to_assignment(pm).bits) if b is None]
             if not undef:
                 continue
             f = random_core_formula(rng, shape.agent_count, shape.prop_count, rng.randint(1, 2))
@@ -333,7 +342,7 @@ class TestSApp:
         # The compiled steps: mode alternates across nested negations.
         shape = ModelShape([2, 2], [0, 0], 1)
         f = Not(Not(Not(Prop(0))))
-        assert set(Program(f, shape).visits(Mode.OVER)) == {
+        assert set(visits(Program(f, shape), Mode.OVER)) == {
             (f, Mode.OVER),
             (f.child, Mode.UNDER),
             (f.child.child, Mode.OVER),
@@ -341,7 +350,7 @@ class TestSApp:
         }
         # An even number of negations restores the entry mode at the atom.
         f = Not(Not(Prop(0)))
-        assert set(Program(f, shape).visits(Mode.UNDER)) == {
+        assert set(visits(Program(f, shape), Mode.UNDER)) == {
             (f, Mode.UNDER),
             (f.child, Mode.OVER),
             (Prop(0), Mode.UNDER),
@@ -350,7 +359,7 @@ class TestSApp:
     def test_conjunction_keeps_mode(self):
         shape = ModelShape([2, 2], [0, 0], 1)
         f = And(Prop(0), Not(Prop(0)))
-        assert set(Program(f, shape).visits(Mode.OVER)) == {
+        assert set(visits(Program(f, shape), Mode.OVER)) == {
             (f, Mode.OVER),
             (Prop(0), Mode.OVER),
             (Not(Prop(0)), Mode.OVER),
@@ -358,7 +367,7 @@ class TestSApp:
         }
 
     def test_out_of_range_raises(self):
-        pm = PartialModel.unconstrained(ModelShape([2], [0], 1))
+        pm = unconstrained(ModelShape([2], [0], 1))
         with pytest.raises(IndexError):
             sapp(pm, Prop(2), Mode.OVER)
         with pytest.raises(IndexError):
@@ -374,7 +383,7 @@ def recursive_sapp(pm, f, mode):
         if isinstance(node, Prop):
             return split_structure(pm, (), md).prop_masks[node.index]
         if isinstance(node, Not):
-            return full & ~rec(node.child, md.flipped())
+            return full & ~rec(node.child, flipped(md))
         if isinstance(node, And):
             return rec(node.left, md) & rec(node.right, md)
         members = node.coalition.members
@@ -476,9 +485,9 @@ class TestProgram:
         program = Program(And(Globally(Coalition([1]), g), Not(g)), shape)
         assert len(program.nodes) == len(set(program.nodes)) == 8
         # g is evaluated once in each mode.
-        visits = program.visits(Mode.OVER)
-        assert len(visits) == len(set(visits))
-        assert (g, Mode.OVER) in visits and (g, Mode.UNDER) in visits
+        steps = visits(program, Mode.OVER)
+        assert len(steps) == len(set(steps))
+        assert (g, Mode.OVER) in steps and (g, Mode.UNDER) in steps
 
     def test_deep_nesting_needs_no_recursion(self):
         # Far past Python's recursion limit; an even number of negations

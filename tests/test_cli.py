@@ -225,6 +225,31 @@ class TestVerify:
         assert main(["verify", "-f", "p0", "--witness", str(out_json)]) == 1
 
 
+class TestBoundsErrors:
+    @pytest.mark.parametrize(
+        "formula, message",
+        [
+            ("p4", "formula uses p4 but only 1 propositions are declared"),
+            ("<<3>> X p0", "formula names agent 3 but only 1 agents are declared"),
+        ],
+    )
+    def test_commands_agree(self, formula, message, tmp_path, capsys):
+        # One shape, one agent and one proposition: check, bench and verify
+        # report an out-of-range index with the same message.
+        req = tmp_path / "req.json"
+        req.write_text(json.dumps({"agents": [{"locals": 2}], "props": 1}))
+        witness = tmp_path / "w.json"
+        witness.write_text(json.dumps(GOOD_WITNESS))
+        formulas = tmp_path / "formulas.txt"
+        formulas.write_text(formula + "\n")
+        assert main(["check", "-f", formula, "--req", str(req)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(["verify", "-f", formula, "--witness", str(witness)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(["bench", str(formulas), "--req", str(req)]) == 0
+        assert capsys.readouterr().err == f"error in formula {formula!r}: {message}\n"
+
+
 class TestGenerate:
     def test_count_and_stability(self, capsys):
         args = ["generate", "--agents", "3", "--groups", "4", "--props", "3",
@@ -258,6 +283,19 @@ class TestGenerate:
         f = parse_formula(capsys.readouterr().out.strip())
         assert strategic_depth(f) == 9
         assert connective_count(f) == 13
+
+    def test_depth_limit_is_the_nesting_limit(self, capsys):
+        # A strategic depth past MAX_NESTING could never parse back.
+        args = ["generate", "--agents", "3", "--groups", "4", "--props", "3", "--depth"]
+        assert main(args + [str(MAX_NESTING)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 1 and captured.err == ""
+        for depth in (MAX_NESTING + 1, 1000):
+            assert main(args + [str(depth)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert str(MAX_NESTING) in captured.err
 
     def test_invalid_params_exit_one(self, capsys):
         assert main(

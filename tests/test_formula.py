@@ -25,12 +25,10 @@ from atlsat.formula import (
     generate_random_formula,
     generate_with_counts,
     is_core,
-    max_agent_index,
-    max_prop_index,
+    iter_subformulas,
     normalize,
     parse_formula,
     strategic_depth,
-    validate_within,
 )
 from atlsat.mas import ModelShape
 from atlsat.solver import Requirements, solve_satisfiability
@@ -199,19 +197,6 @@ class TestQueries:
         assert strategic_depth(f) == 9
         assert connective_count(f) == 13
 
-    def test_validate_within(self):
-        f = parse_formula("<<2>> X p1")
-        validate_within(f, agent_count=3, prop_count=2)
-        with pytest.raises(ValueError):
-            validate_within(f, agent_count=2, prop_count=2)
-        with pytest.raises(ValueError):
-            validate_within(f, agent_count=3, prop_count=1)
-
-    def test_index_queries(self):
-        f = parse_formula("<<1>> (p0 U <<0,2>> X p3)")
-        assert max_prop_index(f) == 3
-        assert max_agent_index(f) == 2
-
 
 class TestGenerator:
     def test_deterministic(self):
@@ -229,8 +214,13 @@ class TestGenerator:
             params = GenParams(3, 4, 2, seed % 6, seed)
             f = generate_random_formula(params)
             assert strategic_depth(f) <= params.max_depth
-            assert max_prop_index(f) < params.prop_count
-            assert max_agent_index(f) < params.agent_count
+            nodes = list(iter_subformulas(f))
+            assert all(n.index < params.prop_count for n in nodes if isinstance(n, Prop))
+            assert all(
+                n.coalition.members[-1] < params.agent_count
+                for n in nodes
+                if isinstance(n, (Next, Globally, Eventually, Until)) and len(n.coalition)
+            )
 
     def test_coalition_pool_size(self):
         from atlsat.formula import Globally, Next, Until, iter_subformulas

@@ -24,16 +24,13 @@ from atlsat.solver import (
     Requirements,
     SolveTimeout,
     SolverConfig,
-    SolverStats,
-    _make_recheck,
     _Search,
     cone_of_influence,
     minimize_conflict,
     solve_satisfiability,
     structural_clauses,
-    theory_check,
 )
-from helpers import protocol_tables, valuation_rows
+from helpers import protocol_tables, to_assignment, valuation_rows
 from oracles import enumerate_models, oracle_check_validity
 from samplers import random_core_formula, random_model, random_partial_model
 from test_acceptance import BENCH_FORMULA_1, BENCH_ROWS
@@ -43,6 +40,22 @@ S22P1 = ModelShape([2, 2], [0, 0], 1)
 
 def empty_assignment(shape):
     return Assignment(shape, (None,) * shape.bit_count)
+
+
+@pytest.fixture
+def theory_check():
+    """The search's theory verdict on an assignment merged with the
+    requirements, taken by a fresh search on formula ``f``."""
+
+    def check(asg, f, req, minimize=False):
+        search = _Search(normalize(f), req, SolverConfig(minimize_conflicts=minimize))
+        search.value = list(asg.bits)
+        for bit, value in req.constraint_bits():
+            assert search.value[bit] in (None, value)
+            search.value[bit] = value
+        return search.run_theory()
+
+    return check
 
 
 class TestRequirements:
@@ -96,7 +109,7 @@ class TestClause:
 
 
 class TestTheoryCheck:
-    def test_contradiction_on_empty_assignment_passes(self):
+    def test_contradiction_on_empty_assignment_passes(self, theory_check):
         # The approximation treats the two occurrences of p0 independently,
         # so it cannot see p0 & !p0 as contradictory while the valuation
         # cell is still open; the refutation happens within a couple of
@@ -105,7 +118,7 @@ class TestTheoryCheck:
         out = theory_check(empty_assignment(S22P1), parse_formula("p0 & !p0"), req)
         assert out.verdict == "pass"
 
-    def test_grand_coalition_next_tautology_on_empty_assignment(self):
+    def test_grand_coalition_next_tautology_on_empty_assignment(self, theory_check):
         # Every completion satisfies <<0,1>>X true, but the under structure
         # gives the coalition no necessary action yet, so acceptance waits
         # for protocol cells to be decided.
@@ -113,7 +126,7 @@ class TestTheoryCheck:
         out = theory_check(empty_assignment(S22P1), parse_formula("<<0,1>> X true"), req)
         assert out.verdict == "pass"
 
-    def test_total_assignments_match_exact_checking(self):
+    def test_total_assignments_match_exact_checking(self, theory_check):
         rng = random.Random(0)
         req = Requirements(S22P1)
         for _ in range(300):
@@ -125,7 +138,7 @@ class TestTheoryCheck:
             else:
                 assert out.verdict == "conflict"
 
-    def test_conflict_clause_negates_assigned_cells(self):
+    def test_conflict_clause_negates_assigned_cells(self, theory_check):
         req = Requirements(S22P1)
         bits = [None] * S22P1.bit_count
         bits[S22P1.vb_bit(0, 0)] = 0  # p0 false at the initial state
@@ -133,7 +146,7 @@ class TestTheoryCheck:
         assert out.verdict == "conflict"
         assert out.clause == Clause((S22P1.vb_bit(0, 0) + 1,))
 
-    def test_conflict_stable_under_extension(self):
+    def test_conflict_stable_under_extension(self, theory_check):
         # Once the over approximation excludes the initial state, deciding
         # more cells can only keep it excluded.
         rng = random.Random(1)
@@ -165,7 +178,7 @@ class TestTheoryCheck:
 
 
 class TestMinimizeConflict:
-    def test_protocol_only_cause_drops_valuation_literals(self):
+    def test_protocol_only_cause_drops_valuation_literals(self, theory_check):
         # Valuation fully forced by requirements: p0 true only at state 3.
         # <<>>X p0 then fails exactly when both agents' first rows are
         # pinned to action 0, so only those two protocol cells survive.
@@ -185,7 +198,7 @@ class TestMinimizeConflict:
         assert vb_lits == []
         assert 0 < len(minimized.clause) < len(full.clause)
 
-    def test_single_literal_cause(self):
+    def test_single_literal_cause(self, theory_check):
         req = Requirements(S22P1)
         bits = [None] * S22P1.bit_count
         bits[S22P1.tb_bit(0, 0, 0)] = 1
@@ -194,7 +207,7 @@ class TestMinimizeConflict:
         assert out.verdict == "conflict"
         assert out.clause == Clause((S22P1.vb_bit(0, 0) + 1,))
 
-    def test_minimization_off_keeps_clause(self):
+    def test_minimization_off_keeps_clause(self, theory_check):
         req = Requirements(S22P1)
         bits = [None] * S22P1.bit_count
         bits[S22P1.tb_bit(0, 0, 0)] = 1
@@ -213,7 +226,7 @@ class TestMinimizeConflict:
         out = minimize_conflict(Clause((1, 2, 3)), recheck)
         assert out == Clause((2,))
 
-    def test_cone_filter_keeps_the_greedy_clause(self):
+    def test_cone_filter_keeps_the_greedy_clause(self, theory_check):
         # Random conflicts on the refute-theory formulas: dropping the
         # literals outside the cone of influence first gives the clause
         # greedy minimization gives on the full conflict, with fewer rechecks.
@@ -228,19 +241,28 @@ class TestMinimizeConflict:
             conflicts = dropped = 0
             while conflicts < 40:
                 pm = random_partial_model(rng, shape, rng.randint(0, shape.bit_count))
-                asg = pm.to_assignment()
-                outcome = theory_check(asg, f, req)
+                outcome = theory_check(to_assignment(pm), f, req)
                 if not outcome.is_conflict():
                     continue
                 conflicts += 1
                 full = outcome.clause
                 inside = Clause(tuple(lit for lit in full if abs(lit) - 1 in cone))
-                plain, filtered = SolverStats(), SolverStats()
-                expected = minimize_conflict(full, _make_recheck(f, req, plain))
-                assert minimize_conflict(inside, _make_recheck(f, req, filtered)) == expected
-                assert plain.rechecks - filtered.rechecks == len(full) - len(inside)
+                config = SolverConfig(minimize_conflicts=True)
+                plain, filtered = _Search(f, req, config), _Search(f, req, config)
+                expected = minimize_conflict(full, plain.recheck)
+                assert minimize_conflict(inside, filtered.recheck) == expected
+                assert plain.stats.rechecks - filtered.stats.rechecks == len(full) - len(inside)
                 dropped += len(full) - len(inside)
             assert dropped > 0, text
+
+    def test_recheck_rejects_an_emptied_row(self):
+        # Every recheck of a real conflict keeps each protocol row open; a
+        # candidate that sets a whole row to 0 has no compatible model.
+        search = _Search(normalize(parse_formula("p0")), Requirements(S22P1),
+                         SolverConfig(minimize_conflicts=True))
+        row = tuple(S22P1.tb_bit(0, 0, a) + 1 for a in range(2))
+        with pytest.raises(ValueError):
+            search.recheck(row)
 
 
 class TestSolveSatisfiability:
@@ -437,6 +459,25 @@ class TestSolveSatisfiability:
             (True, 23, 0, 24),
             (True, 27, 0, 28),
             (True, 35, 2, 38),
+        ]
+
+    def test_refute_theory_search_is_pinned(self):
+        # The refute-theory formulas at [2,2,2] with 2 props, minimization
+        # on: (verdict, decisions, conflicts, theory checks, propagations,
+        # rechecks) pin the search that the minimized theory conflicts drive.
+        req = Requirements(ModelShape([2, 2, 2], [0, 0, 0], 2))
+        config = SolverConfig(minimize_conflicts=True)
+        texts = ("<<0>> X p0 & <<1>> X !p0", "<<0,1>> X p0 & <<2>> X !p0",
+                 "<<0>> G p0 & <<>> F !p0")
+        runs = [solve_satisfiability(parse_formula(text), req, config) for text in texts]
+        assert [
+            (r.satisfiable, r.stats.decisions, r.stats.conflicts, r.stats.theory_checks,
+             r.stats.propagations, r.stats.rechecks)
+            for r in runs
+        ] == [
+            (False, 193, 40, 231, 100, 540),
+            (False, 304, 76, 378, 210, 1202),
+            (False, 324, 111, 429, 390, 1643),
         ]
 
     def test_propagations_counted_and_repeatable(self):
