@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 
 from .approx import check_validity
 from .formula import (
+    MAX_NESTING,
     Formula,
     FormulaSyntaxError,
     GenParams,
@@ -100,14 +101,10 @@ def load_requirements(path: str) -> Requirements:
         )
     except ValueError as exc:
         raise ValueError(f"requirements field 'agents': {exc}") from None
-    seen: dict[int, int] = {}
-    for field, rows, cell in (("cp", cp, shape.tb_bit), ("cv", cv, shape.vb_bit)):
-        for row in rows:
-            try:
-                Requirements.note(seen, cell(*row[:-1]), row[-1])
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"requirements field {field!r}: {exc}") from None
-    return Requirements(shape, cp, cv)
+    try:
+        return Requirements(shape, cp, cv)
+    except IndexError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _read_formula(args) -> Formula:
@@ -154,25 +151,37 @@ def cmd_check(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    # Every drawn formula must parse back before any is printed.
+    lines = []
     try:
-        for k in range(args.count):
+        for seed in range(args.seed, args.seed + args.count):
             if args.connectives is not None:
-                f, _ = generate_with_counts(
+                f, seed = generate_with_counts(
                     args.agents,
                     args.groups,
                     args.props,
                     args.depth,
                     args.connectives,
-                    base_seed=args.seed + k,
+                    base_seed=seed,
                 )
             else:
                 f = generate_random_formula(
-                    GenParams(args.agents, args.groups, args.props, args.depth, args.seed + k)
+                    GenParams(args.agents, args.groups, args.props, args.depth, seed)
                 )
-            print(format_formula(f))
+            lines.append(format_formula(f))
+            parse_formula(lines[-1])
+    except FormulaSyntaxError:
+        print(
+            f"error: the formula drawn with seed {seed} nests deeper than "
+            f"MAX_NESTING = {MAX_NESTING} levels",
+            file=sys.stderr,
+        )
+        return EXIT_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    for line in lines:
+        print(line)
     return 0
 
 

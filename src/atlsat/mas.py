@@ -39,12 +39,19 @@ class EmptyProtocolRowError(ValueError):
         self.local = local
 
 
+# The largest shape accepted: global states, and cells of the bit vector.
+MAX_STATES = 4096
+MAX_CELLS = 65536
+
+
 @dataclass(frozen=True)
 class ModelShape:
     """The fixed quantities of a model family.
 
     ``locals_per_agent[i]`` is the number of local states (and so actions)
-    of agent ``i``; ``initial_locals[i]`` its initial local state.
+    of agent ``i``; ``initial_locals[i]`` its initial local state.  A shape
+    past :data:`MAX_STATES` or :data:`MAX_CELLS` is rejected before any
+    table is built.
     """
 
     locals_per_agent: tuple[int, ...]
@@ -68,6 +75,13 @@ class ModelShape:
             raise ValueError("initial local states out of range")
         if prop_count < 0:
             raise ValueError("prop_count must be >= 0")
+        states = 1
+        for n in locs:
+            states *= n
+            if states > MAX_STATES:
+                raise ValueError(f"more than {MAX_STATES} global states")
+        if self.bit_count > MAX_CELLS:
+            raise ValueError(f"more than {MAX_CELLS} model cells")
 
     @property
     def agent_count(self) -> int:

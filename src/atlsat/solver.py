@@ -47,53 +47,40 @@ class SolveTimeout(Exception):
 _clock = time.perf_counter
 
 
-def _deadline(start: float, time_limit: float | None) -> Callable[[], None]:
-    """A check that raises :class:`SolveTimeout` once more than
-    ``time_limit`` seconds have passed since ``start``; never, when the
-    limit is None."""
-    if time_limit is None:
-        return lambda: None
-
-    def check() -> None:
-        if _clock() - start > time_limit:
-            raise SolveTimeout(f"time limit of {time_limit}s exceeded")
-
-    return check
-
-
 @dataclass(frozen=True)
 class Requirements:
     """The model family to search: a shape plus forced protocol and
-    valuation cells."""
+    valuation cells.  Each error names its field, ``cp`` or ``cv``: an
+    ``IndexError`` for a cell outside the shape, else a ``ValueError``."""
 
     shape: ModelShape
     cp_constraints: tuple[tuple[int, int, int, int], ...] = ()
     cv_constraints: tuple[tuple[int, int, int], ...] = ()
     _bits: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _cells: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         shape = self.shape
-        bits = tuple(
-            [(shape.tb_bit(agent, local, action), value)
-             for agent, local, action, value in self.cp_constraints]
-            + [(shape.vb_bit(state, prop), value) for state, prop, value in self.cv_constraints]
-        )
-        seen: dict[int, int] = {}
-        for bit, value in bits:
-            self.note(seen, bit, value)
-        object.__setattr__(self, "_bits", bits)
-        # Raises if some protocol row is forced entirely empty.
-        self.induced_partial_model()
-
-    @staticmethod
-    def note(seen: dict[int, int], bit: int, value: int) -> None:
-        """Record that ``bit`` is forced to ``value`` in ``seen``; raises
-        ``ValueError`` for a value other than 0 or 1, or for a bit that
-        ``seen`` already forces the other way."""
-        if value not in (0, 1):
-            raise ValueError(f"constraint value must be 0 or 1, got {value!r}")
-        if seen.setdefault(bit, value) != value:
-            raise ValueError(f"contradictory constraints on cell {bit}")
+        bits: list[tuple[int, int]] = []
+        cells: list[int | None] = [None] * shape.bit_count
+        for name, rows, cell in (("cp", self.cp_constraints, shape.tb_bit),
+                                 ("cv", self.cv_constraints, shape.vb_bit)):
+            try:
+                for *at, value in rows:
+                    bit = cell(*at)
+                    if value not in (0, 1):
+                        raise ValueError(f"constraint value must be 0 or 1, got {value!r}")
+                    if cells[bit] not in (None, value):
+                        raise ValueError(f"contradictory constraints on cell {bit}")
+                    cells[bit] = value
+                    bits.append((bit, value))
+                if name == "cp":
+                    # Raises if some protocol row is forced entirely empty.
+                    PartialModel(shape, tuple(cells))
+            except (IndexError, ValueError) as exc:
+                raise type(exc)(f"requirements field {name!r}: {exc}") from None
+        object.__setattr__(self, "_bits", tuple(bits))
+        object.__setattr__(self, "_cells", tuple(cells))
 
     def constraint_bits(self) -> tuple[tuple[int, int], ...]:
         """The forced cells as ``(bit, value)`` pairs, protocol cells first,
@@ -101,10 +88,7 @@ class Requirements:
         return self._bits
 
     def induced_partial_model(self) -> PartialModel:
-        bits: list[int | None] = [None] * self.shape.bit_count
-        for bit, value in self.constraint_bits():
-            bits[bit] = value
-        return PartialModel.from_assignment(Assignment(self.shape, tuple(bits)))
+        return PartialModel.from_assignment(Assignment(self.shape, self._cells))
 
 
 @dataclass(frozen=True)
@@ -141,7 +125,6 @@ class SolverStats:
     rechecks: int = 0
     reused: int = 0
     wall_time: float = 0.0
-    learned: list[Clause] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -158,7 +141,6 @@ class SolverConfig:
     minimize_conflicts: bool = False
     seed: int = 0
     time_limit: float | None = None
-    collect_learned: bool = False
 
     def __post_init__(self) -> None:
         if self.policy not in ("default", "one-first", "zero-first", "random"):
@@ -244,24 +226,21 @@ def minimize_conflict(
 
 
 class _Search:
-    """One satisfiability run: the Boolean search and its theory side (the
-    verdict on each settled assignment and conflict minimization).  Not
-    reusable across calls."""
+    """One satisfiability run, from the compiled formula to the result: the
+    Boolean search, its theory side (the verdict on each settled assignment
+    and conflict minimization), the time limit and the witness.  ``start``
+    is the clock reading the time limit counts from, by default the time of
+    construction.  Not reusable across calls."""
 
-    def __init__(
-        self,
-        f: Formula | Program,
-        req: Requirements,
-        config: SolverConfig,
-        deadline: Callable[[], None] = lambda: None,
-    ):
+    def __init__(self, f: Formula | Program, req: Requirements, config: SolverConfig,
+                 start: float | None = None):
+        self.start = _clock() if start is None else start
         self.req = req
         self.config = config
         self.shape = req.shape
         # Compiled once: its strategic steps reuse results across the
         # theory calls and rechecks of this run.
         self.program = Program.of(f, req.shape)
-        self.deadline = deadline
         self.n = self.shape.bit_count
         self.value: list[int | None] = [None] * self.n
         self.level: list[int] = [0] * self.n
@@ -283,10 +262,54 @@ class _Search:
             self.add_clause(c.literals)
         self.stats = SolverStats()
         self.rng = random.Random(config.seed) if config.policy == "random" else None
+        # The cells a theory conflict clause names, in ascending order: only
+        # those in the cone of influence when minimizing.
+        self.cone = range(self.n)
         if config.minimize_conflicts:
-            self.cone = cone_of_influence(self.program.formula, self.shape)
+            self.cone = sorted(cone_of_influence(self.program.formula, self.shape))
             # The requirement cells, preset once; each recheck copies them.
             self.required = list(req.induced_partial_model().cells)
+
+    # -- the loop
+
+    def run(self) -> SolverResult:
+        """Search to a verdict.  Each step propagates and takes the theory
+        verdict on the settled assignment; a Boolean or theory conflict is
+        resolved by analyze, backjump and learn, and otherwise the next
+        decision opens a level."""
+        while True:
+            self.deadline()
+            conflict = self.propagate()
+            if conflict is None:
+                outcome = self.run_theory()
+                if outcome.is_early_accept():
+                    return self.finish(self.witness())
+                if outcome.is_conflict():
+                    conflict = outcome.clause.literals
+            if conflict is not None:
+                self.stats.conflicts += 1
+                result = self.analyze(conflict)
+                if result is None:
+                    return self.finish(None)
+                learned, backjump = result
+                self.backjump(backjump)
+                self.add_clause(learned)
+            elif not self.decide():
+                # Over and under coincide at total assignments, so the theory
+                # verdict above must have been conflict or acceptance.
+                raise AssertionError("total assignment reached without a verdict")
+
+    def deadline(self) -> None:
+        """Raise :class:`SolveTimeout` once more than ``config.time_limit``
+        seconds have passed since ``start``; never, without a limit."""
+        limit = self.config.time_limit
+        if limit is not None and _clock() - self.start > limit:
+            raise SolveTimeout(f"time limit of {limit}s exceeded")
+
+    def finish(self, witness: Model | None) -> SolverResult:
+        self.stats.wall_time = _clock() - self.start
+        self.stats.reused = self.program.reused
+        return SolverResult(witness is not None, witness, self.stats)
 
     # -- assignment plumbing
 
@@ -448,11 +471,6 @@ class _Search:
         )
         return tuple(learned), backjump
 
-    def learn(self, clause: tuple[int, ...]) -> None:
-        self.add_clause(clause)
-        if self.config.collect_learned:
-            self.stats.learned.append(Clause(clause))
-
     # -- theory interface
 
     def run_theory(self) -> TheoryOutcome:
@@ -463,18 +481,12 @@ class _Search:
         pm = PartialModel(self.shape, tuple(self.value))
         iota = self.shape.initial_state
         if not sapp(pm, self.program, Mode.OVER) >> iota & 1:
+            value = self.value
             clause = Clause(
-                tuple(
-                    -(v + 1) if value else (v + 1)
-                    for v, value in enumerate(self.value)
-                    if value is not None
-                )
+                tuple(-(v + 1) if value[v] else (v + 1) for v in self.cone if value[v] is not None)
             )
             if self.config.minimize_conflicts:
-                cone = self.cone
-                clause = minimize_conflict(
-                    Clause(tuple(lit for lit in clause if abs(lit) - 1 in cone)), self.recheck
-                )
+                clause = minimize_conflict(clause, self.recheck)
             return TheoryOutcome("conflict", clause)
         if sapp(pm, self.program, Mode.UNDER) >> iota & 1:
             return TheoryOutcome("early_accept")
@@ -496,38 +508,45 @@ class _Search:
 
     # -- decisions
 
-    def decide(self) -> int | None:
+    def decide(self) -> bool:
+        """Open a decision level and assign the next free cell its first
+        value, as the policy picks them; False when no cell is free."""
         free = [v for v in range(self.n) if self.value[v] is None]
         if not free:
-            return None
+            return False
         if self.rng is not None:
             v = self.rng.choice(free)
-            return (v + 1) if self.rng.random() < 0.5 else -(v + 1)
-        v = free[0]
-        policy = self.config.policy
-        if policy == "one-first":
-            positive = True
-        elif policy == "zero-first":
-            positive = False
+            positive = self.rng.random() < 0.5
         else:
-            positive = v < self.shape.vb_offset  # protocol cells rich-first
-        return (v + 1) if positive else -(v + 1)
+            v = free[0]
+            # By default protocol cells are tried 1 first, valuation cells 0.
+            first = {"one-first": True, "zero-first": False}
+            positive = first.get(self.config.policy, v < self.shape.vb_offset)
+        self.trail_lim.append(len(self.trail))
+        self.stats.decisions += 1
+        self.assign((v + 1) if positive else -(v + 1), None)
+        return True
 
-    # -- completion on early acceptance
+    # -- the witness on early acceptance
 
-    def complete_and_extract(self) -> Model:
-        bits = list(self.value)
-        for v in range(self.n):
-            if bits[v] is None:
-                bits[v] = 0
+    def witness(self) -> Model:
+        """Complete the assignment to a model and check it exactly.  Free
+        cells get 0, except that a protocol row left all 0 gets its first
+        free cell set to 1.  A model that breaks the requirements or fails
+        the formula raises ``AssertionError``."""
+        bits = [0 if b is None else b for b in self.value]
         shape = self.shape
-        for agent, n in enumerate(shape.locals_per_agent):
-            for local in range(n):
-                row_bits = [shape.tb_bit(agent, local, a) for a in range(n)]
-                if not any(bits[b] for b in row_bits):
-                    repair = next(b for b in row_bits if self.value[b] is None)
-                    bits[repair] = 1
-        return decode_model(Assignment(shape, tuple(bits)))
+        for off, n in zip(shape.tb_offsets, shape.locals_per_agent):
+            for row in range(off, off + n * n, n):
+                if not any(bits[row : row + n]):
+                    bits[self.value.index(None, row, row + n)] = 1
+        model = decode_model(Assignment(shape, tuple(bits)))
+        # Exact checking of a program does not use its reuse cache.
+        if not is_compatible(model, self.req.induced_partial_model()):
+            raise AssertionError("witness violates the requirements")
+        if not check_validity(model, self.program):
+            raise AssertionError("witness fails exact model checking")
+        return model
 
 
 def solve_satisfiability(
@@ -539,53 +558,8 @@ def solve_satisfiability(
     lacks raises :class:`BoundsError`."""
     config = config or SolverConfig()
     start = _clock()
-    deadline = _deadline(start, config.time_limit)
     try:
         program = Program(normalize(f), req.shape)
     except IndexError as exc:
         raise BoundsError(str(exc)) from None
-    search = _Search(program, req, config, deadline)
-
-    def finish(satisfiable: bool, witness: Model | None) -> SolverResult:
-        search.stats.wall_time = _clock() - start
-        search.stats.reused = search.program.reused
-        return SolverResult(satisfiable, witness, search.stats)
-
-    while True:
-        deadline()
-
-        conflict = search.propagate()
-        if conflict is None:
-            outcome = search.run_theory()
-            if outcome.is_early_accept():
-                witness = search.complete_and_extract()
-                _verify_witness(witness, search.program, req)
-                return finish(True, witness)
-            if outcome.is_conflict():
-                conflict = outcome.clause.literals
-        if conflict is not None:
-            search.stats.conflicts += 1
-            result = search.analyze(conflict)
-            if result is None:
-                return finish(False, None)
-            learned, backjump = result
-            search.backjump(backjump)
-            search.learn(learned)
-            continue
-
-        decision = search.decide()
-        if decision is None:
-            # Over and under coincide at total assignments, so the theory
-            # verdict above must have been conflict or acceptance.
-            raise AssertionError("total assignment reached without a verdict")
-        search.trail_lim.append(len(search.trail))
-        search.stats.decisions += 1
-        search.assign(decision, None)
-
-
-def _verify_witness(witness: Model, core: Program, req: Requirements) -> None:
-    # Exact checking of a program does not use its reuse cache.
-    if not is_compatible(witness, req.induced_partial_model()):
-        raise AssertionError("witness violates the requirements")
-    if not check_validity(witness, core):
-        raise AssertionError("witness fails exact model checking")
+    return _Search(program, req, config, start).run()

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import re
 
 import pytest
 
 from atlsat.approx import check_validity
-from atlsat.cli import main
+from atlsat.cli import _solver_config, build_parser, main
 from atlsat.formula import (
     MAX_NESTING,
     connective_count,
@@ -12,6 +13,7 @@ from atlsat.formula import (
     parse_formula,
     strategic_depth,
 )
+from atlsat.solver import SolverConfig
 from atlsat.witness import read_witness_json
 
 EXAMPLE_FORMULA = (
@@ -132,6 +134,12 @@ class TestCheck:
             ({"agents": [{"locals": 2}], "props": 1, "cv": [[0, 0, -1]]}, "cv"),
             ({"agents": [{"locals": 2}], "props": 1, "cp": [[0, 1, 1, 1], [0, 1, 1, 0]]}, "cp"),
             ({"agents": [{"locals": 2}], "props": 1, "cv": [[1, 0, 0], [1, 0, 1]]}, "cv"),
+            # A protocol row forced to 0 in every cell.
+            ({"agents": [{"locals": 2}], "props": 1, "cp": [[0, 0, 0, 0], [0, 0, 1, 0]]}, "cp"),
+            # Shapes past the limits; tables this large could not even be
+            # sized, so the check must come before any is built.
+            ({"agents": [{"locals": 10**6}] * 4, "props": 1}, "agents"),
+            ({"agents": [{"locals": 2}], "props": 10**30}, "agents"),
         ],
     )
     def test_malformed_requirements_name_the_field(self, data, field, tmp_path, capsys):
@@ -198,6 +206,7 @@ class TestVerify:
             ({**NO_BITS, "protocols": [["1x", "01"]]}, "protocols"),
             ({**NO_BITS, "valuation": [[5], []]}, "valuation"),
             ({**NO_BITS, "valuation": [["0"], []]}, "valuation"),
+            ({**GOOD_WITNESS, "agents": [{"locals": 10**6, "initial": 0}] * 4}, "agents"),
         ],
     )
     def test_malformed_witness_names_the_field(self, data, field, tmp_path, capsys):
@@ -285,17 +294,33 @@ class TestGenerate:
         assert connective_count(f) == 13
 
     def test_depth_limit_is_the_nesting_limit(self, capsys):
-        # A strategic depth past MAX_NESTING could never parse back.
+        # A strategic depth past MAX_NESTING could never parse back.  At
+        # MAX_NESTING itself the drawn formula nests deeper than the parser
+        # accepts: an error naming the seed, and nothing printed.
         args = ["generate", "--agents", "3", "--groups", "4", "--props", "3", "--depth"]
-        assert main(args + [str(MAX_NESTING)]) == 0
+        assert main(args + [str(MAX_NESTING), "--seed", "7"]) == 1
         captured = capsys.readouterr()
-        assert captured.out.count("\n") == 1 and captured.err == ""
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "seed 7" in captured.err and str(MAX_NESTING) in captured.err
         for depth in (MAX_NESTING + 1, 1000):
             assert main(args + [str(depth)]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
             assert str(MAX_NESTING) in captured.err
+
+    def test_unparsable_draw_prints_nothing(self, capsys):
+        # Seeds 0-3 at depth 40 parse back; seed 4 nests too deep.
+        args = ["generate", "--agents", "3", "--groups", "4", "--props", "3",
+                "--depth", "40", "--count"]
+        assert main(args + ["4"]) == 0
+        assert capsys.readouterr().out.count("\n") == 4
+        assert main(args + ["5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "seed 4" in captured.err and str(MAX_NESTING) in captured.err
 
     def test_invalid_params_exit_one(self, capsys):
         assert main(
@@ -361,3 +386,14 @@ class TestBench:
                  "--out-json", str(out), "--deterministic-report"]
             )
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_every_solver_config_field_is_a_flag(tmp_path):
+    # A SolverConfig field no flag sets is a knob only code can reach.
+    args = build_parser().parse_args(
+        ["check", "-f", "p0", "--req", str(tmp_path / "req.json"), "--timeout", "5",
+         "--minimize-conflicts", "--policy", "random", "--seed", "3"]
+    )
+    config, default = _solver_config(args), SolverConfig()
+    for f in dataclasses.fields(SolverConfig):
+        assert getattr(config, f.name) != getattr(default, f.name), f.name

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from atlsat.mas import (
+    MAX_CELLS,
+    MAX_STATES,
     Assignment,
     EmptyProtocolRowError,
     Model,
@@ -74,6 +76,16 @@ class TestShape:
             ModelShape([0, 2])
         with pytest.raises(ValueError):
             ModelShape([2], [2])
+
+    def test_size_limits(self):
+        # [6,6,6] with 3 props (216 states, 756 cells) is the largest shape
+        # measured; each limit is inclusive.
+        for locs, props in (([6, 6, 6], 3), ([2] * 12, 15), ([64], 960)):
+            ModelShape(locs, None, props)
+        for locs, props, limit in (([2] * 13, 0, MAX_STATES), ([2] * 12, 16, MAX_CELLS),
+                                   ([64], 961, MAX_CELLS), ([10**6] * 4, 1, MAX_STATES)):
+            with pytest.raises(ValueError, match=str(limit)):
+                ModelShape(locs, None, props)
 
 
 class TestEncode:
