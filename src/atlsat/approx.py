@@ -32,11 +32,17 @@ hash-consed slots, evaluated by one loop with no recursion.  A program kept
 across the theory calls of one solve keeps each split structure, and so its
 pre-image plan, while the structure's enabled rows repeat, and reuses each
 strategic step's last result while its inputs repeat.
+
+A solve evaluates on one :class:`LiveView`, a partial model updated one cell
+at a time as the search assigns, unassigns and rechecks: no call builds a
+partial model, and no call recomputes the proposition masks or an agent's
+rows unless one of its cells changed.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 from itertools import compress, repeat
 from operator import eq, getitem, ne
 from typing import Sequence
@@ -70,25 +76,98 @@ class PartialModel:
             )
         if not _CELL_VALUES.issuperset(cells):
             raise ValueError("cells must be 0, 1 or None")
-        # Per agent its (necessary, possible) enabled rows, one lookup of the
-        # agent's protocol slice in the shape's memo.
-        rows = [
-            shape.protocol_rows(cells[off : off + n * n])
-            for off, n in zip(shape.tb_offsets, shape.locals_per_agent)
+        self._rows = [
+            _agent_rows(shape, i, cells[off : off + n * n])
+            for i, (off, n) in enumerate(zip(shape.tb_offsets, shape.locals_per_agent))
         ]
-        for i, (_, possible) in enumerate(rows):
-            if () in possible:
-                raise ValueError(
-                    f"agent {i}, local state {possible.index(())}: row determined empty, "
-                    "no compatible model exists"
-                )
         self.shape = shape
         self.cells = cells
-        self._rows = rows
 
     @classmethod
     def from_assignment(cls, a: Assignment) -> "PartialModel":
         return cls(a.shape, tuple(a.bits))
+
+    def rows(self) -> list[tuple[tuple[tuple[int, ...], ...], ...]]:
+        """Per agent its (necessary, possible) enabled rows."""
+        return self._rows
+
+    @cached_property
+    def masks(self) -> tuple[tuple[int, ...], ...]:
+        """Per proposition its state mask, first necessary, then possible."""
+        return _prop_masks(self.shape, self.cells[self.shape.vb_offset :])
+
+
+class LiveView:
+    """A partial model the search updates in place, one cell at a time; it
+    reads like a :class:`PartialModel` (``shape``, ``cells``, ``rows()``,
+    ``masks``).
+
+    Setting a valuation cell sets or clears its state's bit in its
+    proposition's necessary and possible masks.  Setting a protocol cell
+    marks its agent stale; ``rows()`` looks a stale agent's rows up again in
+    the shape's memo, and raises on a row determined empty as
+    :class:`PartialModel` does.
+    """
+
+    def __init__(self, shape: ModelShape):
+        self.shape = shape
+        self.cells: list[Cell] = [None] * shape.bit_count
+        self._vb, self._p = shape.vb_offset, shape.prop_count
+        self.masks = ([0] * self._p, [shape.full_mask] * self._p)
+        self._rows = [shape.protocol_rows((None,) * (n * n)) for n in shape.locals_per_agent]
+        self._agent = [i for i, n in enumerate(shape.locals_per_agent) for _ in range(n * n)]
+        self._stale: set[int] = set()
+
+    def put(self, cell: int, value: Cell) -> None:
+        """Set one cell to 0, 1 or None."""
+        cells = self.cells
+        if cells[cell] == value:
+            return
+        cells[cell] = value
+        k = cell - self._vb
+        if k < 0:
+            self._stale.add(self._agent[cell])
+            return
+        p = self._p
+        v, bit = k % p, 1 << k // p
+        necessary, possible = self.masks
+        if value == 1:
+            necessary[v] |= bit
+        else:
+            necessary[v] &= ~bit
+        if value == 0:
+            possible[v] &= ~bit
+        else:
+            possible[v] |= bit
+
+    def load(self, cells: Sequence[Cell]) -> None:
+        """Set every cell that differs from ``cells``."""
+        for cell in compress(range(len(cells)), map(ne, self.cells, cells)):
+            self.put(cell, cells[cell])
+
+    def rows(self) -> list[tuple[tuple[tuple[int, ...], ...], ...]]:
+        """Per agent its (necessary, possible) enabled rows."""
+        stale = self._stale
+        if stale:
+            shape, cells = self.shape, self.cells
+            for i in sorted(stale):
+                off, n = shape.tb_offsets[i], shape.locals_per_agent[i]
+                self._rows[i] = _agent_rows(shape, i, tuple(cells[off : off + n * n]))
+                stale.discard(i)
+        return self._rows
+
+
+def _agent_rows(shape: ModelShape, agent: int, table: tuple[Cell, ...]) -> tuple[tuple, tuple]:
+    # The agent's (necessary, possible) rows, one lookup of its protocol
+    # slice in the shape's memo; a row determined empty raises.
+    rows = shape.protocol_rows(table)
+    possible = rows[1]
+    if () in possible:
+        raise ValueError(
+            f"agent {agent}, local state {possible.index(())}: row determined empty, "
+            "no compatible model exists"
+        )
+    return rows
 
 
 def _prop_masks(shape: ModelShape, valuation: Sequence[Cell]) -> tuple[tuple[int, ...], ...]:
@@ -190,8 +269,7 @@ class Program:
     Each view keeps its split structure, with the structure's pre-image
     plan, until the view's enabled rows change.  Each strategic step keeps
     its last enabled rows, operand sets and result, and reuses the result
-    when the inputs repeat; the program also keeps the last valuation slice
-    and its proposition masks.  ``reused`` counts the steps answered from
+    when the inputs repeat.  ``reused`` counts the steps answered from
     their last result.  Keep a program to one solve: these caches hold one
     entry each and live as long as it does.
     """
@@ -244,8 +322,6 @@ class Program:
         )
         self._structures: list[TransitionStructure | None] = [None] * len(views)
         self._last: list[tuple | None] = [None] * (2 * len(slots))
-        self._valuation: tuple[Cell, ...] | None = None
-        self._masks: tuple[tuple[int, ...], ...] = ()
         self.reused = 0
 
     @classmethod
@@ -258,22 +334,18 @@ class Program:
             raise ValueError(f"program compiled for {f.shape}, used with {shape}")
         return f
 
-    def approximate(self, pm: PartialModel, mode: Mode) -> StateSet:
+    def approximate(self, pm: PartialModel | LiveView, mode: Mode) -> StateSet:
         """:func:`sapp` of the compiled formula."""
-        valuation = pm.cells[self.shape.vb_offset :]
-        if valuation != self._valuation:
-            self._valuation = valuation
-            self._masks = _prop_masks(self.shape, valuation)
-        rows, picks, structures = pm._rows, self.picks, self._structures
+        rows, picks, structures = pm.rows(), self.picks, self._structures
         u = 1 if mode is Mode.UNDER else 0
         for view in self.used[u]:
             enabled = tuple(map(getitem, rows, picks[view]))
             st = structures[view]
             if st is None or st.enabled != enabled:
                 # A split structure's propositions are never read: atoms
-                # take their sets from the program's masks.
+                # take their sets from the partial model's masks.
                 structures[view] = TransitionStructure(self.shape, enabled, ())
-        return self._run(u, self._masks, structures, self._last)
+        return self._run(u, pm.masks, structures, self._last)
 
     def exact(self, m: TransitionStructure) -> StateSet:
         """:func:`solve_formula` of the compiled formula.  It neither reads
@@ -322,7 +394,7 @@ class Program:
         return values[self.roots[u]]
 
 
-def sapp(pm: PartialModel, f: Formula | Program, mode: Mode) -> StateSet:
+def sapp(pm: PartialModel | LiveView, f: Formula | Program, mode: Mode) -> StateSet:
     """Approximate the satisfaction set of a core formula across all models
     compatible with the partial model: a superset in mode ``OVER``, a subset
     in mode ``UNDER``.  The two coincide with the exact set once the partial

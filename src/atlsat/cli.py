@@ -95,12 +95,14 @@ def load_requirements(path: str) -> Requirements:
     if type(props) is not int or props < 0:
         raise ValueError("requirements field 'props': expected an integer >= 0")
     cp, cv = _int_rows(data, "cp", 4), _int_rows(data, "cv", 3)
-    try:
-        shape = ModelShape(
-            [a["locals"] for a in agents], [a.get("initial", 0) for a in agents], props
-        )
-    except ValueError as exc:
-        raise ValueError(f"requirements field 'agents': {exc}") from None
+    locs, init = [a["locals"] for a in agents], [a.get("initial", 0) for a in agents]
+    # The agents alone, then with their valuation cells: a shape whose
+    # protocol cells fit but whose valuation cells do not blames 'props'.
+    for name, count in (("agents", 0), ("props", props)):
+        try:
+            shape = ModelShape(locs, init, count)
+        except ValueError as exc:
+            raise ValueError(f"requirements field {name!r}: {exc}") from None
     try:
         return Requirements(shape, cp, cv)
     except IndexError as exc:

@@ -8,8 +8,8 @@ visited only when a watched literal becomes false; a visit that finds the
 other watch true ends there, since the clause is satisfied (the blocker
 rule).  Propagation walks the trail in order, as in Chaff and MiniSat, after
 one visit of each clause added since it last ran.  After propagation settles
-at each level, the partial assignment is read as a partial model and the
-two-sided approximation decides the step:
+at each level, the two-sided approximation of the partial assignment decides
+the step:
 
 * initial state outside the over set: no compatible completion can satisfy
   the formula, so a conflict clause over the assigned cells is learned;
@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .approx import Mode, PartialModel, Program, check_validity, is_compatible, sapp
+from .approx import LiveView, Mode, PartialModel, Program, check_validity, is_compatible, sapp
 from .formula import Formula, Globally, Next, Prop, Until, iter_subformulas, normalize
 from .mas import Assignment, Model, ModelShape, decode_model
 
@@ -230,7 +230,13 @@ class _Search:
     Boolean search, its theory side (the verdict on each settled assignment
     and conflict minimization), the time limit and the witness.  ``start``
     is the clock reading the time limit counts from, by default the time of
-    construction.  Not reusable across calls."""
+    construction.  Not reusable across calls.
+
+    Theory calls evaluate on ``view``, a :class:`~atlsat.approx.LiveView`
+    that ``assign`` and ``backjump`` keep equal to ``value`` cell by cell.
+    Minimization rechecks move it to the requirements plus each candidate,
+    changing only the cells that differ from the previous candidate, and
+    ``restore_view`` moves it back."""
 
     def __init__(self, f: Formula | Program, req: Requirements, config: SolverConfig,
                  start: float | None = None):
@@ -243,6 +249,10 @@ class _Search:
         self.program = Program.of(f, req.shape)
         self.n = self.shape.bit_count
         self.value: list[int | None] = [None] * self.n
+        self.view = LiveView(self.shape)
+        # The literals of the last recheck's candidate, shown on the view
+        # over the requirements; None while the view shows ``value``.
+        self.shown: set[int] | None = None
         self.level: list[int] = [0] * self.n
         self.reason: list[tuple[int, ...] | None] = [None] * self.n
         self.trail: list[int] = []
@@ -319,17 +329,21 @@ class _Search:
 
     def assign(self, lit: int, reason: tuple[int, ...] | None) -> None:
         v = abs(lit) - 1
-        self.value[v] = 1 if lit > 0 else 0
+        b = 1 if lit > 0 else 0
+        self.value[v] = b
+        self.view.put(v, b)
         self.level[v] = self.decision_level
         self.reason[v] = reason
         self.trail.append(lit)
 
     def backjump(self, target_level: int) -> None:
         cut = self.trail_lim[target_level]
+        put = self.view.put
         for lit in self.trail[cut:]:
             v = abs(lit) - 1
             self.value[v] = None
             self.reason[v] = None
+            put(v, None)
         del self.trail[cut:]
         del self.trail_lim[target_level:]
         self.head = min(self.head, cut)
@@ -478,17 +492,19 @@ class _Search:
         negates every assigned cell; when minimizing, its literals outside
         the cone of influence are dropped and the rest reduced greedily."""
         self.stats.theory_checks += 1
-        pm = PartialModel(self.shape, tuple(self.value))
-        iota = self.shape.initial_state
-        if not sapp(pm, self.program, Mode.OVER) >> iota & 1:
+        view, iota = self.view, self.shape.initial_state
+        if not sapp(view, self.program, Mode.OVER) >> iota & 1:
             value = self.value
             clause = Clause(
                 tuple(-(v + 1) if value[v] else (v + 1) for v in self.cone if value[v] is not None)
             )
             if self.config.minimize_conflicts:
-                clause = minimize_conflict(clause, self.recheck)
+                try:
+                    clause = minimize_conflict(clause, self.recheck)
+                finally:
+                    self.restore_view()
             return TheoryOutcome("conflict", clause)
-        if sapp(pm, self.program, Mode.UNDER) >> iota & 1:
+        if sapp(view, self.program, Mode.UNDER) >> iota & 1:
             return TheoryOutcome("early_accept")
         return TheoryOutcome("pass")
 
@@ -497,28 +513,44 @@ class _Search:
         the requirements and the cells these clause literals negate stay
         assigned?  The deadline runs first, so a time limit holds inside a
         minimization.  A candidate that empties a protocol row raises
-        ``ValueError``."""
+        ``ValueError``.  The view is left showing the candidate."""
         self.deadline()
         self.stats.rechecks += 1
-        cells = self.required.copy()
-        for lit in candidate:
-            cells[abs(lit) - 1] = 0 if lit > 0 else 1
-        pm = PartialModel(self.shape, tuple(cells))
-        return not sapp(pm, self.program, Mode.OVER) >> self.shape.initial_state & 1
+        view, required = self.view, self.required
+        shown, new = self.shown, set(candidate)
+        if shown is None:
+            view.load(required)
+            shown = set()
+        self.shown = new
+        for lit in shown - new:
+            v = abs(lit) - 1
+            view.put(v, required[v])
+        for lit in new - shown:
+            view.put(abs(lit) - 1, 0 if lit > 0 else 1)
+        return not sapp(view, self.program, Mode.OVER) >> self.shape.initial_state & 1
+
+    def restore_view(self) -> None:
+        """Show the assignment on the view again after rechecks."""
+        if self.shown is not None:
+            self.view.load(self.value)
+            self.shown = None
 
     # -- decisions
 
     def decide(self) -> bool:
         """Open a decision level and assign the next free cell its first
         value, as the policy picks them; False when no cell is free."""
-        free = [v for v in range(self.n) if self.value[v] is None]
-        if not free:
-            return False
         if self.rng is not None:
+            free = [v for v in range(self.n) if self.value[v] is None]
+            if not free:
+                return False
             v = self.rng.choice(free)
             positive = self.rng.random() < 0.5
         else:
-            v = free[0]
+            try:
+                v = self.value.index(None)
+            except ValueError:
+                return False
             # By default protocol cells are tried 1 first, valuation cells 0.
             first = {"one-first": True, "zero-first": False}
             positive = first.get(self.config.policy, v < self.shape.vb_offset)

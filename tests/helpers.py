@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from operator import getitem
 
-from atlsat.approx import _MODES, Mode, PartialModel, Program, _picks, _prop_masks
+from atlsat.approx import _MODES, Mode, PartialModel, Program, _picks
 from atlsat.formula import Formula
 from atlsat.mas import Assignment, ModelShape, TransitionStructure
 from atlsat.mc import StateSet, solve_globally, solve_next, solve_until
@@ -123,6 +123,5 @@ def split_structure(pm: PartialModel, coalition, mode: Mode) -> TransitionStruct
     soundly, since every compatible total model is serial.
     """
     shape = pm.shape
-    enabled = tuple(map(getitem, pm._rows, _picks(shape.agent_count, set(coalition), mode)))
-    masks = _prop_masks(shape, pm.cells[shape.vb_offset :])
-    return TransitionStructure(shape, enabled, masks[mode is Mode.OVER])
+    enabled = tuple(map(getitem, pm.rows(), _picks(shape.agent_count, set(coalition), mode)))
+    return TransitionStructure(shape, enabled, pm.masks[mode is Mode.OVER])

@@ -1,9 +1,11 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from atlsat.approx import (
+    LiveView,
     Mode,
     PartialModel,
     Program,
@@ -24,6 +26,7 @@ from atlsat.formula import (
     generate_random_formula,
     iter_subformulas,
     normalize,
+    parse_formula,
 )
 from atlsat.mas import Assignment, Model, ModelShape, encode_model, state_index
 from atlsat.mc import solve_globally, solve_next, solve_until
@@ -39,11 +42,13 @@ from helpers import (
 )
 from oracles import compatible_completions, enumerate_models
 from samplers import (
+    SMALL_SHAPES,
     TINY_SHAPES,
     random_coalition,
     random_core_formula,
     random_model,
     random_partial_model,
+    random_shape,
 )
 
 
@@ -500,3 +505,81 @@ class TestProgram:
         pm = random_partial_model(random.Random(13), shape)
         for mode in Mode:
             assert sapp(pm, f, mode) == recursive_sapp(pm, inner, mode)
+
+
+# The refute-theory formulas, and a strategic G alone.
+LIVE_VIEW_TEXTS = (
+    "<<0>> X p0 & <<1>> X !p0",
+    "<<0,1>> X p0 & <<2>> X !p0",
+    "<<0>> G p0 & <<>> F !p0",
+    "p0 & !p0",
+    "<<0>> G p0",
+)
+
+
+def _fitting_programs(shape):
+    # (formula, program over the view) for each text the shape can express.
+    out = []
+    for text in LIVE_VIEW_TEXTS:
+        f = normalize(parse_formula(text))
+        try:
+            out.append((f, Program(f, shape)))
+        except IndexError:
+            pass
+    return out
+
+
+class TestLiveView:
+    def test_updates_match_a_fresh_partial_model(self):
+        # Random cell updates, resets to None included.  After each the
+        # view reads like PartialModel(shape, cells): the same rows, masks
+        # and sapp sets, or the same empty-row error.  One program serves
+        # the whole sequence, as in a search.
+        rng = random.Random(31)
+        shapes = SMALL_SHAPES + [random_shape(rng) for _ in range(10)]
+        shapes = [shape for shape in shapes if shape.prop_count] + [
+            ModelShape([2, 2, 2], [0, 0, 0], 1), ModelShape([3, 2, 2], [0, 0, 0], 2)]
+        checked = raised = 0
+        for shape in shapes:
+            view, cells = LiveView(shape), [None] * shape.bit_count
+            programs = _fitting_programs(shape)
+            assert programs
+            for _ in range(80):
+                cell = rng.randrange(shape.bit_count)
+                value = rng.choice((0, 1, None, None))
+                cells[cell] = value
+                view.put(cell, value)
+                assert view.cells == cells
+                try:
+                    pm = PartialModel(shape, tuple(cells))
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        sapp(view, programs[0][1], Mode.OVER)
+                    cells[cell] = None
+                    view.put(cell, None)
+                    raised += 1
+                    continue
+                assert view.rows() == pm.rows()
+                assert tuple(map(tuple, view.masks)) == pm.masks
+                for f, program in programs:
+                    for mode in Mode:
+                        assert sapp(view, program, mode) == sapp(pm, f, mode), (f, mode, cells)
+                checked += 1
+        assert checked > 500 and raised > 0
+
+    def test_an_emptied_row_raises_at_the_next_evaluation(self):
+        shape = ModelShape([2, 2], [0, 0], 1)
+        f = normalize(parse_formula("<<0>> G p0"))
+        view, cells = LiveView(shape), [None] * shape.bit_count
+        for action in range(2):
+            cell = shape.tb_bit(1, 1, action)
+            view.put(cell, 0)
+            cells[cell] = 0
+        with pytest.raises(ValueError) as expected:
+            PartialModel(shape, tuple(cells))
+        for _ in range(2):  # the agent stays stale until its rows are valid
+            with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+                sapp(view, f, Mode.UNDER)
+        view.put(shape.tb_bit(1, 1, 0), None)
+        cells[shape.tb_bit(1, 1, 0)] = None
+        assert sapp(view, f, Mode.UNDER) == sapp(PartialModel(shape, tuple(cells)), f, Mode.UNDER)

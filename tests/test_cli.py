@@ -139,7 +139,10 @@ class TestCheck:
             # Shapes past the limits; tables this large could not even be
             # sized, so the check must come before any is built.
             ({"agents": [{"locals": 10**6}] * 4, "props": 1}, "agents"),
-            ({"agents": [{"locals": 2}], "props": 10**30}, "agents"),
+            ({"agents": [{"locals": 2}], "props": 10**30}, "props"),
+            ({"agents": [{"locals": 2}], "props": 100000}, "props"),
+            # Protocol cells alone past the cell limit: 300**2 > 65536.
+            ({"agents": [{"locals": 300}], "props": 1}, "agents"),
         ],
     )
     def test_malformed_requirements_name_the_field(self, data, field, tmp_path, capsys):

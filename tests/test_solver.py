@@ -42,6 +42,14 @@ def empty_assignment(shape):
     return Assignment(shape, (None,) * shape.bit_count)
 
 
+def load(search, cells):
+    """Assign the search's cells through its own assignment path, at level
+    0, so its live view follows."""
+    for v, b in enumerate(cells):
+        if b is not None:
+            search.assign(v + 1 if b else -(v + 1), None)
+
+
 @pytest.fixture
 def theory_check():
     """The search's theory verdict on an assignment merged with the
@@ -49,10 +57,11 @@ def theory_check():
 
     def check(asg, f, req, minimize=False):
         search = _Search(normalize(f), req, SolverConfig(minimize_conflicts=minimize))
-        search.value = list(asg.bits)
+        cells = list(asg.bits)
         for bit, value in req.constraint_bits():
-            assert search.value[bit] in (None, value)
-            search.value[bit] = value
+            assert cells[bit] in (None, value)
+            cells[bit] = value
+        load(search, cells)
         return search.run_theory()
 
     return check
@@ -263,6 +272,96 @@ class TestMinimizeConflict:
         row = tuple(S22P1.tb_bit(0, 0, a) + 1 for a in range(2))
         with pytest.raises(ValueError):
             search.recheck(row)
+
+
+class TestLiveView:
+    """The search's live view shows its assignment again after every
+    minimization, whether it returns or raises, and after every backjump."""
+
+    def test_view_restored_after_minimization(self):
+        # The requirements pin two valuation cells, which every recheck
+        # keeps and the restore must leave as assigned.
+        rng = random.Random(5)
+        shape = ModelShape([2, 2, 2], [0, 0, 0], 2)
+        req = Requirements(shape, cv_constraints=((1, 0, 1), (2, 0, 0)))
+        config = SolverConfig(minimize_conflicts=True)
+        for text in ("<<0>> X p0 & <<1>> X !p0", "<<0>> G p0 & <<>> F !p0"):
+            f = normalize(parse_formula(text))
+            conflicts = 0
+            while conflicts < 20:
+                search = _Search(f, req, config)
+                pm = random_partial_model(rng, shape, rng.randint(0, shape.bit_count))
+                cells = list(pm.cells)
+                for bit, value in req.constraint_bits():
+                    cells[bit] = value
+                load(search, cells)
+                outcome = search.run_theory()
+                assert search.view.cells == search.value
+                if outcome.is_conflict() and search.stats.rechecks:
+                    conflicts += 1
+
+    def _conflict_search(self, text, config):
+        # A search whose loaded assignment the formula refutes: protocol
+        # cells set, and p0 false at every state.
+        shape = S22P1
+        search = _Search(normalize(parse_formula(text)), Requirements(shape), config, start=0.0)
+        cells = [None] * shape.bit_count
+        cells[shape.tb_bit(0, 0, 0)] = 1
+        cells[shape.tb_bit(1, 1, 1)] = 0
+        for s in range(shape.state_count):
+            cells[shape.vb_bit(s, 0)] = 0
+        load(search, cells)
+        return search
+
+    def test_view_restored_after_an_emptied_row(self, monkeypatch):
+        def minimize(clause, recheck):
+            assert recheck(clause.literals[1:])
+            recheck(tuple(S22P1.tb_bit(0, 1, a) + 1 for a in range(2)))
+
+        monkeypatch.setattr(solver, "minimize_conflict", minimize)
+        search = self._conflict_search("<<0,1>> X p0", SolverConfig(minimize_conflicts=True))
+        with pytest.raises(ValueError, match="row determined empty"):
+            search.run_theory()
+        assert search.view.cells == search.value
+
+    def test_view_restored_after_a_timeout(self, monkeypatch):
+        # The first recheck runs in time and moves the view; the second
+        # finds the limit passed before it counts itself.
+        ticks = iter([0.0])
+        monkeypatch.setattr(solver, "_clock", lambda: next(ticks, 5.0))
+        search = self._conflict_search(
+            "<<0,1>> X p0", SolverConfig(minimize_conflicts=True, time_limit=1.0))
+        with pytest.raises(SolveTimeout):
+            search.run_theory()
+        assert search.stats.rechecks == 1
+        assert search.view.cells == search.value
+
+    def test_view_follows_backjumps_and_theory_calls(self, monkeypatch):
+        calls = {"backjump": 0, "run_theory": 0}
+
+        def follow(name):
+            original = getattr(_Search, name)
+
+            def wrapper(self, *args):
+                out = original(self, *args)
+                assert self.view.cells == self.value
+                calls[name] += 1
+                return out
+
+            monkeypatch.setattr(_Search, name, wrapper)
+
+        follow("backjump")
+        follow("run_theory")
+        for text, locs, p, minimize in (
+            ("<<0>> G p0 & <<>> F !p0", [3, 2], 1, True),
+            ("<<0>> X p0 & <<1>> X !p0", [2, 2, 2], 1, True),
+            ("p0 & !p0", [3, 2], 2, False),
+        ):
+            req = Requirements(ModelShape(locs, None, p))
+            r = solve_satisfiability(parse_formula(text), req,
+                                     SolverConfig(minimize_conflicts=minimize))
+            assert not r.satisfiable
+        assert calls["backjump"] > 0 and calls["run_theory"] > 0
 
 
 class TestSolveSatisfiability:
