@@ -33,18 +33,17 @@ across the theory calls of one solve keeps each split structure, and so its
 pre-image plan, while the structure's enabled rows repeat, and reuses each
 strategic step's last result while its inputs repeat.
 
-A solve evaluates on one :class:`LiveView`, a partial model updated one cell
-at a time as the search assigns, unassigns and rechecks: no call builds a
-partial model, and no call recomputes the proposition masks or an agent's
-rows unless one of its cells changed.
+A partial model is updated in place, one cell at a time, and recomputes a
+proposition mask or an agent's rows only when one of its cells changed.  A
+solve keeps two: the search's view of its assignment, and a probe of the
+requirements that minimization rechecks move from candidate to candidate.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
-from itertools import compress, repeat
-from operator import eq, getitem, ne
+from itertools import compress
+from operator import getitem, ne
 from typing import Sequence
 
 from .formula import And, Formula, Globally, Next, Not, Prop, Until
@@ -63,60 +62,37 @@ class Mode(Enum):
 
 class PartialModel:
     """Shape plus the three-valued cell vector, laid out as in
-    :class:`~atlsat.mas.Assignment`.
+    :class:`~atlsat.mas.Assignment`, updated in place one cell at a time.
 
-    Rejects protocol rows that are determined false everywhere; such a row
-    admits no compatible model.
+    Setting a valuation cell sets or clears its state's bit in its
+    proposition's necessary and possible masks.  Setting a protocol cell
+    marks its agent stale; ``rows()`` looks a stale agent's rows up again in
+    the shape's memo.  A protocol row determined false everywhere admits no
+    compatible model: construction, and ``rows()`` after an update, raise
+    ``ValueError`` on it.
     """
 
-    def __init__(self, shape: ModelShape, cells: tuple[Cell, ...]):
+    def __init__(self, shape: ModelShape, cells: Sequence[Cell]):
         if len(cells) != shape.bit_count:
             raise ValueError(
                 f"partial model has {len(cells)} cells, shape needs {shape.bit_count}"
             )
         if not _CELL_VALUES.issuperset(cells):
             raise ValueError("cells must be 0, 1 or None")
-        self._rows = [
-            _agent_rows(shape, i, cells[off : off + n * n])
-            for i, (off, n) in enumerate(zip(shape.tb_offsets, shape.locals_per_agent))
-        ]
-        self.shape = shape
-        self.cells = cells
-
-    @classmethod
-    def from_assignment(cls, a: Assignment) -> "PartialModel":
-        return cls(a.shape, tuple(a.bits))
-
-    def rows(self) -> list[tuple[tuple[tuple[int, ...], ...], ...]]:
-        """Per agent its (necessary, possible) enabled rows."""
-        return self._rows
-
-    @cached_property
-    def masks(self) -> tuple[tuple[int, ...], ...]:
-        """Per proposition its state mask, first necessary, then possible."""
-        return _prop_masks(self.shape, self.cells[self.shape.vb_offset :])
-
-
-class LiveView:
-    """A partial model the search updates in place, one cell at a time; it
-    reads like a :class:`PartialModel` (``shape``, ``cells``, ``rows()``,
-    ``masks``).
-
-    Setting a valuation cell sets or clears its state's bit in its
-    proposition's necessary and possible masks.  Setting a protocol cell
-    marks its agent stale; ``rows()`` looks a stale agent's rows up again in
-    the shape's memo, and raises on a row determined empty as
-    :class:`PartialModel` does.
-    """
-
-    def __init__(self, shape: ModelShape):
         self.shape = shape
         self.cells: list[Cell] = [None] * shape.bit_count
         self._vb, self._p = shape.vb_offset, shape.prop_count
+        # Per proposition its state mask, first necessary, then possible.
         self.masks = ([0] * self._p, [shape.full_mask] * self._p)
-        self._rows = [shape.protocol_rows((None,) * (n * n)) for n in shape.locals_per_agent]
+        self._rows: list = [None] * shape.agent_count
         self._agent = [i for i, n in enumerate(shape.locals_per_agent) for _ in range(n * n)]
-        self._stale: set[int] = set()
+        self._stale = set(range(shape.agent_count))
+        self.load(cells)
+        self.rows()
+
+    @classmethod
+    def from_assignment(cls, a: Assignment) -> "PartialModel":
+        return cls(a.shape, a.bits)
 
     def put(self, cell: int, value: Cell) -> None:
         """Set one cell to 0, 1 or None."""
@@ -168,17 +144,6 @@ def _agent_rows(shape: ModelShape, agent: int, table: tuple[Cell, ...]) -> tuple
             "no compatible model exists"
         )
     return rows
-
-
-def _prop_masks(shape: ModelShape, valuation: Sequence[Cell]) -> tuple[tuple[int, ...], ...]:
-    # Per proposition its state mask from the valuation cells: first
-    # necessary (an undefined cell counts as 0), then possible (as 1).
-    powers = [1 << s for s in range(shape.state_count)]
-    p = shape.prop_count
-    return tuple(
-        tuple(sum(compress(powers, ones[v::p])) for v in range(p))
-        for ones in (tuple(map(eq, valuation, repeat(1))), tuple(map(ne, valuation, repeat(0))))
-    )
 
 
 def _picks(agent_count: int, members, mode: Mode) -> tuple[int, ...]:
@@ -334,7 +299,7 @@ class Program:
             raise ValueError(f"program compiled for {f.shape}, used with {shape}")
         return f
 
-    def approximate(self, pm: PartialModel | LiveView, mode: Mode) -> StateSet:
+    def approximate(self, pm: PartialModel, mode: Mode) -> StateSet:
         """:func:`sapp` of the compiled formula."""
         rows, picks, structures = pm.rows(), self.picks, self._structures
         u = 1 if mode is Mode.UNDER else 0
@@ -394,7 +359,7 @@ class Program:
         return values[self.roots[u]]
 
 
-def sapp(pm: PartialModel | LiveView, f: Formula | Program, mode: Mode) -> StateSet:
+def sapp(pm: PartialModel, f: Formula | Program, mode: Mode) -> StateSet:
     """Approximate the satisfaction set of a core formula across all models
     compatible with the partial model: a superset in mode ``OVER``, a subset
     in mode ``UNDER``.  The two coincide with the exact set once the partial

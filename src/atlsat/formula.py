@@ -144,9 +144,9 @@ class FormulaSyntaxError(ValueError):
 
 # Deepest nesting parse_formula accepts: the number of operators and
 # parenthesis pairs around any proposition or constant, so the parse tree is
-# at most one level higher.  Keeps the recursive parser, normalizer, evaluator
-# and equality within Python's default recursion limit; the deepest
-# criterion-6 formula nests 68 levels by this count.
+# at most one level higher.  Keeps the recursive parser, normalizer and
+# equality within Python's default recursion limit (the evaluator, Program, is
+# iterative); the deepest criterion-6 formula nests 68 levels by this count.
 MAX_NESTING = 100
 
 _PUNCT2 = ("<<", ">>", "->")

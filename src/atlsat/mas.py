@@ -10,7 +10,7 @@ Every model of a given shape is encodable as a bit vector with
 ``sum(n_i**2) + |St| * prop_count`` cells: first the protocol tables in agent
 order (row-major: row = local state, column = action), then the valuation
 table (state-major).  :class:`Assignment` is the three-valued version of
-that vector used during search.
+that vector; it carries cells between models, partial models and text.
 """
 
 from __future__ import annotations
@@ -69,6 +69,9 @@ class ModelShape:
         object.__setattr__(self, "locals_per_agent", locs)
         object.__setattr__(self, "initial_locals", init)
         object.__setattr__(self, "prop_count", prop_count)
+        # Exactly int: a bool or a float would pass the range checks below.
+        if not all(type(x) is int for x in (*locs, *init, prop_count)):
+            raise ValueError("local state counts, initial locals and prop_count must be integers")
         if not locs or any(n < 1 for n in locs):
             raise ValueError("every agent needs at least one local state")
         if len(init) != len(locs) or any(not 0 <= l < n for l, n in zip(init, locs)):

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .approx import LiveView, Mode, PartialModel, Program, check_validity, is_compatible, sapp
+from .approx import Mode, PartialModel, Program, check_validity, is_compatible, sapp
 from .formula import Formula, Globally, Next, Prop, Until, iter_subformulas, normalize
 from .mas import Assignment, Model, ModelShape, decode_model
 
@@ -76,7 +76,7 @@ class Requirements:
                     bits.append((bit, value))
                 if name == "cp":
                     # Raises if some protocol row is forced entirely empty.
-                    PartialModel(shape, tuple(cells))
+                    PartialModel(shape, cells)
             except (IndexError, ValueError) as exc:
                 raise type(exc)(f"requirements field {name!r}: {exc}") from None
         object.__setattr__(self, "_bits", tuple(bits))
@@ -232,11 +232,13 @@ class _Search:
     is the clock reading the time limit counts from, by default the time of
     construction.  Not reusable across calls.
 
-    Theory calls evaluate on ``view``, a :class:`~atlsat.approx.LiveView`
-    that ``assign`` and ``backjump`` keep equal to ``value`` cell by cell.
-    Minimization rechecks move it to the requirements plus each candidate,
-    changing only the cells that differ from the previous candidate, and
-    ``restore_view`` moves it back."""
+    Theory calls evaluate on ``view``, a
+    :class:`~atlsat.approx.PartialModel` that ``assign`` and ``backjump``
+    keep equal to ``value`` cell by cell; nothing else changes it.
+    Minimization rechecks evaluate on ``probe``, a partial model of the
+    requirements built once per solve, and each recheck changes only the
+    probe's cells whose literal entered or left the candidate since the
+    previous recheck."""
 
     def __init__(self, f: Formula | Program, req: Requirements, config: SolverConfig,
                  start: float | None = None):
@@ -249,10 +251,7 @@ class _Search:
         self.program = Program.of(f, req.shape)
         self.n = self.shape.bit_count
         self.value: list[int | None] = [None] * self.n
-        self.view = LiveView(self.shape)
-        # The literals of the last recheck's candidate, shown on the view
-        # over the requirements; None while the view shows ``value``.
-        self.shown: set[int] | None = None
+        self.view = PartialModel(self.shape, self.value)
         self.level: list[int] = [0] * self.n
         self.reason: list[tuple[int, ...] | None] = [None] * self.n
         self.trail: list[int] = []
@@ -277,8 +276,10 @@ class _Search:
         self.cone = range(self.n)
         if config.minimize_conflicts:
             self.cone = sorted(cone_of_influence(self.program.formula, self.shape))
-            # The requirement cells, preset once; each recheck copies them.
-            self.required = list(req.induced_partial_model().cells)
+            self.probe = req.induced_partial_model()
+            self.required = tuple(self.probe.cells)
+            # The literals of the last recheck's candidate, shown on the probe.
+            self.shown: set[int] = set()
 
     # -- the loop
 
@@ -499,10 +500,7 @@ class _Search:
                 tuple(-(v + 1) if value[v] else (v + 1) for v in self.cone if value[v] is not None)
             )
             if self.config.minimize_conflicts:
-                try:
-                    clause = minimize_conflict(clause, self.recheck)
-                finally:
-                    self.restore_view()
+                clause = minimize_conflict(clause, self.recheck)
             return TheoryOutcome("conflict", clause)
         if sapp(view, self.program, Mode.UNDER) >> iota & 1:
             return TheoryOutcome("early_accept")
@@ -513,27 +511,18 @@ class _Search:
         the requirements and the cells these clause literals negate stay
         assigned?  The deadline runs first, so a time limit holds inside a
         minimization.  A candidate that empties a protocol row raises
-        ``ValueError``.  The view is left showing the candidate."""
+        ``ValueError``.  The probe is left showing the candidate."""
         self.deadline()
         self.stats.rechecks += 1
-        view, required = self.view, self.required
+        probe, required = self.probe, self.required
         shown, new = self.shown, set(candidate)
-        if shown is None:
-            view.load(required)
-            shown = set()
         self.shown = new
         for lit in shown - new:
             v = abs(lit) - 1
-            view.put(v, required[v])
+            probe.put(v, required[v])
         for lit in new - shown:
-            view.put(abs(lit) - 1, 0 if lit > 0 else 1)
-        return not sapp(view, self.program, Mode.OVER) >> self.shape.initial_state & 1
-
-    def restore_view(self) -> None:
-        """Show the assignment on the view again after rechecks."""
-        if self.shown is not None:
-            self.view.load(self.value)
-            self.shown = None
+            probe.put(abs(lit) - 1, 0 if lit > 0 else 1)
+        return not sapp(probe, self.program, Mode.OVER) >> self.shape.initial_state & 1
 
     # -- decisions
 

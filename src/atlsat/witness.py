@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import operator
 from contextlib import contextmanager
 from typing import Any
 
@@ -60,7 +59,7 @@ def witness_from_dict(data: dict[str, Any]) -> Model:
         init = [a["initial"] for a in data["agents"]]
         ModelShape(locs, init)
     with _field("props"):
-        shape = ModelShape(locs, init, operator.index(data["props"]))
+        shape = ModelShape(locs, init, data["props"])
     with _field("protocols"):
         protocols = tuple(
             tuple(_protocol_row(row) for row in table) for table in data["protocols"]

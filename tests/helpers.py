@@ -1,11 +1,14 @@
 """Helpers the tests share that the solver itself does not need: operator
 evaluation one operator at a time, cell classification, partial models
-built from and read as tables or assignments, split structures built on
+built from and read as tables or assignments, a partial model computed in
+bulk as the reference for the incremental one, split structures built on
 their own, and the evaluations a compiled program makes."""
 
 from __future__ import annotations
 
-from operator import getitem
+from itertools import compress, repeat
+from operator import eq, getitem, ne
+from types import SimpleNamespace
 
 from atlsat.approx import _MODES, Mode, PartialModel, Program, _picks
 from atlsat.formula import Formula
@@ -75,7 +78,7 @@ def unconstrained(shape: ModelShape) -> PartialModel:
 
 def to_assignment(pm: PartialModel) -> Assignment:
     """The partial model's cells as an assignment."""
-    return Assignment(pm.shape, pm.cells)
+    return Assignment(pm.shape, tuple(pm.cells))
 
 
 def flipped(mode: Mode) -> Mode:
@@ -101,7 +104,7 @@ def protocol_tables(pm: PartialModel) -> tuple:
     """Per agent, the partial protocol table, row = local state."""
     shape = pm.shape
     return tuple(
-        tuple(pm.cells[k : k + n] for k in range(off, off + n * n, n))
+        tuple(tuple(pm.cells[k : k + n]) for k in range(off, off + n * n, n))
         for off, n in zip(shape.tb_offsets, shape.locals_per_agent)
     )
 
@@ -109,7 +112,35 @@ def protocol_tables(pm: PartialModel) -> tuple:
 def valuation_rows(pm: PartialModel) -> tuple:
     """Per global state, the partial valuation row."""
     p, off = pm.shape.prop_count, pm.shape.vb_offset
-    return tuple(pm.cells[off + s * p : off + s * p + p] for s in range(pm.shape.state_count))
+    return tuple(
+        tuple(pm.cells[off + s * p : off + s * p + p]) for s in range(pm.shape.state_count)
+    )
+
+
+def prop_masks(shape: ModelShape, valuation) -> tuple[tuple[int, ...], ...]:
+    """Per proposition its state mask from the valuation cells, computed in
+    bulk: first necessary (an undefined cell counts as 0), then possible
+    (as 1)."""
+    powers = [1 << s for s in range(shape.state_count)]
+    p = shape.prop_count
+    return tuple(
+        tuple(sum(compress(powers, ones[v::p])) for v in range(p))
+        for ones in (tuple(map(eq, valuation, repeat(1))), tuple(map(ne, valuation, repeat(0))))
+    )
+
+
+def reference_partial_model(shape: ModelShape, cells) -> SimpleNamespace:
+    """What a :class:`PartialModel` of ``cells`` reads as, computed from
+    scratch: per agent the rows ``shape.protocol_rows`` gives for its slice
+    (a row determined empty included), and :func:`prop_masks`.  It serves
+    :func:`split_structure` as a partial model does."""
+    cells = tuple(cells)
+    rows = [
+        shape.protocol_rows(cells[off : off + n * n])
+        for off, n in zip(shape.tb_offsets, shape.locals_per_agent)
+    ]
+    masks = prop_masks(shape, cells[shape.vb_offset :])
+    return SimpleNamespace(shape=shape, cells=cells, rows=lambda: rows, masks=masks)
 
 
 def split_structure(pm: PartialModel, coalition, mode: Mode) -> TransitionStructure:

@@ -206,7 +206,7 @@ def enumerate_models(shape: ModelShape):
 
 def compatible_completions(pm) -> list[Model]:
     """All total models agreeing with a partial model's determined cells."""
-    asg = Assignment(pm.shape, pm.cells)
+    asg = Assignment(pm.shape, tuple(pm.cells))
     undef = [i for i, b in enumerate(asg.bits) if b is None]
     models = []
     for combo in itertools.product((0, 1), repeat=len(undef)):

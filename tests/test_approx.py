@@ -5,7 +5,6 @@ import re
 import pytest
 
 from atlsat.approx import (
-    LiveView,
     Mode,
     PartialModel,
     Program,
@@ -34,6 +33,7 @@ from helpers import (
     flipped,
     partial_model,
     protocol_tables,
+    reference_partial_model,
     split_structure,
     to_assignment,
     unconstrained,
@@ -60,8 +60,8 @@ def all_ones_pm(shape):
 
 class TestPartialModel:
     def test_rejects_determined_empty_row(self):
-        # Minimization's recheck counts this error as a conflict, so the
-        # flat-vector path must raise it too.
+        # Minimization's recheck raises this error when a candidate empties a
+        # row, so a partial model built from a flat vector must raise it too.
         shape = ModelShape([2], [0], 0)
         with pytest.raises(ValueError):
             partial_model(shape, (((0, 0), (1, None)),), ((), ()))
@@ -531,55 +531,59 @@ def _fitting_programs(shape):
 
 class TestLiveView:
     def test_updates_match_a_fresh_partial_model(self):
-        # Random cell updates, resets to None included.  After each the
-        # view reads like PartialModel(shape, cells): the same rows, masks
-        # and sapp sets, or the same empty-row error.  One program serves
-        # the whole sequence, as in a search.
+        # Random cell updates, resets to None and overwrites included.
+        # After each the partial model reads like one computed from scratch
+        # (reference_partial_model): the same rows, masks and sapp sets, or
+        # the same empty-row error.  One program serves the whole sequence,
+        # as in a search.
         rng = random.Random(31)
         shapes = SMALL_SHAPES + [random_shape(rng) for _ in range(10)]
         shapes = [shape for shape in shapes if shape.prop_count] + [
             ModelShape([2, 2, 2], [0, 0, 0], 1), ModelShape([3, 2, 2], [0, 0, 0], 2)]
         checked = raised = 0
         for shape in shapes:
-            view, cells = LiveView(shape), [None] * shape.bit_count
+            pm, cells = PartialModel(shape, (None,) * shape.bit_count), [None] * shape.bit_count
             programs = _fitting_programs(shape)
             assert programs
             for _ in range(80):
                 cell = rng.randrange(shape.bit_count)
                 value = rng.choice((0, 1, None, None))
                 cells[cell] = value
-                view.put(cell, value)
-                assert view.cells == cells
-                try:
-                    pm = PartialModel(shape, tuple(cells))
-                except ValueError as exc:
-                    with pytest.raises(ValueError, match=re.escape(str(exc))):
-                        sapp(view, programs[0][1], Mode.OVER)
+                pm.put(cell, value)
+                assert pm.cells == cells
+                ref = reference_partial_model(shape, cells)
+                empty = [(i, rows[1].index(())) for i, rows in enumerate(ref.rows())
+                         if () in rows[1]]
+                if empty:
+                    message = "^agent %d, local state %d: row determined empty" % empty[0]
+                    with pytest.raises(ValueError, match=message):
+                        sapp(pm, programs[0][1], Mode.OVER)
                     cells[cell] = None
-                    view.put(cell, None)
+                    pm.put(cell, None)
                     raised += 1
                     continue
-                assert view.rows() == pm.rows()
-                assert tuple(map(tuple, view.masks)) == pm.masks
+                assert pm.rows() == ref.rows()
+                assert tuple(map(tuple, pm.masks)) == ref.masks
                 for f, program in programs:
                     for mode in Mode:
-                        assert sapp(view, program, mode) == sapp(pm, f, mode), (f, mode, cells)
+                        assert sapp(pm, program, mode) == recursive_sapp(ref, f, mode), (
+                            f, mode, cells)
                 checked += 1
         assert checked > 500 and raised > 0
 
     def test_an_emptied_row_raises_at_the_next_evaluation(self):
         shape = ModelShape([2, 2], [0, 0], 1)
         f = normalize(parse_formula("<<0>> G p0"))
-        view, cells = LiveView(shape), [None] * shape.bit_count
+        pm, cells = PartialModel(shape, (None,) * shape.bit_count), [None] * shape.bit_count
         for action in range(2):
             cell = shape.tb_bit(1, 1, action)
-            view.put(cell, 0)
+            pm.put(cell, 0)
             cells[cell] = 0
         with pytest.raises(ValueError) as expected:
             PartialModel(shape, tuple(cells))
         for _ in range(2):  # the agent stays stale until its rows are valid
             with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-                sapp(view, f, Mode.UNDER)
-        view.put(shape.tb_bit(1, 1, 0), None)
+                sapp(pm, f, Mode.UNDER)
+        pm.put(shape.tb_bit(1, 1, 0), None)
         cells[shape.tb_bit(1, 1, 0)] = None
-        assert sapp(view, f, Mode.UNDER) == sapp(PartialModel(shape, tuple(cells)), f, Mode.UNDER)
+        assert sapp(pm, f, Mode.UNDER) == sapp(PartialModel(shape, tuple(cells)), f, Mode.UNDER)

@@ -210,6 +210,10 @@ class TestVerify:
             ({**NO_BITS, "valuation": [[5], []]}, "valuation"),
             ({**NO_BITS, "valuation": [["0"], []]}, "valuation"),
             ({**GOOD_WITNESS, "agents": [{"locals": 10**6, "initial": 0}] * 4}, "agents"),
+            ({**GOOD_WITNESS, "agents": [{"locals": True, "initial": 0}]}, "agents"),
+            ({**GOOD_WITNESS, "agents": [{"locals": 2, "initial": False}]}, "agents"),
+            ({**GOOD_WITNESS, "props": True}, "props"),
+            ({**GOOD_WITNESS, "agents": [{"locals": 1.5, "initial": 0}]}, "agents"),
         ],
     )
     def test_malformed_witness_names_the_field(self, data, field, tmp_path, capsys):

@@ -37,6 +37,17 @@ class TestShape:
         assert EX_SHAPE.state_count == 6
         assert EX_SHAPE.bit_count == 9 + 4 + 18
 
+    @pytest.mark.parametrize(
+        "locs, init, props",
+        [([True], [0], 0), ([2], [False], 0), ([2], [0], True), ([1.5], [0], 0),
+         ([2], [0.0], 0), ([2], [0], 1.0), (["2"], [0], 0)],
+    )
+    def test_rejects_counts_that_are_not_int(self, locs, init, props):
+        # A bool or a float would pass the range checks, and a string would
+        # fail them with a TypeError.
+        with pytest.raises(ValueError, match="must be integers"):
+            ModelShape(locs, init, props)
+
     def test_state_index_corners(self):
         shape = ModelShape([3, 2])
         assert state_index(shape, (0, 0)) == 0

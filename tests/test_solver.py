@@ -30,7 +30,7 @@ from atlsat.solver import (
     solve_satisfiability,
     structural_clauses,
 )
-from helpers import protocol_tables, to_assignment, valuation_rows
+from helpers import protocol_tables, reference_partial_model, to_assignment, valuation_rows
 from oracles import enumerate_models, oracle_check_validity
 from samplers import random_core_formula, random_model, random_partial_model
 from test_acceptance import BENCH_FORMULA_1, BENCH_ROWS
@@ -362,6 +362,59 @@ class TestLiveView:
                                      SolverConfig(minimize_conflicts=minimize))
             assert not r.satisfiable
         assert calls["backjump"] > 0 and calls["run_theory"] > 0
+
+
+class TestProbe:
+    """Minimization rechecks evaluate on the search's probe, which carries
+    its cells from one recheck, and one minimization, to the next."""
+
+    def test_probe_shows_each_candidate(self, monkeypatch):
+        # After every recheck the probe holds the requirements with the
+        # candidate's cells set, and reads like a partial model of those
+        # cells computed from scratch; the view shows the assignment
+        # throughout.  The requirements pin cells that rechecks revert to.
+        original = solver.minimize_conflict
+        minimizations: dict[_Search, int] = {}
+        rechecks = 0
+
+        def minimize(clause, recheck):
+            search = recheck.__self__
+            required = [None] * search.n
+            for bit, value in search.req.constraint_bits():
+                required[bit] = value
+
+            def checked(candidate):
+                nonlocal rechecks
+                assert search.view.cells == search.value
+                out = recheck(candidate)
+                cells = list(required)
+                for lit in candidate:
+                    cells[abs(lit) - 1] = 0 if lit > 0 else 1
+                assert search.probe.cells == cells
+                ref = reference_partial_model(search.shape, cells)
+                assert search.probe.rows() == ref.rows()
+                assert tuple(map(tuple, search.probe.masks)) == ref.masks
+                assert search.view.cells == search.value
+                rechecks += 1
+                return out
+
+            minimizations[search] = minimizations.get(search, 0) + 1
+            out = original(clause, checked)
+            assert search.view.cells == search.value
+            return out
+
+        monkeypatch.setattr(solver, "minimize_conflict", minimize)
+        config = SolverConfig(minimize_conflicts=True)
+        for text, locs, p, cv in (
+            ("<<0>> X p0 & <<1>> X !p0", [2, 2, 2], 2, ((1, 1, 1), (2, 0, 0))),
+            ("<<0,1>> X p0 & <<2>> X !p0", [2, 2, 2], 1, ()),
+            ("<<0>> G p0 & <<>> F !p0", [3, 2], 1, ((3, 0, 1),)),
+        ):
+            req = Requirements(ModelShape(locs, None, p), cv_constraints=cv)
+            r = solve_satisfiability(parse_formula(text), req, config)
+            assert not r.satisfiable
+        assert len(minimizations) == 3 and min(minimizations.values()) >= 2
+        assert rechecks > 0
 
 
 class TestSolveSatisfiability:
