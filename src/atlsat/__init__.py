@@ -49,13 +49,11 @@ from .mas import (
 from .mc import StateSet, atl_pre
 from .solver import (
     BoundsError,
-    Clause,
     Requirements,
     SolveTimeout,
     SolverConfig,
     SolverResult,
     SolverStats,
-    TheoryOutcome,
     minimize_conflict,
     solve_satisfiability,
     structural_clauses,

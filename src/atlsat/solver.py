@@ -1,15 +1,17 @@
 """Bounded satisfiability via clause-learning search over the model cells.
 
-The search assigns the model bit vector one cell at a time.  Unit
-propagation runs over structural clauses (one per protocol row, so rows stay
-nonempty, plus one unit clause per requirement) and learned clauses.  Each
-clause watches two literals, non-false ones while it has them, and is
-visited only when a watched literal becomes false; a visit that finds the
-other watch true ends there, since the clause is satisfied (the blocker
-rule).  Propagation walks the trail in order, as in Chaff and MiniSat, after
-one visit of each clause added since it last ran.  After propagation settles
-at each level, the two-sided approximation of the partial assignment decides
-the step:
+The search assigns the model bit vector one cell at a time, in the cell list
+of the partial model the approximation reads, so theory calls see the
+assignment without a copy.  Clauses are tuples of literals (see
+:func:`structural_clauses`).  Unit propagation runs over structural clauses
+(one per protocol row, so rows stay nonempty, plus one unit clause per
+requirement) and learned clauses.  Each clause watches two literals,
+non-false ones while it has them, and is visited only when a watched literal
+becomes false; a visit that finds the other watch true ends there, since the
+clause is satisfied (the blocker rule).  Propagation walks the trail in
+order, as in Chaff and MiniSat, after one visit of each clause added since
+it last ran.  After propagation settles at each level, the two-sided
+approximation of the partial assignment decides the step:
 
 * initial state outside the over set: no compatible completion can satisfy
   the formula, so a conflict clause over the assigned cells is learned;
@@ -91,31 +93,6 @@ class Requirements:
         return PartialModel.from_assignment(Assignment(self.shape, self._cells))
 
 
-@dataclass(frozen=True)
-class Clause:
-    """A disjunction of literals over model cells.  Literal ``v+1`` asserts
-    cell ``v`` true, ``-(v+1)`` asserts it false.  The empty clause is the
-    distinguished unsatisfiable one."""
-
-    literals: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        vars_seen = set()
-        for lit in self.literals:
-            if lit == 0:
-                raise ValueError("literal 0 is not allowed")
-            v = abs(lit) - 1
-            if v in vars_seen:
-                raise ValueError(f"duplicate variable {v} in clause")
-            vars_seen.add(v)
-
-    def __iter__(self):
-        return iter(self.literals)
-
-    def __len__(self) -> int:
-        return len(self.literals)
-
-
 @dataclass
 class SolverStats:
     decisions: int = 0
@@ -154,33 +131,18 @@ class SolverResult:
     stats: SolverStats
 
 
-@dataclass(frozen=True)
-class TheoryOutcome:
-    """Verdict of one approximation round: ``"pass"``, ``"early_accept"``,
-    or ``"conflict"`` with the clause to learn."""
-
-    verdict: str
-    clause: Clause | None = None
-
-    def is_conflict(self) -> bool:
-        return self.verdict == "conflict"
-
-    def is_early_accept(self) -> bool:
-        return self.verdict == "early_accept"
-
-
-def structural_clauses(req: Requirements) -> list[Clause]:
+def structural_clauses(req: Requirements) -> list[tuple[int, ...]]:
     """One at-least-one clause per protocol row plus one unit clause per
-    requirement constraint."""
+    requirement constraint.  A clause is a tuple of literals over model
+    cells: literal ``v+1`` asserts cell ``v`` true, ``-(v+1)`` asserts it
+    false, and the empty tuple is the unsatisfiable clause."""
     shape = req.shape
     clauses = []
     for agent, n in enumerate(shape.locals_per_agent):
         for local in range(n):
-            clauses.append(
-                Clause(tuple(shape.tb_bit(agent, local, a) + 1 for a in range(n)))
-            )
+            clauses.append(tuple(shape.tb_bit(agent, local, a) + 1 for a in range(n)))
     for bit, value in req.constraint_bits():
-        clauses.append(Clause((bit + 1,) if value else (-(bit + 1),)))
+        clauses.append((bit + 1,) if value else (-(bit + 1),))
     return clauses
 
 
@@ -210,11 +172,11 @@ def cone_of_influence(f: Formula, shape: ModelShape) -> frozenset[int]:
 
 
 def minimize_conflict(
-    clause: Clause, recheck: Callable[[tuple[int, ...]], bool]
-) -> Clause:
+    clause: tuple[int, ...], recheck: Callable[[tuple[int, ...]], bool]
+) -> tuple[int, ...]:
     """Greedily drop literals while the theory oracle still reports a
     conflict for the reduced assignment."""
-    lits = list(clause.literals)
+    lits = list(clause)
     i = 0
     while i < len(lits):
         candidate = tuple(lits[:i] + lits[i + 1 :])
@@ -222,7 +184,7 @@ def minimize_conflict(
             del lits[i]
         else:
             i += 1
-    return Clause(tuple(lits))
+    return tuple(lits)
 
 
 class _Search:
@@ -232,9 +194,9 @@ class _Search:
     is the clock reading the time limit counts from, by default the time of
     construction.  Not reusable across calls.
 
-    Theory calls evaluate on ``view``, a
-    :class:`~atlsat.approx.PartialModel` that ``assign`` and ``backjump``
-    keep equal to ``value`` cell by cell; nothing else changes it.
+    The assignment is ``value``, the cells of ``view``, a
+    :class:`~atlsat.approx.PartialModel` that theory calls evaluate on; only
+    ``assign`` and ``backjump`` change it, through ``view.put``.
     Minimization rechecks evaluate on ``probe``, a partial model of the
     requirements built once per solve, and each recheck changes only the
     probe's cells whose literal entered or left the candidate since the
@@ -250,8 +212,10 @@ class _Search:
         # theory calls and rechecks of this run.
         self.program = Program.of(f, req.shape)
         self.n = self.shape.bit_count
-        self.value: list[int | None] = [None] * self.n
-        self.view = PartialModel(self.shape, self.value)
+        self.view = PartialModel(self.shape, [None] * self.n)
+        # One list: nothing may write ``value`` directly, since ``put``
+        # skips an unchanged cell and would leave the masks and rows stale.
+        self.value = self.view.cells
         self.level: list[int] = [0] * self.n
         self.reason: list[tuple[int, ...] | None] = [None] * self.n
         self.trail: list[int] = []
@@ -268,7 +232,7 @@ class _Search:
         self.queue: list[int] = []
         self.head = 0
         for c in structural_clauses(req):
-            self.add_clause(c.literals)
+            self.add_clause(c)
         self.stats = SolverStats()
         self.rng = random.Random(config.seed) if config.policy == "random" else None
         # The cells a theory conflict clause names, in ascending order: only
@@ -292,11 +256,9 @@ class _Search:
             self.deadline()
             conflict = self.propagate()
             if conflict is None:
-                outcome = self.run_theory()
-                if outcome.is_early_accept():
+                conflict = self.run_theory()
+                if conflict is None and self.accepts():
                     return self.finish(self.witness())
-                if outcome.is_conflict():
-                    conflict = outcome.clause.literals
             if conflict is not None:
                 self.stats.conflicts += 1
                 result = self.analyze(conflict)
@@ -330,9 +292,7 @@ class _Search:
 
     def assign(self, lit: int, reason: tuple[int, ...] | None) -> None:
         v = abs(lit) - 1
-        b = 1 if lit > 0 else 0
-        self.value[v] = b
-        self.view.put(v, b)
+        self.view.put(v, 1 if lit > 0 else 0)
         self.level[v] = self.decision_level
         self.reason[v] = reason
         self.trail.append(lit)
@@ -342,7 +302,6 @@ class _Search:
         put = self.view.put
         for lit in self.trail[cut:]:
             v = abs(lit) - 1
-            self.value[v] = None
             self.reason[v] = None
             put(v, None)
         del self.trail[cut:]
@@ -353,7 +312,7 @@ class _Search:
 
     def add_clause(self, clause: tuple[int, ...]) -> None:
         """Append a clause, watch it and queue it for the next propagation."""
-        self.clauses.append(tuple(clause))
+        self.clauses.append(clause)
         self.watched.append(())
         self.rewatch(len(self.clauses) - 1)
         self.queue.append(len(self.clauses) - 1)
@@ -488,23 +447,24 @@ class _Search:
 
     # -- theory interface
 
-    def run_theory(self) -> TheoryOutcome:
-        """The theory verdict on the current assignment.  A conflict clause
-        negates every assigned cell; when minimizing, its literals outside
-        the cone of influence are dropped and the rest reduced greedily."""
+    def run_theory(self) -> tuple[int, ...] | None:
+        """The conflict clause when the over approximation excludes the
+        initial state, else None.  The clause negates every assigned cell;
+        when minimizing, its literals outside the cone of influence are
+        dropped and the rest reduced greedily."""
         self.stats.theory_checks += 1
-        view, iota = self.view, self.shape.initial_state
-        if not sapp(view, self.program, Mode.OVER) >> iota & 1:
-            value = self.value
-            clause = Clause(
-                tuple(-(v + 1) if value[v] else (v + 1) for v in self.cone if value[v] is not None)
-            )
-            if self.config.minimize_conflicts:
-                clause = minimize_conflict(clause, self.recheck)
-            return TheoryOutcome("conflict", clause)
-        if sapp(view, self.program, Mode.UNDER) >> iota & 1:
-            return TheoryOutcome("early_accept")
-        return TheoryOutcome("pass")
+        if sapp(self.view, self.program, Mode.OVER) >> self.shape.initial_state & 1:
+            return None
+        value = self.value
+        clause = tuple(-(v + 1) if value[v] else (v + 1) for v in self.cone if value[v] is not None)
+        if self.config.minimize_conflicts:
+            clause = minimize_conflict(clause, self.recheck)
+        return clause
+
+    def accepts(self) -> bool:
+        """Whether the under approximation holds at the initial state, so
+        every completion of the assignment satisfies the formula."""
+        return bool(sapp(self.view, self.program, Mode.UNDER) >> self.shape.initial_state & 1)
 
     def recheck(self, candidate: tuple[int, ...]) -> bool:
         """Oracle for clause minimization: does the conflict survive when only

@@ -334,6 +334,13 @@ class TestGenerate:
             ["generate", "--agents", "2", "--groups", "9", "--props", "1", "--depth", "2"]
         ) == 1
         assert "error" in capsys.readouterr().err
+        # More agents than MAX_GEN_AGENTS is refused before any pool is drawn.
+        assert main(
+            ["generate", "--agents", "17", "--groups", "2", "--props", "1", "--depth", "1"]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestBench:

@@ -253,6 +253,8 @@ class TestGenerator:
             GenParams(2, 4, 1, 3, 0)  # only 3 nonempty coalitions over 2 agents
         with pytest.raises(ValueError):
             GenParams(0, 1, 1, 3, 0)
+        with pytest.raises(ValueError):
+            GenParams(17, 1, 1, 1, 0)  # past MAX_GEN_AGENTS
 
     def test_can_hit_benchmark_depth_and_connectives(self):
         f, seed = generate_with_counts(3, 4, 3, depth=9, connectives=13)
