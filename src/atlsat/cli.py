@@ -81,23 +81,14 @@ def load_requirements(path: str) -> Requirements:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     agents = data.get("agents") if isinstance(data, dict) else None
-    if not isinstance(agents, list) or not all(
-        isinstance(a, dict)
-        and type(a.get("locals")) is int
-        and type(a.get("initial", 0)) is int
-        for a in agents
-    ):
-        raise ValueError(
-            "requirements field 'agents': expected a list of objects with an "
-            "integer 'locals' and an optional integer 'initial'"
-        )
+    if not isinstance(agents, list) or not all(isinstance(a, dict) for a in agents):
+        raise ValueError("requirements field 'agents': expected a list of objects")
     props = data.get("props", 0)
-    if type(props) is not int or props < 0:
-        raise ValueError("requirements field 'props': expected an integer >= 0")
     cp, cv = _int_rows(data, "cp", 4), _int_rows(data, "cv", 3)
-    locs, init = [a["locals"] for a in agents], [a.get("initial", 0) for a in agents]
-    # The agents alone, then with their valuation cells: a shape whose
-    # protocol cells fit but whose valuation cells do not blames 'props'.
+    locs, init = [a.get("locals") for a in agents], [a.get("initial", 0) for a in agents]
+    # ModelShape checks the values, for the agents alone and then with their
+    # valuation cells: a shape whose protocol cells fit but whose valuation
+    # cells do not, or a bad 'props' value, blames 'props'.
     for name, count in (("agents", 0), ("props", props)):
         try:
             shape = ModelShape(locs, init, count)
@@ -189,6 +180,7 @@ def cmd_generate(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
+        config = _solver_config(args)
         req = load_requirements(args.req)
         with open(args.formulas, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
@@ -207,7 +199,7 @@ def cmd_bench(args) -> int:
         con = connective_count(formula)
         start = time.perf_counter()
         try:
-            result = solve_satisfiability(formula, req, _solver_config(args))
+            result = solve_satisfiability(formula, req, config)
             verdict = "SAT" if result.satisfiable else "UNSAT"
             stats = result.stats
             reports.append(
@@ -262,7 +254,7 @@ def cmd_verify(args) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--timeout", type=float, default=None, help="time limit in seconds")
+    p.add_argument("--timeout", type=float, default=None, help="time limit in seconds, > 0")
     p.add_argument(
         "--minimize-conflicts",
         action="store_true",

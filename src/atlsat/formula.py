@@ -126,9 +126,6 @@ class FalseConst(Formula):
     pass
 
 
-CORE_TYPES = (Prop, Not, And, Next, Globally, Until)
-
-
 class FormulaSyntaxError(ValueError):
     """Raised on malformed formula text; carries 1-based line and column."""
 
@@ -426,10 +423,6 @@ def normalize(f: Formula) -> Formula:
     if isinstance(f, FalseConst):
         return And(Prop(0), Not(Prop(0)))
     raise TypeError(f"not a formula: {f!r}")
-
-
-def is_core(f: Formula) -> bool:
-    return all(isinstance(node, CORE_TYPES) for node in iter_subformulas(f))
 
 
 # ---------------------------------------------------------------------------

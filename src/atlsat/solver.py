@@ -5,7 +5,7 @@ of the partial model the approximation reads, so theory calls see the
 assignment without a copy.  Clauses are tuples of literals (see
 :func:`structural_clauses`).  Unit propagation runs over structural clauses
 (one per protocol row, so rows stay nonempty, plus one unit clause per
-requirement) and learned clauses.  Each clause watches two literals,
+forced cell) and learned clauses.  Each clause watches two literals,
 non-false ones while it has them, and is visited only when a watched literal
 becomes false; a visit that finds the other watch true ends there, since the
 clause is satisfied (the blocker rule).  Propagation walks the trail in
@@ -52,18 +52,17 @@ _clock = time.perf_counter
 @dataclass(frozen=True)
 class Requirements:
     """The model family to search: a shape plus forced protocol and
-    valuation cells.  Each error names its field, ``cp`` or ``cv``: an
+    valuation cells, which ``cells`` holds as a bit vector with None where a
+    cell is free.  Each error names its field, ``cp`` or ``cv``: an
     ``IndexError`` for a cell outside the shape, else a ``ValueError``."""
 
     shape: ModelShape
     cp_constraints: tuple[tuple[int, int, int, int], ...] = ()
     cv_constraints: tuple[tuple[int, int, int], ...] = ()
-    _bits: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    _cells: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+    cells: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         shape = self.shape
-        bits: list[tuple[int, int]] = []
         cells: list[int | None] = [None] * shape.bit_count
         for name, rows, cell in (("cp", self.cp_constraints, shape.tb_bit),
                                  ("cv", self.cv_constraints, shape.vb_bit)):
@@ -75,22 +74,15 @@ class Requirements:
                     if cells[bit] not in (None, value):
                         raise ValueError(f"contradictory constraints on cell {bit}")
                     cells[bit] = value
-                    bits.append((bit, value))
                 if name == "cp":
                     # Raises if some protocol row is forced entirely empty.
                     PartialModel(shape, cells)
             except (IndexError, ValueError) as exc:
                 raise type(exc)(f"requirements field {name!r}: {exc}") from None
-        object.__setattr__(self, "_bits", tuple(bits))
-        object.__setattr__(self, "_cells", tuple(cells))
-
-    def constraint_bits(self) -> tuple[tuple[int, int], ...]:
-        """The forced cells as ``(bit, value)`` pairs, protocol cells first,
-        each in constraint order; computed once, on construction."""
-        return self._bits
+        object.__setattr__(self, "cells", tuple(cells))
 
     def induced_partial_model(self) -> PartialModel:
-        return PartialModel.from_assignment(Assignment(self.shape, self._cells))
+        return PartialModel.from_assignment(Assignment(self.shape, self.cells))
 
 
 @dataclass
@@ -122,6 +114,10 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.policy not in ("default", "one-first", "zero-first", "random"):
             raise ValueError(f"unknown decision policy {self.policy!r}")
+        limit = self.time_limit
+        # Written so that NaN, which compares false with everything, fails.
+        if limit is not None and not (isinstance(limit, (int, float)) and limit > 0):
+            raise ValueError(f"time limit must be a number > 0, got {limit!r}")
 
 
 @dataclass(frozen=True)
@@ -133,16 +129,17 @@ class SolverResult:
 
 def structural_clauses(req: Requirements) -> list[tuple[int, ...]]:
     """One at-least-one clause per protocol row plus one unit clause per
-    requirement constraint.  A clause is a tuple of literals over model
-    cells: literal ``v+1`` asserts cell ``v`` true, ``-(v+1)`` asserts it
-    false, and the empty tuple is the unsatisfiable clause."""
+    forced cell of the requirements, in cell order.  A clause is a tuple of
+    literals over model cells: literal ``v+1`` asserts cell ``v`` true,
+    ``-(v+1)`` asserts it false, and the empty tuple is unsatisfiable."""
     shape = req.shape
     clauses = []
     for agent, n in enumerate(shape.locals_per_agent):
         for local in range(n):
             clauses.append(tuple(shape.tb_bit(agent, local, a) + 1 for a in range(n)))
-    for bit, value in req.constraint_bits():
-        clauses.append((bit + 1,) if value else (-(bit + 1),))
+    for bit, value in enumerate(req.cells):
+        if value is not None:
+            clauses.append((bit + 1,) if value else (-(bit + 1),))
     return clauses
 
 
@@ -241,7 +238,7 @@ class _Search:
         if config.minimize_conflicts:
             self.cone = sorted(cone_of_influence(self.program.formula, self.shape))
             self.probe = req.induced_partial_model()
-            self.required = tuple(self.probe.cells)
+            self.required = req.cells
             # The literals of the last recheck's candidate, shown on the probe.
             self.shown: set[int] = set()
 
@@ -286,14 +283,10 @@ class _Search:
 
     # -- assignment plumbing
 
-    @property
-    def decision_level(self) -> int:
-        return len(self.trail_lim)
-
     def assign(self, lit: int, reason: tuple[int, ...] | None) -> None:
         v = abs(lit) - 1
         self.view.put(v, 1 if lit > 0 else 0)
-        self.level[v] = self.decision_level
+        self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
 
@@ -301,9 +294,7 @@ class _Search:
         cut = self.trail_lim[target_level]
         put = self.view.put
         for lit in self.trail[cut:]:
-            v = abs(lit) - 1
-            self.reason[v] = None
-            put(v, None)
+            put(abs(lit) - 1, None)
         del self.trail[cut:]
         del self.trail_lim[target_level:]
         self.head = min(self.head, cut)
@@ -392,57 +383,41 @@ class _Search:
 
     # -- conflict analysis
 
-    def analyze(self, conflict: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
-        """Resolve a falsified clause to an asserting one; returns the
-        learned clause and backjump level, or None when the conflict stands
-        at level 0 (unsatisfiable)."""
-        conflict = list(conflict)
-        if not conflict:
-            return None
-        conflict_level = max(self.level[abs(l) - 1] for l in conflict)
+    def analyze(self, clause: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
+        """Resolve a falsified clause to an asserting one (first UIP); returns
+        the learned clause and backjump level, or None when the conflict
+        stands at level 0 (unsatisfiable).  One loop resolves the conflict
+        clause and then the reason of each pivot, the latest trail literal
+        pending at the conflict level, until one is left pending.  Each cell
+        is marked once: at the conflict level it is pending, below it its
+        literal is kept, and at level 0, false for good, dropped.  The
+        learned clause is the kept literals in marking order, which picks its
+        watches, then the negated last pivot; the backjump level is the
+        highest level among the kept literals, or 0 for a unit clause."""
+        level = self.level
+        conflict_level = max((level[abs(lit) - 1] for lit in clause), default=0)
         if conflict_level == 0:
             return None
         seen: set[int] = set()
-        counter = 0
+        pending: set[int] = set()
         learned: list[int] = []
-        for lit in conflict:
-            v = abs(lit) - 1
-            if v not in seen:
-                seen.add(v)
-                if self.level[v] == conflict_level:
-                    counter += 1
-                elif self.level[v] > 0:
-                    learned.append(lit)
-                # root-level literals are permanently false, drop them
-        idx = len(self.trail) - 1
-        uip_lit = None
+        walk = reversed(self.trail)
         while True:
-            while self.level[abs(self.trail[idx]) - 1] != conflict_level or (
-                abs(self.trail[idx]) - 1
-            ) not in seen:
-                idx -= 1
-            lit = self.trail[idx]
-            idx -= 1
-            counter -= 1
-            if counter == 0:
-                uip_lit = lit
+            for lit in clause:
+                v = abs(lit) - 1
+                if v not in seen:
+                    seen.add(v)
+                    if level[v] == conflict_level:
+                        pending.add(v)
+                    elif level[v] > 0:
+                        learned.append(lit)
+            pivot = next(lit for lit in walk if abs(lit) - 1 in pending)
+            pending.remove(abs(pivot) - 1)
+            if not pending:
                 break
-            reason = self.reason[abs(lit) - 1]
-            for other in reason:
-                v = abs(other) - 1
-                if v == abs(lit) - 1 or v in seen:
-                    continue
-                seen.add(v)
-                if self.level[v] == conflict_level:
-                    counter += 1
-                elif self.level[v] > 0:
-                    learned.append(other)
-        learned.append(-uip_lit)
-        if len(learned) == 1:
-            return tuple(learned), 0
-        backjump = max(
-            self.level[abs(l) - 1] for l in learned if l != -uip_lit
-        )
+            clause = self.reason[abs(pivot) - 1]
+        backjump = max((level[abs(lit) - 1] for lit in learned), default=0)
+        learned.append(-pivot)
         return tuple(learned), backjump
 
     # -- theory interface

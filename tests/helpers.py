@@ -1,8 +1,9 @@
 """Helpers the tests share that the solver itself does not need: operator
-evaluation one operator at a time, cell classification, partial models
-built from and read as tables or assignments, a partial model computed in
-bulk as the reference for the incremental one, split structures built on
-their own, and the evaluations a compiled program makes."""
+evaluation one operator at a time, the core grammar test, cell
+classification, partial models built from and read as tables or
+assignments, a partial model computed in bulk as the reference for the
+incremental one, split structures built on their own, and the evaluations a
+compiled program makes."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from operator import eq, getitem, ne
 from types import SimpleNamespace
 
 from atlsat.approx import _MODES, Mode, PartialModel, Program, _picks
-from atlsat.formula import Formula
+from atlsat.formula import And, Formula, Globally, Next, Not, Prop, Until, iter_subformulas
 from atlsat.mas import Assignment, ModelShape, TransitionStructure
 from atlsat.mc import StateSet, solve_globally, solve_next, solve_until
 
@@ -36,6 +37,15 @@ def solve_op(
     if op == "until":
         return solve_until(m, coalition, y1, y2)
     raise ValueError(f"unknown operator {op!r}")
+
+
+# The node types of the core grammar, the only ones ``normalize`` emits.
+CORE_TYPES = (Prop, Not, And, Next, Globally, Until)
+
+
+def is_core(f: Formula) -> bool:
+    """Whether every node of ``f`` is of a core type."""
+    return all(isinstance(node, CORE_TYPES) for node in iter_subformulas(f))
 
 
 def bit_owner(shape: ModelShape, index: int) -> tuple:

@@ -402,6 +402,19 @@ class TestBench:
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_timeout_must_be_positive(value, req221, tmp_path, capsys):
+    # Rejected once, before any formula is solved: no table, no ERROR rows.
+    formulas = tmp_path / "formulas.txt"
+    formulas.write_text("p0\np0 & !p0\n")
+    for argv in (["check", "-f", "p0"], ["bench", str(formulas)]):
+        assert main(argv + ["--req", req221, "--timeout", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "time limit must be a number > 0" in captured.err
+
+
 def test_every_solver_config_field_is_a_flag(tmp_path):
     # A SolverConfig field no flag sets is a knob only code can reach.
     args = build_parser().parse_args(

@@ -24,7 +24,6 @@ from atlsat.formula import (
     format_formula,
     generate_random_formula,
     generate_with_counts,
-    is_core,
     iter_subformulas,
     normalize,
     parse_formula,
@@ -32,6 +31,7 @@ from atlsat.formula import (
 )
 from atlsat.mas import ModelShape
 from atlsat.solver import Requirements, solve_satisfiability
+from helpers import is_core
 
 
 def core_taut():

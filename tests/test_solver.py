@@ -70,9 +70,10 @@ def theory_check():
     def check(asg, f, req, minimize=False):
         search = _Search(normalize(f), req, SolverConfig(minimize_conflicts=minimize))
         cells = list(asg.bits)
-        for bit, value in req.constraint_bits():
-            assert cells[bit] in (None, value)
-            cells[bit] = value
+        for bit, value in enumerate(req.cells):
+            if value is not None:
+                assert cells[bit] in (None, value)
+                cells[bit] = value
         load(search, cells)
         clause = search.run_theory()
         if clause is not None:
@@ -117,10 +118,28 @@ class TestStructuralClauses:
         units = [c for c in structural_clauses(req) if len(c) == 1]
         assert units == [(S22P1.tb_bit(0, 0, 1) + 1,)]
 
+    def test_unit_clauses_in_cell_order_once_each(self):
+        # Valuation rows given first, a protocol row given twice: one unit
+        # clause per forced cell, protocol cells first.
+        req = Requirements(S22P1, cp_constraints=((1, 1, 0, 1), (0, 0, 1, 0), (1, 1, 0, 1)),
+                           cv_constraints=((3, 0, 1), (0, 0, 0)))
+        units = [c for c in structural_clauses(req) if len(c) == 1]
+        assert units == [(-(S22P1.tb_bit(0, 0, 1) + 1),), (S22P1.tb_bit(1, 1, 0) + 1,),
+                         (-(S22P1.vb_bit(0, 0) + 1),), (S22P1.vb_bit(3, 0) + 1,)]
+
     def test_valuation_negative_unit_clause(self):
         req = Requirements(S22P1, cv_constraints=((3, 0, 0),))
         units = [c for c in structural_clauses(req) if len(c) == 1]
         assert units == [(-(S22P1.vb_bit(3, 0) + 1),)]
+
+
+class TestSolverConfig:
+    def test_time_limit_must_be_a_positive_number(self):
+        for limit in (0, 0.0, -1, float("nan"), "5"):
+            with pytest.raises(ValueError, match="time limit must be a number > 0"):
+                SolverConfig(time_limit=limit)
+        for limit in (None, 0.001, 5, float("inf")):
+            assert SolverConfig(time_limit=limit).time_limit == limit
 
 
 class TestTheoryCheck:
@@ -298,9 +317,7 @@ class TestLiveView:
             while conflicts < 20:
                 search = _Search(f, req, config)
                 pm = random_partial_model(rng, shape, rng.randint(0, shape.bit_count))
-                cells = list(pm.cells)
-                for bit, value in req.constraint_bits():
-                    cells[bit] = value
+                cells = [b if r is None else r for b, r in zip(pm.cells, req.cells)]
                 load(search, cells)
                 clause = search.run_theory()
                 assert_view_shows_value(search)
@@ -386,9 +403,7 @@ class TestProbe:
 
         def minimize(clause, recheck):
             search = recheck.__self__
-            required = [None] * search.n
-            for bit, value in search.req.constraint_bits():
-                required[bit] = value
+            required = list(search.req.cells)
 
             def checked(candidate):
                 nonlocal rechecks
@@ -422,6 +437,79 @@ class TestProbe:
             assert not r.satisfiable
         assert len(minimizations) == 3 and min(minimizations.values()) >= 2
         assert rechecks > 0
+
+
+def falsified_by_unit_propagation(clauses, assumed):
+    """Whether assigning the literals ``assumed`` and unit-propagating over
+    ``clauses``, by rescanning them until nothing changes, falsifies one."""
+    value = {abs(lit): lit > 0 for lit in assumed}
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            free = [lit for lit in clause if abs(lit) not in value]
+            if any(value.get(abs(lit)) == (lit > 0) for lit in clause):
+                continue
+            if not free:
+                return True
+            if len(free) == 1:
+                value[abs(free[0])] = free[0] > 0
+                changed = True
+    return False
+
+
+class TestAnalyze:
+    def test_learned_clauses_assert_and_follow_by_propagation(self, monkeypatch):
+        """For each conflict, the learned clause's last literal is its one
+        literal at the conflict level; every other literal is false at a
+        level from 1 to one below it; the backjump level is the highest of
+        those, or 0 for a unit; and the clause is RUP: its negation
+        propagates to a falsified clause over the search's clauses plus the
+        conflict."""
+        analyze = _Search.analyze
+        counts = {"unit": 0, "longer": 0}
+
+        def checked_analyze(search, conflict):
+            result = analyze(search, conflict)
+            level, value = search.level, search.value
+            conflict_level = max(level[abs(lit) - 1] for lit in conflict)
+            assert (result is None) == (conflict_level == 0)
+            if result is None:
+                return result
+            learned, backjump = result
+            *rest, last = learned
+            assert value[abs(last) - 1] == (last < 0)
+            assert level[abs(last) - 1] == conflict_level
+            for lit in rest:
+                assert value[abs(lit) - 1] == (lit < 0), (learned, lit)
+                assert 1 <= level[abs(lit) - 1] < conflict_level, (learned, lit)
+            assert backjump == max((level[abs(lit) - 1] for lit in rest), default=0)
+            assert len({abs(lit) for lit in learned}) == len(learned)
+            assert falsified_by_unit_propagation(
+                search.clauses + [conflict], [-lit for lit in learned])
+            counts["longer" if rest else "unit"] += 1
+            return result
+
+        monkeypatch.setattr(_Search, "analyze", checked_analyze)
+        s222 = ModelShape([2, 2, 2], [0, 0, 0], 2)
+        cases = [
+            ("p0 & !p0", Requirements(S22P1), False),
+            ("<<0>> X p0 & <<1>> X !p0", Requirements(s222), True),
+            ("<<0>> G p0 & <<>> F !p0", Requirements(ModelShape([3, 2], None, 1)), True),
+            ("<<0>> G p0 & <<1,2>> F p1",
+             Requirements(s222, ((0, 0, 1, 0), (1, 1, 0, 1)), ((0, 1, 0), (5, 0, 1))), False),
+        ]
+        rng = random.Random(3)
+        while len(cases) < 20:
+            f = random_core_formula(rng, 2, 1, rng.randint(1, 3))
+            cases.append((format_formula(f), Requirements(S22P1), len(cases) % 2 == 0))
+        verdicts = set()
+        for text, req, minimize in cases:
+            r = solve_satisfiability(parse_formula(text), req,
+                                     SolverConfig(minimize_conflicts=minimize))
+            verdicts.add(r.satisfiable)
+        assert verdicts == {True, False}
+        assert counts["unit"] > 0 and counts["longer"] > 100
 
 
 class TestSolveSatisfiability:
@@ -664,6 +752,78 @@ class TestSolveSatisfiability:
             (False, 193, 40, 231, 100, 540),
             (False, 304, 76, 378, 210, 1202),
             (False, 324, 111, 429, 390, 1643),
+        ]
+
+    def test_criterion_6_search_at_2222_is_pinned(self):
+        # The sweep's other shape, [2,2,2,2] with 3 props, default config:
+        # (verdict, decisions, conflicts, theory checks, propagations).
+        req = Requirements(ModelShape([2, 2, 2, 2], [0, 0, 0, 0], 3))
+        formulas = [parse_formula(BENCH_FORMULA_1)] + [
+            generate_random_formula(GenParams(3, 4, 3, depth, seed))
+            for depth, _, seed in BENCH_ROWS
+        ]
+        runs = [solve_satisfiability(f, req, SolverConfig()) for f in formulas]
+        assert [
+            (r.satisfiable, r.stats.decisions, r.stats.conflicts, r.stats.theory_checks,
+             r.stats.propagations)
+            for r in runs
+        ] == [
+            (True, 38, 0, 39, 0),
+            (True, 44, 0, 45, 0),
+            (True, 64, 2, 67, 2),
+            (True, 21, 0, 22, 0),
+            (True, 50, 0, 51, 0),
+            (True, 134, 82, 217, 82),
+            (True, 39, 0, 40, 0),
+            (True, 46, 0, 47, 0),
+            (True, 63, 2, 66, 2),
+        ]
+
+    def test_refute_bool_search_is_pinned(self):
+        # p0 & !p0 with minimization off at the refute-bool shapes, 1 prop:
+        # (verdict, decisions, conflicts, theory checks, propagations).
+        config = SolverConfig(minimize_conflicts=False)
+        runs = [
+            solve_satisfiability(parse_formula("p0 & !p0"),
+                                 Requirements(ModelShape(locs, None, 1)), config)
+            for locs in ([2, 2], [3, 1], [2, 2, 2])
+        ]
+        assert [
+            (r.satisfiable, r.stats.decisions, r.stats.conflicts, r.stats.theory_checks,
+             r.stats.propagations)
+            for r in runs
+        ] == [
+            (False, 161, 162, 323, 201),
+            (False, 685, 686, 1371, 743),
+            (False, 1457, 1458, 2915, 1821),
+        ]
+
+    def test_constrained_search_is_pinned(self):
+        # Requirements with a repeated row: their unit clauses drive the
+        # search from level 0.  (verdict, decisions, conflicts, theory
+        # checks, propagations, rechecks).
+        req = Requirements(
+            ModelShape([2, 2, 2], [0, 0, 0], 2),
+            cp_constraints=((0, 0, 1, 0), (1, 1, 0, 1), (0, 0, 1, 0)),
+            cv_constraints=((0, 1, 0), (5, 0, 1), (7, 1, 1)),
+        )
+        runs = [
+            solve_satisfiability(parse_formula(text), req,
+                                 SolverConfig(minimize_conflicts=minimize))
+            for text, minimize in (
+                ("<<0>> G p0 & <<1,2>> F p1", False),
+                ("<<0>> G p0 & <<1,2>> F p1", True),
+                ("<<1>> (p0 U p1) & <<0>> G !p1", True),
+            )
+        ]
+        assert [
+            (r.satisfiable, r.stats.decisions, r.stats.conflicts, r.stats.theory_checks,
+             r.stats.propagations, r.stats.rechecks)
+            for r in runs
+        ] == [
+            (True, 16, 5, 22, 11, 0),
+            (True, 30, 5, 36, 13, 95),
+            (False, 53, 18, 71, 44, 335),
         ]
 
     def test_propagations_counted_and_repeatable(self):
