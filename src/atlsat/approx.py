@@ -198,8 +198,10 @@ def _cons(f: Formula, shape: ModelShape) -> tuple[list[tuple], list[Formula], in
         if kind == _PROP:
             arg = node.index
             if arg >= shape.prop_count:
+                sugar = " (true, false and F are written with p0)" if arg == 0 else ""
                 raise IndexError(
-                    f"formula uses p{arg} but only {shape.prop_count} propositions are declared"
+                    f"formula uses p{arg} but only {shape.prop_count} propositions are "
+                    f"declared{sugar}"
                 )
         elif kind >= _NEXT:
             arg = node.coalition.members

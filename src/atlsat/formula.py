@@ -15,6 +15,7 @@ Agent indices are 0-based throughout.  Atoms are written ``p0``, ``p1``, ...
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -146,71 +147,26 @@ class FormulaSyntaxError(ValueError):
 # iterative); the deepest criterion-6 formula nests 68 levels by this count.
 MAX_NESTING = 100
 
-_PUNCT2 = ("<<", ">>", "->")
-_PUNCT1 = ("(", ")", "!", "&", "|", ",")
+# One token per match within a line: the characters between matches are
+# exactly the skipped spaces, tabs and CRs, and any other one is ``bad``.
+_TOKEN = re.compile(
+    r"(?P<punct><<|>>|->|[()!&|,])|(?P<word>[A-Za-z][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
+    r"|(?P<bad>[^ \t\r])"
+)
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[tuple[str, str, int, int]] = []
-        self._scan()
-        self.idx = 0
-
-    def _scan(self) -> None:
-        text = self.text
-        n = len(text)
-        while self.pos < n:
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-                continue
-            two = text[self.pos : self.pos + 2]
-            if two in _PUNCT2:
-                self.tokens.append(("punct", two, self.line, self.col))
-                self._advance(2)
-                continue
-            if ch in _PUNCT1:
-                self.tokens.append(("punct", ch, self.line, self.col))
-                self._advance(1)
-                continue
-            if ch.isalpha():
-                start = self.pos
-                line, col = self.line, self.col
-                while self.pos < n and (text[self.pos].isalnum() or text[self.pos] == "_"):
-                    self._advance(1)
-                self.tokens.append(("word", text[start : self.pos], line, col))
-                continue
-            if ch.isdigit():
-                start = self.pos
-                line, col = self.line, self.col
-                while self.pos < n and text[self.pos].isdigit():
-                    self._advance(1)
-                self.tokens.append(("int", text[start : self.pos], line, col))
-                continue
-            raise FormulaSyntaxError(f"unexpected character {ch!r}", self.line, self.col)
-        self.tokens.append(("eof", "", self.line, self.col))
-
-    def _advance(self, k: int) -> None:
-        for _ in range(k):
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def peek(self) -> tuple[str, str, int, int]:
-        return self.tokens[self.idx]
-
-    def next(self) -> tuple[str, str, int, int]:
-        tok = self.tokens[self.idx]
-        if tok[0] != "eof":
-            self.idx += 1
-        return tok
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """``(kind, text, line, column)`` tokens of ``text``, 1-based, ending with
+    ``eof``.  Identifiers and indices are ASCII; a character that is neither
+    in a token nor a space, tab, CR or LF is a syntax error at its position."""
+    tokens = []
+    for line, chars in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(chars):
+            if m.lastgroup == "bad":
+                raise FormulaSyntaxError(f"unexpected character {m[0]!r}", line, m.start() + 1)
+            tokens.append((m.lastgroup, m[0], line, m.start() + 1))
+    tokens.append(("eof", "", line, len(chars) + 1))
+    return tokens
 
 
 class _Parser:
@@ -221,19 +177,36 @@ class _Parser:
     """
 
     def __init__(self, text: str):
-        self.toks = _Tokenizer(text)
+        self.toks = _tokenize(text)
+        self.idx = 0
         # Nesting at the current token; deepest atom nesting of the last parse.
         self.depth = self.peak = 0
 
+    def _peek(self) -> tuple[str, str, int, int]:
+        return self.toks[self.idx]
+
+    def _next(self) -> tuple[str, str, int, int]:
+        tok = self.toks[self.idx]
+        if tok[0] != "eof":
+            self.idx += 1
+        return tok
+
+    @staticmethod
+    def _index(digits: str, tok: tuple[str, str, int, int]) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            raise FormulaSyntaxError(f"index too long: {len(digits)} digits", *tok[2:]) from None
+
     def parse(self) -> Formula:
         f = self._implies()
-        kind, val, line, col = self.toks.peek()
+        kind, val, line, col = self._peek()
         if kind != "eof":
             raise FormulaSyntaxError(f"unexpected {val!r} after formula", line, col)
         return f
 
     def _expect(self, value: str) -> None:
-        kind, val, line, col = self.toks.next()
+        kind, val, line, col = self._next()
         if val != value or kind == "eof":
             got = "end of input" if kind == "eof" else repr(val)
             raise FormulaSyntaxError(f"expected {value!r}, got {got}", line, col)
@@ -254,9 +227,9 @@ class _Parser:
     def _binary(self, operand, op: str, node, rest) -> Formula:
         # The operator token also deepens the left operand, parsed before it.
         left = operand()
-        if self.toks.peek()[1] != op:
+        if self._peek()[1] != op:
             return left
-        tok, left_peak = self.toks.next(), self.peak + 1
+        tok, left_peak = self._next(), self.peak + 1
         self._check(tok, left_peak)
         right = self._deeper(tok, rest)
         self.peak = max(self.peak, left_peak)
@@ -272,9 +245,9 @@ class _Parser:
         return self._binary(self._unary, "&", And, self._and)
 
     def _unary(self) -> Formula:
-        kind, val, line, col = self.toks.peek()
+        kind, val, line, col = self._peek()
         if val == "!":
-            return Not(self._deeper(self.toks.next(), self._unary))
+            return Not(self._deeper(self._next(), self._unary))
         if val == "<<":
             return self._modal()
         return self._primary()
@@ -282,29 +255,29 @@ class _Parser:
     def _modal(self) -> Formula:
         self._expect("<<")
         members: list[int] = []
-        if self.toks.peek()[1] != ">>":
+        if self._peek()[1] != ">>":
             while True:
-                kind, val, line, col = self.toks.next()
+                kind, val, line, col = tok = self._next()
                 if kind != "int":
                     raise FormulaSyntaxError(f"expected agent index, got {val!r}", line, col)
-                members.append(int(val))
-                if self.toks.peek()[1] == ",":
-                    self.toks.next()
+                members.append(self._index(val, tok))
+                if self._peek()[1] == ",":
+                    self._next()
                 else:
                     break
         self._expect(">>")
         coalition = Coalition(members)
-        kind, val, line, col = self.toks.peek()
+        kind, val, line, col = self._peek()
         if val in ("X", "G", "F"):
-            child = self._deeper(self.toks.next(), self._unary)
+            child = self._deeper(self._next(), self._unary)
             if val == "X":
                 return Next(coalition, child)
             if val == "G":
                 return Globally(coalition, child)
             return Eventually(coalition, child)
         if val == "(":
-            left, left_peak = self._deeper(self.toks.next(), self._implies), self.peak
-            kind2, val2, line2, col2 = tok = self.toks.next()
+            left, left_peak = self._deeper(self._next(), self._implies), self.peak
+            kind2, val2, line2, col2 = tok = self._next()
             if val2 != "U":
                 raise FormulaSyntaxError(
                     f"expected 'U' inside coalition scope, got {val2!r}", line2, col2
@@ -318,7 +291,7 @@ class _Parser:
         )
 
     def _primary(self) -> Formula:
-        kind, val, line, col = tok = self.toks.next()
+        kind, val, line, col = tok = self._next()
         if val == "(":
             f = self._deeper(tok, self._implies)
             self._expect(")")
@@ -330,7 +303,7 @@ class _Parser:
             if val == "false":
                 return FalseConst()
             if val.startswith("p") and val[1:].isdigit():
-                return Prop(int(val[1:]))
+                return Prop(self._index(val[1:], tok))
             raise FormulaSyntaxError(f"unknown identifier {val!r}", line, col)
         got = "end of input" if kind == "eof" else repr(val)
         raise FormulaSyntaxError(f"expected formula, got {got}", line, col)

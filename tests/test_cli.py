@@ -265,6 +265,21 @@ class TestBoundsErrors:
         assert main(["bench", str(formulas), "--req", str(req)]) == 0
         assert capsys.readouterr().err == f"error in formula {formula!r}: {message}\n"
 
+    def test_constant_names_its_stand_in(self, tmp_path, capsys):
+        # true normalizes to a formula over p0, which a shape without
+        # propositions lacks; the one error line says where p0 came from.
+        req = tmp_path / "req.json"
+        req.write_text(json.dumps({"agents": [{"locals": 2}], "props": 0}))
+        assert main(["check", "-f", "<<0>> X true", "--req", str(req)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "true" in err
+
+
+def test_non_ascii_formula_is_a_positioned_error(req221, capsys):
+    assert main(["check", "-f", "p\u00b2", "--req", req221]) == 1
+    assert capsys.readouterr().err == "error: 1:2: unexpected character '\u00b2'\n"
+
 
 class TestGenerate:
     def test_count_and_stability(self, capsys):

@@ -123,6 +123,76 @@ class TestParse:
         assert parse_formula("p0 & p1 & p2") == And(Prop(0), And(Prop(1), Prop(2)))
 
 
+def syntax_error(text: str) -> FormulaSyntaxError:
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula(text)
+    return exc.value
+
+
+# Printable ASCII the grammar uses, the three skipped control characters, and
+# a few non-ASCII letters and digits the scanner must reject.
+SCAN_ALPHABET = list("p0123456789 \t\n\r()!&|,<>-XGFUq_") + [
+    "<<", ">>", "->", "true", "false", "a1_b", "\u00b2", "\u0663", "\u00e9", "\u00a0",
+]
+
+
+class TestScanner:
+    @pytest.mark.parametrize(
+        "text, line, column, message",
+        [
+            ("p0 &\r\n& p1", 2, 1, "expected formula, got '&'"),
+            ("\tp0 &", 1, 6, "expected formula, got end of input"),
+            ("p0 &\n\t\t", 2, 3, "expected formula, got end of input"),
+            ("\n\n", 3, 1, "expected formula, got end of input"),
+            ("!\r\n!\r\n?", 3, 1, "unexpected character '?'"),
+            ("p0 # c", 1, 4, "unexpected character '#'"),
+            ("p0_1", 1, 1, "unknown identifier 'p0_1'"),
+            ("<<0 1>> X p0", 1, 5, "expected '>>', got '1'"),
+            ("<<0,>> X p0", 1, 5, "expected agent index, got '>>'"),
+        ],
+    )
+    def test_ascii_positions(self, text, line, column, message):
+        err = syntax_error(text)
+        assert (err.line, err.column, str(err)) == (line, column, f"{line}:{column}: {message}")
+
+    def test_punctuation_needs_no_spaces(self):
+        assert parse_formula("<<0>>X p0") == Next(Coalition([0]), Prop(0))
+        assert parse_formula("p0->p1") == Implies(Prop(0), Prop(1))
+
+    @pytest.mark.parametrize(
+        "text, column, char",
+        [("p\u00b2", 2, "\u00b2"), ("p\u0663", 2, "\u0663"),
+         ("<<\u00b2>> X p0", 3, "\u00b2"), ("p\u00e9", 2, "\u00e9")],
+    )
+    def test_non_ascii_is_a_syntax_error(self, text, column, char):
+        # Unicode digits and letters are not part of an index or identifier.
+        err = syntax_error(text)
+        assert (err.line, err.column) == (1, column)
+        assert str(err) == f"1:{column}: unexpected character {char!r}"
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [("p" + "9" * 5000, 1), ("<<" + "9" * 5000 + ">> X p0", 3)],
+        ids=["proposition", "agent"],
+    )
+    def test_overlong_index_is_a_syntax_error(self, text, column):
+        # More digits than int() converts (4,300 by default): reported at the
+        # index token.
+        err = syntax_error(text)
+        assert (err.line, err.column) == (1, column)
+        assert "5000 digits" in str(err)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(SCAN_ALPHABET), max_size=30).map("".join))
+    def test_errors_point_into_the_text(self, text):
+        try:
+            parse_formula(text)
+        except FormulaSyntaxError as err:
+            lines = text.split("\n")
+            assert 1 <= err.line <= len(lines)
+            assert 1 <= err.column <= len(lines[err.line - 1]) + 1
+
+
 class TestFormat:
     def test_prop(self):
         assert format_formula(Prop(2)) == "p2"
