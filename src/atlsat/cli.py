@@ -108,12 +108,12 @@ def _read_formula(args) -> Formula:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        policy=args.policy,
-        minimize_conflicts=args.minimize_conflicts,
-        seed=args.seed,
-        time_limit=args.timeout,
-    )
+    return SolverConfig(minimize_conflicts=args.minimize_conflicts, time_limit=args.timeout)
+
+
+def _error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 def cmd_check(args) -> int:
@@ -122,8 +122,7 @@ def cmd_check(args) -> int:
         req = load_requirements(args.req)
         result = solve_satisfiability(formula, req, _solver_config(args))
     except (FormulaSyntaxError, BoundsError, ValueError, OSError, SolveTimeout) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _error(exc)
     stats = result.stats
     if args.verbose:
         print(
@@ -133,11 +132,14 @@ def cmd_check(args) -> int:
         )
     if result.satisfiable:
         print("s SATISFIABLE")
-        if args.out_json:
-            write_witness_json(result.witness, args.out_json)
-        if args.out_dot:
-            with open(args.out_dot, "w", encoding="utf-8") as fh:
-                fh.write(witness_to_dot(result.witness))
+        try:
+            if args.out_json:
+                write_witness_json(result.witness, args.out_json)
+            if args.out_dot:
+                with open(args.out_dot, "w", encoding="utf-8") as fh:
+                    fh.write(witness_to_dot(result.witness))
+        except OSError as exc:
+            return _error(exc)
         return EXIT_SAT
     print("s UNSATISFIABLE")
     return EXIT_UNSAT
@@ -164,15 +166,12 @@ def cmd_generate(args) -> int:
             lines.append(format_formula(f))
             parse_formula(lines[-1])
     except FormulaSyntaxError:
-        print(
-            f"error: the formula drawn with seed {seed} nests deeper than "
-            f"MAX_NESTING = {MAX_NESTING} levels",
-            file=sys.stderr,
+        return _error(
+            f"the formula drawn with seed {seed} nests deeper than "
+            f"MAX_NESTING = {MAX_NESTING} levels"
         )
-        return EXIT_ERROR
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _error(exc)
     for line in lines:
         print(line)
     return 0
@@ -183,10 +182,9 @@ def cmd_bench(args) -> int:
         config = _solver_config(args)
         req = load_requirements(args.req)
         with open(args.formulas, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+            lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _error(exc)
 
     reports: list[RunReport] = []
     for line in lines:
@@ -232,9 +230,12 @@ def cmd_bench(args) -> int:
             {"id": i, **r.to_dict(include_time=include_time)}
             for i, r in enumerate(reports, start=1)
         ]
-        with open(args.out_json, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.out_json, "w", encoding="utf-8") as fh:
+                json.dump(rows, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            return _error(exc)
     return 0
 
 
@@ -244,8 +245,7 @@ def cmd_verify(args) -> int:
         model = read_witness_json(args.witness)
         holds = check_validity(model, normalize(formula))
     except (FormulaSyntaxError, IndexError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _error(exc)
     if holds:
         print("verified: formula holds at the initial state")
         return 0
@@ -260,13 +260,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="greedily shrink learned theory conflict clauses",
     )
-    p.add_argument(
-        "--policy",
-        default="default",
-        choices=["default", "one-first", "zero-first", "random"],
-        help="decision policy",
-    )
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized policies")
 
 
 def _add_formula_source(p: argparse.ArgumentParser) -> None:

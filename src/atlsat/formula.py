@@ -443,15 +443,17 @@ def connective_count(f: Formula) -> int:
 # about 4x more of each per two agents (measured on a 2-vCPU host).
 MAX_GEN_AGENTS = 16
 
+# How many seeds generate_with_counts scans before it gives up.
+COUNT_TRIES = 50_000
+
 
 @dataclass(frozen=True)
 class GenParams:
     """Parameters of the random formula generator.
 
     ``max_depth`` bounds the nesting of strategic modalities; the generated
-    formula always realizes it exactly.  ``coalition_pool`` may pin the
-    coalitions to draw from; when None a pool of ``group_count`` distinct
-    nonempty coalitions is derived from the seed.
+    formula always realizes it exactly.  Its coalitions come from a pool of
+    ``group_count`` distinct nonempty coalitions derived from the seed.
     """
 
     agent_count: int
@@ -459,7 +461,6 @@ class GenParams:
     prop_count: int
     max_depth: int
     seed: int
-    coalition_pool: tuple[Coalition, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.agent_count < 1 or self.group_count < 1 or self.prop_count < 1:
@@ -471,21 +472,6 @@ class GenParams:
             raise ValueError(f"agent_count must be at most {MAX_GEN_AGENTS}")
         if self.group_count > 2**self.agent_count - 1:
             raise ValueError("group_count exceeds the number of nonempty coalitions")
-        if self.coalition_pool is not None:
-            for c in self.coalition_pool:
-                if len(c) == 0 or c.members[-1] >= self.agent_count:
-                    raise ValueError(f"coalition {c} invalid for {self.agent_count} agents")
-
-
-def _draw_pool(params: GenParams, rng: random.Random) -> list[Coalition]:
-    if params.coalition_pool is not None:
-        return list(params.coalition_pool)
-    all_masks = list(range(1, 2**params.agent_count))
-    rng.shuffle(all_masks)
-    return [
-        Coalition(i for i in range(params.agent_count) if mask >> i & 1)
-        for mask in all_masks[: params.group_count]
-    ]
 
 
 def _clamped_normal(rng: random.Random, mean: float, spread: float, lo: int, hi: int) -> int:
@@ -504,7 +490,12 @@ def generate_random_formula(params: GenParams) -> Formula:
     profile of the bundled benchmark sweep.
     """
     rng = random.Random(params.seed)
-    pool = _draw_pool(params, rng)
+    all_masks = list(range(1, 2**params.agent_count))
+    rng.shuffle(all_masks)
+    pool = [
+        Coalition(i for i in range(params.agent_count) if mask >> i & 1)
+        for mask in all_masks[: params.group_count]
+    ]
 
     def literal() -> Formula:
         p = Prop(rng.randrange(params.prop_count))
@@ -565,17 +556,16 @@ def generate_with_counts(
     depth: int,
     connectives: int,
     base_seed: int = 0,
-    max_tries: int = 50_000,
 ) -> tuple[Formula, int]:
-    """Scan seeds from ``base_seed`` until the generated formula has the
-    requested strategic depth and Boolean connective count.  Returns the
-    formula and the seed that produced it."""
-    for seed in range(base_seed, base_seed + max_tries):
+    """Scan up to ``COUNT_TRIES`` seeds from ``base_seed`` until the
+    generated formula has the requested strategic depth and Boolean
+    connective count.  Returns the formula and the seed that produced it."""
+    for seed in range(base_seed, base_seed + COUNT_TRIES):
         params = GenParams(agent_count, group_count, prop_count, depth, seed)
         f = generate_random_formula(params)
         if strategic_depth(f) == depth and connective_count(f) == connectives:
             return f, seed
     raise ValueError(
-        f"no seed in [{base_seed}, {base_seed + max_tries}) yields depth={depth} "
+        f"no seed in [{base_seed}, {base_seed + COUNT_TRIES}) yields depth={depth} "
         f"with {connectives} connectives"
     )

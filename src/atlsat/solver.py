@@ -9,9 +9,11 @@ forced cell) and learned clauses.  Each clause watches two literals,
 non-false ones while it has them, and is visited only when a watched literal
 becomes false; a visit that finds the other watch true ends there, since the
 clause is satisfied (the blocker rule).  Propagation walks the trail in
-order, as in Chaff and MiniSat, after one visit of each clause added since
-it last ran.  After propagation settles at each level, the two-sided
-approximation of the partial assignment decides the step:
+order, as in Chaff and MiniSat; a clause entering the search implies its
+literal itself when it is unit on arrival.  Decisions take the lowest-index
+free cell, 1 first for a protocol cell and 0 first for a valuation cell.
+After propagation settles at each level, the two-sided approximation of the
+partial assignment decides the step:
 
 * initial state outside the over set: no compatible completion can satisfy
   the formula, so a conflict clause over the assigned cells is learned;
@@ -27,7 +29,6 @@ they are returned.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -98,22 +99,12 @@ class SolverStats:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the search.
+    """Knobs of the search."""
 
-    ``policy`` picks the next cell and its first value: ``"default"`` takes
-    the lowest-index unassigned cell, trying 1 first for protocol cells and
-    0 first for valuation cells; ``"one-first"`` and ``"zero-first"`` fix
-    the first value; ``"random"`` draws both from ``seed``.
-    """
-
-    policy: str = "default"
     minimize_conflicts: bool = False
-    seed: int = 0
     time_limit: float | None = None
 
     def __post_init__(self) -> None:
-        if self.policy not in ("default", "one-first", "zero-first", "random"):
-            raise ValueError(f"unknown decision policy {self.policy!r}")
         limit = self.time_limit
         # Written so that NaN, which compares false with everything, fails.
         if limit is not None and not (isinstance(limit, (int, float)) and limit > 0):
@@ -224,14 +215,11 @@ class _Search:
         self.watchers: dict[int, set[int]] = {
             lit: set() for v in range(1, self.n + 1) for lit in (v, -v)
         }
-        # Clauses added since the last propagation, in the order added;
-        # trail literals before ``head`` have had their watchers visited.
-        self.queue: list[int] = []
+        # Trail literals before ``head`` have had their watchers visited.
         self.head = 0
+        self.stats = SolverStats()
         for c in structural_clauses(req):
             self.add_clause(c)
-        self.stats = SolverStats()
-        self.rng = random.Random(config.seed) if config.policy == "random" else None
         # The cells a theory conflict clause names, in ascending order: only
         # those in the cone of influence when minimizing.
         self.cone = range(self.n)
@@ -302,17 +290,23 @@ class _Search:
     # -- propagation
 
     def add_clause(self, clause: tuple[int, ...]) -> None:
-        """Append a clause, watch it and queue it for the next propagation."""
+        """Append a clause and watch it, implying its literal when it is
+        unit.  Clauses enter at construction (structural clauses, where each
+        unit clause implies its cell) and right after the backjump that
+        makes a learned clause asserting, where it implies its last literal.
+        Neither kind is false on arrival; a clause that is, added before the
+        walk of the trail passes its literals, is found as that walk's
+        conflict."""
         self.clauses.append(clause)
         self.watched.append(())
         self.rewatch(len(self.clauses) - 1)
-        self.queue.append(len(self.clauses) - 1)
 
     def rewatch(self, i: int) -> list[int]:
         """Re-pick clause ``i``'s watches and return its non-false literals,
-        stopping at two.  Two non-false literals are watched when there are;
-        otherwise the false literals of highest level fill the places, so a
-        backjump that frees the clause frees them first."""
+        stopping at two; when the one non-false literal is free, imply it,
+        with the clause as its reason.  Two non-false literals are watched
+        when there are; otherwise the false literals of highest level fill
+        the places, so a backjump that frees the clause frees them first."""
         clause = self.clauses[i]
         value = self.value
         free = []
@@ -337,18 +331,20 @@ class _Search:
             for lit in new:
                 watchers[lit].add(i)
             self.watched[i] = new
+        if len(free) == 1 and value[abs(free[0]) - 1] is None:
+            self.assign(free[0], clause)
+            self.stats.propagations += 1
         return free
 
     def propagate(self) -> tuple[int, ...] | None:
         """Unit-propagate to fixpoint; returns a falsified clause or None.
 
-        Clauses added since the last call are visited first, in the order
-        they were added.  Then the trail is walked from ``head``: for each
-        literal, the clauses watching its negation are visited in ascending
-        index, from a snapshot taken when the walk reaches it.  A visit that
-        finds a true watch ends there (the blocker rule); otherwise the
-        clause is re-watched, and it is the conflict when no literal of it
-        is left non-false, or implies its one unassigned literal.
+        The trail is walked from ``head``: for each literal, the clauses
+        watching its negation are visited in ascending index, from a
+        snapshot taken when the walk reaches it.  A visit that finds a true
+        watch ends there (the blocker rule); otherwise the clause is
+        re-watched, and it is the conflict when no literal of it is left
+        non-false, or implies its one unassigned literal.
 
         A clause left unvisited has two non-false watches, or a true one
         and a false one of no lower level; either way it cannot be unit or
@@ -361,25 +357,17 @@ class _Search:
         watched = self.watched
         value = self.value
         trail = self.trail
-        batch, self.queue = self.queue, []
-        while True:
-            for i in batch:
+        while self.head < len(trail):
+            lit = trail[self.head]
+            self.head += 1
+            for i in sorted(watchers[-lit]):
                 for w in watched[i]:
                     if value[abs(w) - 1] == (w > 0):
                         break  # a true watch blocks the visit
                 else:
-                    free = self.rewatch(i)
-                    if not free:
+                    if not self.rewatch(i):
                         return self.clauses[i]
-                    unit = free[0]
-                    if len(free) == 1 and value[abs(unit) - 1] is None:
-                        self.assign(unit, self.clauses[i])
-                        self.stats.propagations += 1
-            if self.head == len(trail):
-                return None
-            lit = trail[self.head]
-            self.head += 1
-            batch = sorted(watchers[-lit])
+        return None
 
     # -- conflict analysis
 
@@ -462,25 +450,16 @@ class _Search:
     # -- decisions
 
     def decide(self) -> bool:
-        """Open a decision level and assign the next free cell its first
-        value, as the policy picks them; False when no cell is free."""
-        if self.rng is not None:
-            free = [v for v in range(self.n) if self.value[v] is None]
-            if not free:
-                return False
-            v = self.rng.choice(free)
-            positive = self.rng.random() < 0.5
-        else:
-            try:
-                v = self.value.index(None)
-            except ValueError:
-                return False
-            # By default protocol cells are tried 1 first, valuation cells 0.
-            first = {"one-first": True, "zero-first": False}
-            positive = first.get(self.config.policy, v < self.shape.vb_offset)
+        """Open a decision level and assign the lowest-index free cell, 1
+        for a protocol cell and 0 for a valuation cell; False when no cell
+        is free."""
+        try:
+            v = self.value.index(None)
+        except ValueError:
+            return False
         self.trail_lim.append(len(self.trail))
         self.stats.decisions += 1
-        self.assign((v + 1) if positive else -(v + 1), None)
+        self.assign((v + 1) if v < self.shape.vb_offset else -(v + 1), None)
         return True
 
     # -- the witness on early acceptance

@@ -2,19 +2,23 @@
 evaluation one operator at a time, the core grammar test, cell
 classification, partial models built from and read as tables or
 assignments, a partial model computed in bulk as the reference for the
-incremental one, split structures built on their own, and the evaluations a
-compiled program makes."""
+incremental one, split structures built on their own, the evaluations a
+compiled program makes, and the search in a seeded random decision order."""
 
 from __future__ import annotations
 
+import random
 from itertools import compress, repeat
 from operator import eq, getitem, ne
 from types import SimpleNamespace
 
 from atlsat.approx import _MODES, Mode, PartialModel, Program, _picks
-from atlsat.formula import And, Formula, Globally, Next, Not, Prop, Until, iter_subformulas
+from atlsat.formula import (
+    And, Formula, Globally, Next, Not, Prop, Until, iter_subformulas, normalize,
+)
 from atlsat.mas import Assignment, ModelShape, TransitionStructure
 from atlsat.mc import StateSet, solve_globally, solve_next, solve_until
+from atlsat.solver import Requirements, SolverConfig, SolverResult, _Search
 
 
 def solve_op(
@@ -166,3 +170,30 @@ def split_structure(pm: PartialModel, coalition, mode: Mode) -> TransitionStruct
     shape = pm.shape
     enabled = tuple(map(getitem, pm.rows(), _picks(shape.agent_count, set(coalition), mode)))
     return TransitionStructure(shape, enabled, pm.masks[mode is Mode.OVER])
+
+
+class RandomOrderSearch(_Search):
+    """The search with decisions drawn from ``random.Random(seed)``: a free
+    cell, then its value, each uniformly.  Any decision order keeps the
+    verdict, so this exercises orders the lowest-index rule never takes."""
+
+    def __init__(self, f, req: Requirements, config: SolverConfig, seed: int):
+        super().__init__(f, req, config)
+        self.rng = random.Random(seed)
+
+    def decide(self) -> bool:
+        free = [v for v in range(self.n) if self.value[v] is None]
+        if not free:
+            return False
+        v = self.rng.choice(free)
+        self.trail_lim.append(len(self.trail))
+        self.stats.decisions += 1
+        self.assign((v + 1) if self.rng.random() < 0.5 else -(v + 1), None)
+        return True
+
+
+def solve_in_random_order(
+    f: Formula, req: Requirements, seed: int, config: SolverConfig = SolverConfig()
+) -> SolverResult:
+    """``solve_satisfiability`` with the decisions of :class:`RandomOrderSearch`."""
+    return RandomOrderSearch(normalize(f), req, config, seed).run()

@@ -358,7 +358,43 @@ class TestGenerate:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written is one ``error:`` line and exit
+    1, after the solve."""
+
+    @staticmethod
+    def assert_one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--out-json", "--out-dot"])
+    def test_check_into_a_missing_directory(self, req221, tmp_path, capsys, flag):
+        out = tmp_path / "missing" / "w"
+        assert main(["check", "-f", "p0", "--req", req221, flag, str(out)]) == 1
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("flag", ["--out-json", "--out-dot"])
+    def test_check_onto_a_directory(self, req221, tmp_path, capsys, flag):
+        assert main(["check", "-f", "p0", "--req", req221, flag, str(tmp_path)]) == 1
+        self.assert_one_error_line(capsys)
+
+    def test_bench_report_into_a_missing_directory(self, req221, tmp_path, capsys):
+        formulas = tmp_path / "formulas.txt"
+        formulas.write_text("p0\n")
+        out = tmp_path / "missing" / "report.json"
+        assert main(["bench", str(formulas), "--req", req221, "--out-json", str(out)]) == 1
+        self.assert_one_error_line(capsys)
+
+
 class TestBench:
+    def test_comment_lines_may_be_indented(self, req221, tmp_path, capsys):
+        formulas = tmp_path / "formulas.txt"
+        formulas.write_text("# header\np0\n  # note\n\t# tabbed note\np0 & !p0\n")
+        out_json = tmp_path / "report.json"
+        code = main(["bench", str(formulas), "--req", req221, "--out-json", str(out_json)])
+        assert code == 0 and capsys.readouterr().err == ""
+        assert [r["formula"] for r in json.loads(out_json.read_text())] == ["p0", "p0 & !p0"]
+
     def test_table_and_json_agree(self, req221, tmp_path, capsys):
         formulas = tmp_path / "formulas.txt"
         formulas.write_text("p0\np0 & !p0\n<<0>> G p0\n")
@@ -434,8 +470,19 @@ def test_every_solver_config_field_is_a_flag(tmp_path):
     # A SolverConfig field no flag sets is a knob only code can reach.
     args = build_parser().parse_args(
         ["check", "-f", "p0", "--req", str(tmp_path / "req.json"), "--timeout", "5",
-         "--minimize-conflicts", "--policy", "random", "--seed", "3"]
+         "--minimize-conflicts"]
     )
     config, default = _solver_config(args), SolverConfig()
     for f in dataclasses.fields(SolverConfig):
         assert getattr(config, f.name) != getattr(default, f.name), f.name
+
+
+@pytest.mark.parametrize("command", ["check", "bench"])
+@pytest.mark.parametrize("flag", ["--policy", "--seed"])
+def test_decision_order_is_not_a_flag(tmp_path, capsys, command, flag):
+    # Decisions follow one rule, so there is no policy or seed to pick.
+    source = ["-f", "p0"] if command == "check" else [str(tmp_path / "formulas.txt")]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, *source, "--req", "req.json", flag, "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err

@@ -305,19 +305,6 @@ class TestGenerator:
             assert len(coalitions) <= 2
             assert all(len(c) >= 1 for c in coalitions)
 
-    def test_explicit_pool_respected(self):
-        from atlsat.formula import iter_subformulas
-
-        pool = (Coalition([0]), Coalition([1, 2]))
-        params = GenParams(3, 2, 2, 6, 5, coalition_pool=pool)
-        f = generate_random_formula(params)
-        used = {
-            n.coalition.members
-            for n in iter_subformulas(f)
-            if isinstance(n, (Next, Globally, Eventually, Until))
-        }
-        assert used <= {c.members for c in pool}
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             GenParams(2, 4, 1, 3, 0)  # only 3 nonempty coalitions over 2 agents

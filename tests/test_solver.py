@@ -30,7 +30,13 @@ from atlsat.solver import (
     solve_satisfiability,
     structural_clauses,
 )
-from helpers import protocol_tables, reference_partial_model, to_assignment, valuation_rows
+from helpers import (
+    protocol_tables,
+    reference_partial_model,
+    solve_in_random_order,
+    to_assignment,
+    valuation_rows,
+)
 from oracles import enumerate_models, oracle_check_validity
 from samplers import random_core_formula, random_model, random_partial_model
 from test_acceptance import BENCH_FORMULA_1, BENCH_ROWS
@@ -634,12 +640,12 @@ class TestSolveSatisfiability:
                     ), f"learned clause {clause} excludes a model of {format_formula(f)}"
 
     def test_deterministic_across_runs(self):
+        # A random decision order repeats with its seed.
         rng = random.Random(9)
         for _ in range(20):
             f = random_core_formula(rng, 2, 1, rng.randint(1, 3))
-            cfg = SolverConfig(policy="random", seed=5)
-            a = solve_satisfiability(f, Requirements(S22P1), cfg)
-            b = solve_satisfiability(f, Requirements(S22P1), cfg)
+            a = solve_in_random_order(f, Requirements(S22P1), seed=5)
+            b = solve_in_random_order(f, Requirements(S22P1), seed=5)
             assert a.satisfiable == b.satisfiable
             assert a.witness == b.witness
             assert (a.stats.decisions, a.stats.conflicts, a.stats.theory_checks) == (
@@ -648,15 +654,16 @@ class TestSolveSatisfiability:
                 b.stats.theory_checks,
             )
 
-    def test_policies_agree_on_verdict(self):
+    def test_decision_orders_agree_on_verdict(self):
+        # The lowest-index rule and random orders from three seeds.
         rng = random.Random(10)
         for _ in range(15):
             f = random_core_formula(rng, 2, 1, rng.randint(1, 2))
+            req = Requirements(S22P1)
             verdicts = set()
-            for policy in ("default", "one-first", "zero-first", "random"):
-                r = solve_satisfiability(
-                    f, Requirements(S22P1), SolverConfig(policy=policy, seed=3)
-                )
+            for r in [solve_satisfiability(f, req)] + [
+                solve_in_random_order(f, req, seed) for seed in (3, 4, 5)
+            ]:
                 verdicts.add(r.satisfiable)
                 if r.satisfiable:
                     assert check_validity(r.witness, normalize(f))
@@ -684,21 +691,18 @@ class TestSolveSatisfiability:
         for f in formulas:
             assert solve_satisfiability(f, req, SolverConfig(time_limit=20)).satisfiable
 
-    def test_non_default_policies_decide_sweep_rows_when_minimizing(self):
+    def test_random_order_decides_sweep_rows_when_minimizing(self):
         # Without minimization each theory conflict clause negates every
-        # assigned cell, and the limit runs out on all three rows under
-        # zero-first and on d33s9 under random (seed 7); with it each row is
-        # decided in well under a second.  Witnesses are re-checked exactly
-        # inside the solver.
+        # assigned cell, and the limit runs out on d33s9 in the random order
+        # of seed 7; with it each row is decided in well under a second.
+        # Witnesses are re-checked exactly inside the solver.
         req = Requirements(ModelShape([2, 2, 2], [0, 0, 0], 3))
-        rows = [row for row in BENCH_ROWS if row[0] in (13, 23, 33)]
-        for policy in ("zero-first", "random"):
-            config = SolverConfig(policy=policy, seed=7, minimize_conflicts=True, time_limit=10)
-            for depth, _, seed in rows:
-                f = generate_random_formula(GenParams(3, 4, 3, depth, seed))
-                r = solve_satisfiability(f, req, config)
-                assert r.satisfiable, (policy, depth, seed)
-                assert check_validity(r.witness, normalize(f))
+        config = SolverConfig(minimize_conflicts=True, time_limit=10)
+        for depth, _, seed in [row for row in BENCH_ROWS if row[0] in (13, 23, 33)]:
+            f = generate_random_formula(GenParams(3, 4, 3, depth, seed))
+            r = solve_in_random_order(f, req, 7, config)
+            assert r.satisfiable, (depth, seed)
+            assert check_validity(r.witness, normalize(f))
 
     def test_unsat_ladder_search_is_pinned(self):
         # Minimization off, the [3,2] rung is refuted by Boolean conflicts
@@ -989,30 +993,41 @@ class TestPropagation:
                     assert position[abs(other)] < k, (lit, reason)
 
     def test_watched_matches_rescan(self):
-        """The search goes through random decisions, Boolean conflicts and
-        theory-style conflicts (the negation of some assigned literals), each
-        resolved by analyze, backjump and learn.  Before every propagation a
-        rescan takes over its clauses and assignment; the propagation returns
-        a conflict exactly when the rescan finds one, the clause it returns
-        is falsified, and without a conflict it reaches the rescan's closure.
-        Every reason holds, and a settled propagation meets its watch
-        invariant."""
+        """The search starts from random clauses, added at level 0, and goes
+        through random decisions, Boolean conflicts and theory-style
+        conflicts (the negation of some assigned literals), each resolved by
+        analyze, backjump and learn.  Before every propagation a rescan
+        takes over its clauses and assignment; the propagation returns a
+        conflict exactly when the rescan finds one, the clause it returns is
+        falsified, and without a conflict it reaches the rescan's closure.
+        Every reason holds, a settled propagation meets its watch invariant,
+        and a learned clause implies its last literal as it is added."""
         req = Requirements(self.SHAPE)
         core = normalize(parse_formula("p0"))
-        boolean = theory = 0
+        boolean = theory = arrivals = 0
         for seed in range(500):
             rng = random.Random(seed)
             search = _Search(core, req, SolverConfig())
             rescan = self.Rescan(core, req, SolverConfig())
             n = search.n
+            doomed = False
             for _ in range(rng.randint(16, 48)):
                 length = rng.choice((1, 2, 3, 3, 3, 4, 4, 5, 6, 7, 8))
                 cells = rng.sample(range(1, n + 1), length)
-                search.add_clause(tuple(v if rng.random() < 0.5 else -v for v in cells))
+                clause = tuple(v if rng.random() < 0.5 else -v for v in cells)
+                search.add_clause(clause)
+                # A clause false on arrival is a level-0 conflict, which
+                # the walk of the trail must find as the rescan does.
+                if all(search.value[abs(lit) - 1] == (lit < 0) for lit in clause):
+                    doomed = True
+                    arrivals += 1
+                    break
             for _ in range(200):
                 rescan.mirror(search)
                 conflict = search.propagate()
                 assert (conflict is None) == (rescan.propagate() is None)
+                if doomed:
+                    assert conflict is not None and search.analyze(conflict) is None
                 if conflict is None:
                     assert search.value == rescan.value
                     self.assert_watches_settled(search)
@@ -1034,6 +1049,8 @@ class TestPropagation:
                     learned, level = result
                     search.backjump(level)
                     search.add_clause(learned)
+                    assert search.trail[-1] == learned[-1]
+                    assert search.reason[abs(learned[-1]) - 1] is learned
                     continue
                 if not free:
                     break
@@ -1041,3 +1058,26 @@ class TestPropagation:
                 search.trail_lim.append(len(search.trail))
                 search.assign(v if rng.random() < 0.5 else -v, None)
         assert boolean > 500 and theory > 500  # both kinds of conflict were driven
+        assert arrivals > 0
+
+    def test_asserting_clause_implies_on_arrival(self):
+        # Two decisions on valuation cells, which no structural clause
+        # reads, then a conflict on both: the learned clause is asserting
+        # after the backjump to level 1, implies its last literal there as it
+        # is added, and the walk of the trail that follows implies nothing.
+        search = _Search(normalize(parse_formula("p0")), Requirements(self.SHAPE), SolverConfig())
+        assert search.propagate() is None
+        a, b = search.shape.vb_offset + 1, search.shape.vb_offset + 2
+        for lit in (a, -b):
+            search.trail_lim.append(len(search.trail))
+            search.assign(lit, None)
+            assert search.propagate() is None
+        learned, level = search.analyze((-a, b))
+        assert (learned, level) == ((-a, b), 1)
+        search.backjump(level)
+        before = search.stats.propagations
+        search.add_clause(learned)
+        assert search.trail[-1] == b and search.level[b - 1] == 1
+        assert search.reason[b - 1] is learned
+        assert search.stats.propagations == before + 1
+        assert search.propagate() is None and search.stats.propagations == before + 1
