@@ -14,17 +14,15 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from contextlib import nullcontext
 
 from .approx import check_validity
 from .formula import (
     MAX_NESTING,
     Formula,
     FormulaSyntaxError,
-    GenParams,
     connective_count,
     format_formula,
-    generate_random_formula,
     generate_with_counts,
     normalize,
     parse_formula,
@@ -32,37 +30,17 @@ from .formula import (
 )
 from .mas import ModelShape
 from .solver import (
-    BoundsError,
     Requirements,
     SolveTimeout,
     SolverConfig,
+    SolverStats,
     solve_satisfiability,
 )
-from .witness import read_witness_json, witness_to_dot, write_witness_json
+from .witness import read_json, read_witness_json, witness_to_dot, write_witness_json
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_ERROR = 1
-
-
-@dataclass
-class RunReport:
-    """One solved formula: structure counts recomputed from the parsed tree,
-    never trusted from the input."""
-
-    formula: str
-    depth: int
-    connectives: int
-    verdict: str
-    wall_time: float
-    decisions: int = 0
-    conflicts: int = 0
-    theory_checks: int = 0
-
-    def to_dict(self, include_time: bool = True) -> dict:
-        d = asdict(self)
-        wall_time = d.pop("wall_time")
-        return {**d, "time": wall_time} if include_time else d
 
 
 def _int_rows(data: dict, field: str, width: int) -> tuple[tuple[int, ...], ...]:
@@ -78,8 +56,7 @@ def _int_rows(data: dict, field: str, width: int) -> tuple[tuple[int, ...], ...]
 def load_requirements(path: str) -> Requirements:
     """Read a requirements file; malformed content raises ``ValueError``
     naming the bad field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     agents = data.get("agents") if isinstance(data, dict) else None
     if not isinstance(agents, list) or not all(isinstance(a, dict) for a in agents):
         raise ValueError("requirements field 'agents': expected a list of objects")
@@ -117,11 +94,17 @@ def _error(message) -> int:
 
 
 def cmd_check(args) -> int:
+    # Write the witness files first: an unwritable path leaves stdout empty.
     try:
         formula = _read_formula(args)
         req = load_requirements(args.req)
         result = solve_satisfiability(formula, req, _solver_config(args))
-    except (FormulaSyntaxError, BoundsError, ValueError, OSError, SolveTimeout) as exc:
+        if result.satisfiable and args.out_json:
+            write_witness_json(result.witness, args.out_json)
+        if result.satisfiable and args.out_dot:
+            with open(args.out_dot, "w", encoding="utf-8") as fh:
+                fh.write(witness_to_dot(result.witness))
+    except (ValueError, OSError, SolveTimeout) as exc:
         return _error(exc)
     stats = result.stats
     if args.verbose:
@@ -132,39 +115,25 @@ def cmd_check(args) -> int:
         )
     if result.satisfiable:
         print("s SATISFIABLE")
-        try:
-            if args.out_json:
-                write_witness_json(result.witness, args.out_json)
-            if args.out_dot:
-                with open(args.out_dot, "w", encoding="utf-8") as fh:
-                    fh.write(witness_to_dot(result.witness))
-        except OSError as exc:
-            return _error(exc)
         return EXIT_SAT
     print("s UNSATISFIABLE")
     return EXIT_UNSAT
 
 
 def cmd_generate(args) -> int:
-    # Every drawn formula must parse back before any is printed.
-    lines = []
+    # Every drawn formula must parse back before any is printed.  Each scan
+    # starts one seed past the seed of the formula before it.
+    lines, seed = [], args.seed
     try:
-        for seed in range(args.seed, args.seed + args.count):
-            if args.connectives is not None:
-                f, seed = generate_with_counts(
-                    args.agents,
-                    args.groups,
-                    args.props,
-                    args.depth,
-                    args.connectives,
-                    base_seed=seed,
-                )
-            else:
-                f = generate_random_formula(
-                    GenParams(args.agents, args.groups, args.props, args.depth, seed)
-                )
+        if args.count < 0:
+            raise ValueError(f"--count must be >= 0, got {args.count}")
+        for _ in range(args.count):
+            f, seed = generate_with_counts(
+                args.agents, args.groups, args.props, args.depth, args.connectives, seed
+            )
             lines.append(format_formula(f))
             parse_formula(lines[-1])
+            seed += 1
     except FormulaSyntaxError:
         return _error(
             f"the formula drawn with seed {seed} nests deeper than "
@@ -177,7 +146,38 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _report_rows(lines: list[str], formulas: list[Formula], req, config) -> list[dict]:
+    """Solve each formula: one report row each, its structure counts
+    recomputed from the parsed tree and its time the solve's alone.  A
+    TIMEOUT or ERROR row reads the zero counts of a fresh ``SolverStats``."""
+    rows = []
+    for line, formula in zip(lines, formulas):
+        stats, start = SolverStats(), time.perf_counter()
+        try:
+            result = solve_satisfiability(formula, req, config)
+            verdict, stats = ("SAT" if result.satisfiable else "UNSAT"), result.stats
+        except SolveTimeout:
+            verdict = "TIMEOUT"
+        except ValueError as exc:
+            print(f"error in formula {line!r}: {exc}", file=sys.stderr)
+            verdict = "ERROR"
+        elapsed = time.perf_counter() - start
+        rows.append({
+            "id": len(rows) + 1,
+            "formula": line,
+            "depth": strategic_depth(formula),
+            "connectives": connective_count(formula),
+            "verdict": verdict,
+            "time": elapsed,
+            "decisions": stats.decisions,
+            "conflicts": stats.conflicts,
+            "theory_checks": stats.theory_checks,
+        })
+    return rows
+
+
 def cmd_bench(args) -> int:
+    # Every input is checked, and the report file opened, before the first solve.
     try:
         config = _solver_config(args)
         req = load_requirements(args.req)
@@ -185,57 +185,29 @@ def cmd_bench(args) -> int:
             lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     except (OSError, ValueError) as exc:
         return _error(exc)
-
-    reports: list[RunReport] = []
+    formulas = []
     for line in lines:
         try:
-            formula = parse_formula(line)
+            formulas.append(parse_formula(line))
         except FormulaSyntaxError as exc:
             print(f"error in formula {line!r}: {exc}", file=sys.stderr)
             return EXIT_ERROR
-        depth = strategic_depth(formula)
-        con = connective_count(formula)
-        start = time.perf_counter()
-        try:
-            result = solve_satisfiability(formula, req, config)
-            verdict = "SAT" if result.satisfiable else "UNSAT"
-            stats = result.stats
-            reports.append(
-                RunReport(
-                    line,
-                    depth,
-                    con,
-                    verdict,
-                    time.perf_counter() - start,
-                    stats.decisions,
-                    stats.conflicts,
-                    stats.theory_checks,
-                )
-            )
-        except SolveTimeout:
-            reports.append(RunReport(line, depth, con, "TIMEOUT", time.perf_counter() - start))
-        except (BoundsError, ValueError) as exc:
-            print(f"error in formula {line!r}: {exc}", file=sys.stderr)
-            reports.append(RunReport(line, depth, con, "ERROR", time.perf_counter() - start))
-
-    header = f"{'Id':>3} {'Depth':>5} {'Con.':>5} {'Verdict':>8} {'Time[s]':>9}"
-    print(header)
-    print("-" * len(header))
-    for i, r in enumerate(reports, start=1):
-        print(f"{i:>3} {r.depth:>5} {r.connectives:>5} {r.verdict:>8} {r.wall_time:>9.3f}")
-
-    if args.out_json:
-        include_time = not args.deterministic_report
-        rows = [
-            {"id": i, **r.to_dict(include_time=include_time)}
-            for i, r in enumerate(reports, start=1)
-        ]
-        try:
-            with open(args.out_json, "w", encoding="utf-8") as fh:
+    try:
+        with open(args.out_json, "w", encoding="utf-8") if args.out_json else nullcontext() as fh:
+            rows = _report_rows(lines, formulas, req, config)
+            header = f"{'Id':>3} {'Depth':>5} {'Con.':>5} {'Verdict':>8} {'Time[s]':>9}"
+            print(header)
+            print("-" * len(header))
+            for r in rows:
+                print(f"{r['id']:>3} {r['depth']:>5} {r['connectives']:>5} {r['verdict']:>8} "
+                      f"{r['time']:>9.3f}")
+                if args.deterministic_report:
+                    del r["time"]
+            if fh is not None:
                 json.dump(rows, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-        except OSError as exc:
-            return _error(exc)
+    except OSError as exc:
+        return _error(exc)
     return 0
 
 
@@ -244,7 +216,7 @@ def cmd_verify(args) -> int:
         formula = _read_formula(args)
         model = read_witness_json(args.witness)
         holds = check_validity(model, normalize(formula))
-    except (FormulaSyntaxError, IndexError, ValueError, OSError) as exc:
+    except (IndexError, ValueError, OSError) as exc:
         return _error(exc)
     if holds:
         print("verified: formula holds at the initial state")

@@ -512,11 +512,6 @@ def generate_random_formula(params: GenParams) -> Formula:
         sub = rng.choice((And, Or))
         return sub(propositional(budget - 1), propositional(budget - 1))
 
-    def side_tree(depth: int) -> Formula:
-        if depth == 0:
-            return propositional(_clamped_normal(rng, 0.8, 0.8, 0, 2))
-        return spine(depth)
-
     def side_depth(limit: int) -> int:
         # Mostly flat siblings; occasionally a modal one, kept shallow so the
         # connective count stays roughly linear in the depth budget.
@@ -529,22 +524,18 @@ def generate_random_formula(params: GenParams) -> Formula:
             return propositional(_clamped_normal(rng, 0.8, 0.8, 0, 2))
         boolean_allowed = boolean_run < 2
         if boolean_allowed and rng.random() < 0.50:
-            op = rng.choice(("!", "&", "|"))
-            if op == "!":
+            node = rng.choice((Not, And, Or))
+            if node is Not:
                 return Not(spine(depth, boolean_run + 1))
             main = spine(depth, boolean_run + 1)
-            side = side_tree(side_depth(depth))
+            side = spine(side_depth(depth))
             pair = (main, side) if rng.random() < 0.5 else (side, main)
-            return (And if op == "&" else Or)(*pair)
+            return node(*pair)
         coalition = rng.choice(pool)
-        op = rng.choice(("X", "G", "F", "U"))
-        if op == "X":
-            return Next(coalition, spine(depth - 1))
-        if op == "G":
-            return Globally(coalition, spine(depth - 1))
-        if op == "F":
-            return Eventually(coalition, spine(depth - 1))
-        return Until(coalition, side_tree(side_depth(depth - 1)), spine(depth - 1))
+        node = rng.choice((Next, Globally, Eventually, Until))
+        if node is Until:
+            return Until(coalition, spine(side_depth(depth - 1)), spine(depth - 1))
+        return node(coalition, spine(depth - 1))
 
     return spine(params.max_depth)
 
@@ -554,16 +545,18 @@ def generate_with_counts(
     group_count: int,
     prop_count: int,
     depth: int,
-    connectives: int,
+    connectives: int | None,
     base_seed: int = 0,
 ) -> tuple[Formula, int]:
-    """Scan up to ``COUNT_TRIES`` seeds from ``base_seed`` until the
-    generated formula has the requested strategic depth and Boolean
-    connective count.  Returns the formula and the seed that produced it."""
+    """Scan up to ``COUNT_TRIES`` seeds from ``base_seed`` for a formula of
+    strategic depth ``depth`` with ``connectives`` Boolean connectives, or any
+    number of them when None.  Returns the formula and the seed that drew it."""
+    if connectives is not None and connectives < 0:
+        raise ValueError(f"connectives must be >= 0, got {connectives}")
     for seed in range(base_seed, base_seed + COUNT_TRIES):
         params = GenParams(agent_count, group_count, prop_count, depth, seed)
         f = generate_random_formula(params)
-        if strategic_depth(f) == depth and connective_count(f) == connectives:
+        if strategic_depth(f) == depth and connectives in (None, connective_count(f)):
             return f, seed
     raise ValueError(
         f"no seed in [{base_seed}, {base_seed + COUNT_TRIES}) yields depth={depth} "

@@ -85,9 +85,17 @@ def write_witness_json(m: Model, path: str) -> None:
         fh.write("\n")
 
 
-def read_witness_json(path: str) -> Model:
+def read_json(path: str) -> Any:
+    """Decode a JSON file; nesting too deep to decode is a ``ValueError`` naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return witness_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def read_witness_json(path: str) -> Model:
+    return witness_from_dict(read_json(path))
 
 
 def witness_to_dot(m: Model) -> str:

@@ -1,14 +1,21 @@
 import dataclasses
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+import atlsat.cli
+import atlsat.formula
 from atlsat.approx import check_validity
 from atlsat.cli import _solver_config, build_parser, main
 from atlsat.formula import (
     MAX_NESTING,
+    GenParams,
     connective_count,
+    format_formula,
+    generate_random_formula,
     normalize,
     parse_formula,
     strategic_depth,
@@ -281,6 +288,25 @@ def test_non_ascii_formula_is_a_positioned_error(req221, capsys):
     assert capsys.readouterr().err == "error: 1:2: unexpected character '\u00b2'\n"
 
 
+@pytest.mark.parametrize("command", ["check", "bench", "verify"])
+def test_deeply_nested_json_is_one_error_line(command, tmp_path, capsys):
+    # Nesting past the JSON decoder's recursion limit, in the requirements
+    # file or the witness file.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    formulas = tmp_path / "formulas.txt"
+    formulas.write_text("p0\n")
+    argv = {
+        "check": ["check", "-f", "p0", "--req", str(deep)],
+        "bench": ["bench", str(formulas), "--req", str(deep)],
+        "verify": ["verify", "-f", "p0", "--witness", str(deep)],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {deep}: JSON nested too deeply\n"
+
+
 class TestGenerate:
     def test_count_and_stability(self, capsys):
         args = ["generate", "--agents", "3", "--groups", "4", "--props", "3",
@@ -344,6 +370,37 @@ class TestGenerate:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "seed 4" in captured.err and str(MAX_NESTING) in captured.err
 
+    def test_connective_target_prints_distinct_formulas(self, capsys):
+        # Each scan starts one seed past the last match, so --count 4 prints
+        # the formulas of the first four matching seeds.
+        assert main(
+            ["generate", "--agents", "3", "--groups", "4", "--props", "3",
+             "--depth", "9", "--connectives", "13", "--count", "4"]
+        ) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            format_formula(generate_random_formula(GenParams(3, 4, 3, 9, seed)))
+            for seed in (8, 12, 20, 49)
+        ]
+        for line in lines:
+            f = parse_formula(line)
+            assert strategic_depth(f) == 9 and connective_count(f) == 13
+
+    @pytest.mark.parametrize("flag, value", [("--connectives", "-5"), ("--count", "-1")])
+    def test_negative_count_is_refused_before_any_draw(self, flag, value, capsys, monkeypatch):
+        draws = []
+        real = atlsat.formula.generate_random_formula
+        monkeypatch.setattr(
+            atlsat.formula, "generate_random_formula", lambda p: draws.append(p) or real(p)
+        )
+        args = ["generate", "--agents", "3", "--groups", "4", "--props", "3", "--depth", "9"]
+        assert main(args + [flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert value in captured.err
+        assert draws == []
+
     def test_invalid_params_exit_one(self, capsys):
         assert main(
             ["generate", "--agents", "2", "--groups", "9", "--props", "1", "--depth", "2"]
@@ -358,13 +415,28 @@ class TestGenerate:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The formulas ``atlsat.cli`` hands to the solver, in order."""
+    seen = []
+    real = atlsat.cli.solve_satisfiability
+    monkeypatch.setattr(
+        atlsat.cli, "solve_satisfiability", lambda f, *rest: seen.append(f) or real(f, *rest)
+    )
+    return seen
+
+
 class TestUnwritableOutput:
     """An output path that cannot be written is one ``error:`` line and exit
-    1, after the solve."""
+    1, with nothing on stdout: ``check`` writes its witness files before it
+    prints the verdict, and ``bench`` opens its report before the first
+    solve."""
 
     @staticmethod
     def assert_one_error_line(capsys):
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", ["--out-json", "--out-dot"])
@@ -378,15 +450,53 @@ class TestUnwritableOutput:
         assert main(["check", "-f", "p0", "--req", req221, flag, str(tmp_path)]) == 1
         self.assert_one_error_line(capsys)
 
-    def test_bench_report_into_a_missing_directory(self, req221, tmp_path, capsys):
+    def test_bench_report_into_a_missing_directory(self, req221, tmp_path, capsys, solves):
         formulas = tmp_path / "formulas.txt"
         formulas.write_text("p0\n")
         out = tmp_path / "missing" / "report.json"
         assert main(["bench", str(formulas), "--req", req221, "--out-json", str(out)]) == 1
         self.assert_one_error_line(capsys)
+        assert solves == []
+
+    def test_bench_report_onto_a_directory(self, req221, tmp_path, capsys, solves):
+        formulas = tmp_path / "formulas.txt"
+        formulas.write_text("p0\np0 & !p0\n")
+        assert main(["bench", str(formulas), "--req", req221, "--out-json", str(tmp_path)]) == 1
+        self.assert_one_error_line(capsys)
+        assert solves == []
 
 
 class TestBench:
+    def test_syntax_error_on_a_later_line_stops_before_any_solve(
+        self, req221, tmp_path, capsys, solves
+    ):
+        formulas = tmp_path / "formulas.txt"
+        formulas.write_text("p0\np0 & !p0\np0 & & p1\n")
+        out_json = tmp_path / "report.json"
+        code = main(["bench", str(formulas), "--req", req221, "--out-json", str(out_json)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error in formula 'p0 & & p1': ")
+        assert captured.err.count("\n") == 1
+        assert solves == []
+        assert not out_json.exists()
+
+    def test_error_row_reads_zero_counts(self, req221, tmp_path, capsys):
+        formulas = tmp_path / "formulas.txt"
+        formulas.write_text("p0 & !p0\np5\n")
+        out_json = tmp_path / "report.json"
+        argv = ["bench", str(formulas), "--req", req221, "--out-json", str(out_json)]
+        assert main(argv + ["--deterministic-report"]) == 0
+        unsat, error = json.loads(out_json.read_text())
+        assert unsat["verdict"] == "UNSAT" and unsat["conflicts"] > 0
+        assert error == {
+            "id": 2, "formula": "p5", "depth": 0, "connectives": 0, "verdict": "ERROR",
+            "decisions": 0, "conflicts": 0, "theory_checks": 0,
+        }
+        assert main(argv) == 0
+        assert all(isinstance(r["time"], float) for r in json.loads(out_json.read_text()))
+
     def test_comment_lines_may_be_indented(self, req221, tmp_path, capsys):
         formulas = tmp_path / "formulas.txt"
         formulas.write_text("# header\np0\n  # note\n\t# tabbed note\np0 & !p0\n")
@@ -440,6 +550,7 @@ class TestBench:
         assert code == 0
         rows = json.loads(out_json.read_text())
         assert [r["verdict"] for r in rows] == ["SAT", "TIMEOUT", "SAT"]
+        assert rows[1]["decisions"] == rows[1]["conflicts"] == rows[1]["theory_checks"] == 0
 
     def test_deterministic_report_is_byte_identical(self, req221, tmp_path):
         formulas = tmp_path / "formulas.txt"
@@ -486,3 +597,20 @@ def test_decision_order_is_not_a_flag(tmp_path, capsys, command, flag):
         build_parser().parse_args([command, *source, "--req", "req.json", flag, "3"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+def _readme_commands() -> list[list[str]]:
+    """The ``atlsat`` commands in README's "Command line" block, split as a
+    shell would: ``\\``-continued lines joined, ``#`` comments skipped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln) for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    for argv in commands:
+        assert argv[0] == "atlsat"
+        build_parser().parse_args(argv[1:])

@@ -319,3 +319,15 @@ class TestGenerator:
         assert connective_count(f) == 13
         again, seed2 = generate_with_counts(3, 4, 3, depth=9, connectives=13)
         assert again == f and seed2 == seed
+
+    def test_any_connective_count_takes_the_first_seed(self):
+        # The generator realizes the requested depth, so with connectives=None
+        # the scan stops at its first seed.
+        for depth, seed in ((0, 0), (5, 3), (17, 41)):
+            f, found = generate_with_counts(3, 4, 3, depth, None, base_seed=seed)
+            assert found == seed
+            assert f == generate_random_formula(GenParams(3, 4, 3, depth, seed))
+
+    def test_negative_connectives_are_refused(self):
+        with pytest.raises(ValueError, match="connectives must be >= 0"):
+            generate_with_counts(3, 4, 3, depth=9, connectives=-1)
