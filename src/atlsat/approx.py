@@ -55,6 +55,10 @@ Cell = int | None
 _CELL_VALUES = frozenset((0, 1, None))
 
 
+class BoundsError(IndexError, ValueError):
+    """A formula or requirements row names an index beyond the shape."""
+
+
 class Mode(Enum):
     OVER = "over"
     UNDER = "under"
@@ -173,7 +177,7 @@ def _cons(f: Formula, shape: ModelShape) -> tuple[list[tuple], list[Formula], in
     child slots)`` slots, children first, one node of ``f`` per slot, and
     the slot of ``f``.  Equal subformulas share a slot: the key holds child
     slots, never subtrees, so consing hashes no subtree.  Bounds are checked
-    here, once."""
+    here, once, and raise :class:`BoundsError`."""
     # Pre-order, so each node comes before its children; consed in reverse.
     order: list[tuple[Formula, int, tuple[Formula, ...]]] = []
     stack = [f]
@@ -199,14 +203,14 @@ def _cons(f: Formula, shape: ModelShape) -> tuple[list[tuple], list[Formula], in
             arg = node.index
             if arg >= shape.prop_count:
                 sugar = " (true, false and F are written with p0)" if arg == 0 else ""
-                raise IndexError(
+                raise BoundsError(
                     f"formula uses p{arg} but only {shape.prop_count} propositions are "
                     f"declared{sugar}"
                 )
         elif kind >= _NEXT:
             arg = node.coalition.members
             if arg and arg[-1] >= shape.agent_count:
-                raise IndexError(
+                raise BoundsError(
                     f"formula names agent {arg[-1]} but only {shape.agent_count} agents "
                     "are declared"
                 )

@@ -28,60 +28,24 @@ from .formula import (
     parse_formula,
     strategic_depth,
 )
-from .mas import ModelShape
-from .solver import (
-    Requirements,
-    SolveTimeout,
-    SolverConfig,
-    SolverStats,
-    solve_satisfiability,
+from .solver import SolveTimeout, SolverConfig, SolverStats, solve_satisfiability
+from .witness import (
+    read_requirements_json,
+    read_text,
+    read_witness_json,
+    witness_to_dot,
+    write_witness_json,
 )
-from .witness import read_json, read_witness_json, witness_to_dot, write_witness_json
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_ERROR = 1
 
 
-def _int_rows(data: dict, field: str, width: int) -> tuple[tuple[int, ...], ...]:
-    rows = data.get(field, [])
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list) and len(row) == width and all(type(x) is int for x in row)
-        for row in rows
-    ):
-        raise ValueError(f"requirements field {field!r}: expected rows of {width} integers")
-    return tuple(map(tuple, rows))
-
-
-def load_requirements(path: str) -> Requirements:
-    """Read a requirements file; malformed content raises ``ValueError``
-    naming the bad field."""
-    data = read_json(path)
-    agents = data.get("agents") if isinstance(data, dict) else None
-    if not isinstance(agents, list) or not all(isinstance(a, dict) for a in agents):
-        raise ValueError("requirements field 'agents': expected a list of objects")
-    props = data.get("props", 0)
-    cp, cv = _int_rows(data, "cp", 4), _int_rows(data, "cv", 3)
-    locs, init = [a.get("locals") for a in agents], [a.get("initial", 0) for a in agents]
-    # ModelShape checks the values, for the agents alone and then with their
-    # valuation cells: a shape whose protocol cells fit but whose valuation
-    # cells do not, or a bad 'props' value, blames 'props'.
-    for name, count in (("agents", 0), ("props", props)):
-        try:
-            shape = ModelShape(locs, init, count)
-        except ValueError as exc:
-            raise ValueError(f"requirements field {name!r}: {exc}") from None
-    try:
-        return Requirements(shape, cp, cv)
-    except IndexError as exc:
-        raise ValueError(str(exc)) from None
-
-
 def _read_formula(args) -> Formula:
     if args.formula is not None:
         return parse_formula(args.formula)
-    with open(args.formula_file, "r", encoding="utf-8") as fh:
-        return parse_formula(fh.read().strip())
+    return parse_formula(read_text(args.formula_file).strip())
 
 
 def _solver_config(args) -> SolverConfig:
@@ -95,17 +59,14 @@ def _error(message) -> int:
 
 def cmd_check(args) -> int:
     # Write the witness files first: an unwritable path leaves stdout empty.
-    try:
-        formula = _read_formula(args)
-        req = load_requirements(args.req)
-        result = solve_satisfiability(formula, req, _solver_config(args))
-        if result.satisfiable and args.out_json:
-            write_witness_json(result.witness, args.out_json)
-        if result.satisfiable and args.out_dot:
-            with open(args.out_dot, "w", encoding="utf-8") as fh:
-                fh.write(witness_to_dot(result.witness))
-    except (ValueError, OSError, SolveTimeout) as exc:
-        return _error(exc)
+    formula = _read_formula(args)
+    req = read_requirements_json(args.req)
+    result = solve_satisfiability(formula, req, _solver_config(args))
+    if result.satisfiable and args.out_json:
+        write_witness_json(result.witness, args.out_json)
+    if result.satisfiable and args.out_dot:
+        with open(args.out_dot, "w", encoding="utf-8") as fh:
+            fh.write(witness_to_dot(result.witness))
     stats = result.stats
     if args.verbose:
         print(
@@ -123,24 +84,22 @@ def cmd_check(args) -> int:
 def cmd_generate(args) -> int:
     # Every drawn formula must parse back before any is printed.  Each scan
     # starts one seed past the seed of the formula before it.
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     lines, seed = [], args.seed
-    try:
-        if args.count < 0:
-            raise ValueError(f"--count must be >= 0, got {args.count}")
-        for _ in range(args.count):
-            f, seed = generate_with_counts(
-                args.agents, args.groups, args.props, args.depth, args.connectives, seed
-            )
-            lines.append(format_formula(f))
-            parse_formula(lines[-1])
-            seed += 1
-    except FormulaSyntaxError:
-        return _error(
-            f"the formula drawn with seed {seed} nests deeper than "
-            f"MAX_NESTING = {MAX_NESTING} levels"
+    for _ in range(args.count):
+        f, seed = generate_with_counts(
+            args.agents, args.groups, args.props, args.depth, args.connectives, seed
         )
-    except ValueError as exc:
-        return _error(exc)
+        lines.append(format_formula(f))
+        try:
+            parse_formula(lines[-1])
+        except FormulaSyntaxError:
+            raise ValueError(
+                f"the formula drawn with seed {seed} nests deeper than "
+                f"MAX_NESTING = {MAX_NESTING} levels"
+            ) from None
+        seed += 1
     for line in lines:
         print(line)
     return 0
@@ -159,7 +118,7 @@ def _report_rows(lines: list[str], formulas: list[Formula], req, config) -> list
         except SolveTimeout:
             verdict = "TIMEOUT"
         except ValueError as exc:
-            print(f"error in formula {line!r}: {exc}", file=sys.stderr)
+            _error(f"formula {line!r}: {exc}")
             verdict = "ERROR"
         elapsed = time.perf_counter() - start
         rows.append({
@@ -178,47 +137,36 @@ def _report_rows(lines: list[str], formulas: list[Formula], req, config) -> list
 
 def cmd_bench(args) -> int:
     # Every input is checked, and the report file opened, before the first solve.
-    try:
-        config = _solver_config(args)
-        req = load_requirements(args.req)
-        with open(args.formulas, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
-    except (OSError, ValueError) as exc:
-        return _error(exc)
+    config = _solver_config(args)
+    req = read_requirements_json(args.req)
+    text = read_text(args.formulas)
+    lines = [ln for ln in map(str.strip, text.split("\n")) if ln and not ln.startswith("#")]
     formulas = []
     for line in lines:
         try:
             formulas.append(parse_formula(line))
         except FormulaSyntaxError as exc:
-            print(f"error in formula {line!r}: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-    try:
-        with open(args.out_json, "w", encoding="utf-8") if args.out_json else nullcontext() as fh:
-            rows = _report_rows(lines, formulas, req, config)
-            header = f"{'Id':>3} {'Depth':>5} {'Con.':>5} {'Verdict':>8} {'Time[s]':>9}"
-            print(header)
-            print("-" * len(header))
-            for r in rows:
-                print(f"{r['id']:>3} {r['depth']:>5} {r['connectives']:>5} {r['verdict']:>8} "
-                      f"{r['time']:>9.3f}")
-                if args.deterministic_report:
-                    del r["time"]
-            if fh is not None:
-                json.dump(rows, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-    except OSError as exc:
-        return _error(exc)
+            raise ValueError(f"formula {line!r}: {exc}") from None
+    with open(args.out_json, "w", encoding="utf-8") if args.out_json else nullcontext() as fh:
+        rows = _report_rows(lines, formulas, req, config)
+        header = f"{'Id':>3} {'Depth':>5} {'Con.':>5} {'Verdict':>8} {'Time[s]':>9}"
+        print(header)
+        print("-" * len(header))
+        for r in rows:
+            print(f"{r['id']:>3} {r['depth']:>5} {r['connectives']:>5} {r['verdict']:>8} "
+                  f"{r['time']:>9.3f}")
+            if args.deterministic_report:
+                del r["time"]
+        if fh is not None:
+            json.dump(rows, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return 0
 
 
 def cmd_verify(args) -> int:
-    try:
-        formula = _read_formula(args)
-        model = read_witness_json(args.witness)
-        holds = check_validity(model, normalize(formula))
-    except (IndexError, ValueError, OSError) as exc:
-        return _error(exc)
-    if holds:
+    formula = _read_formula(args)
+    model = read_witness_json(args.witness)
+    if check_validity(model, normalize(formula)):
         print("verified: formula holds at the initial state")
         return 0
     print("verification FAILED: formula does not hold at the initial state")
@@ -290,7 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, SolveTimeout) as exc:
+        return _error(exc)
 
 
 if __name__ == "__main__":

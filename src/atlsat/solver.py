@@ -33,13 +33,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .approx import Mode, PartialModel, Program, check_validity, is_compatible, sapp
+from .approx import BoundsError, Mode, PartialModel, Program, check_validity, is_compatible, sapp
 from .formula import Formula, Globally, Next, Prop, Until, iter_subformulas, normalize
 from .mas import Assignment, Model, ModelShape, decode_model
-
-
-class BoundsError(ValueError):
-    """The formula references agents or propositions beyond the shape."""
 
 
 class SolveTimeout(Exception):
@@ -54,8 +50,9 @@ _clock = time.perf_counter
 class Requirements:
     """The model family to search: a shape plus forced protocol and
     valuation cells, which ``cells`` holds as a bit vector with None where a
-    cell is free.  Each error names its field, ``cp`` or ``cv``: an
-    ``IndexError`` for a cell outside the shape, else a ``ValueError``."""
+    cell is free.  Rows may be any iterables, such as JSON lists, and are kept
+    as tuples.  Each error names its field, ``cp`` or ``cv``: a
+    :class:`BoundsError` for a cell outside the shape, else a ``ValueError``."""
 
     shape: ModelShape
     cp_constraints: tuple[tuple[int, int, int, int], ...] = ()
@@ -65,10 +62,15 @@ class Requirements:
     def __post_init__(self) -> None:
         shape = self.shape
         cells: list[int | None] = [None] * shape.bit_count
-        for name, rows, cell in (("cp", self.cp_constraints, shape.tb_bit),
-                                 ("cv", self.cv_constraints, shape.vb_bit)):
+        for name, width, rows, cell in (("cp", 4, self.cp_constraints, shape.tb_bit),
+                                        ("cv", 3, self.cv_constraints, shape.vb_bit)):
             try:
-                for *at, value in rows:
+                rows = tuple(map(tuple, rows))
+                for row in rows:
+                    # Exactly int, as in ModelShape: a bool or a float would pass.
+                    if len(row) != width or not all(type(x) is int for x in row):
+                        raise ValueError(f"expected rows of {width} integers")
+                    *at, value = row
                     bit = cell(*at)
                     if value not in (0, 1):
                         raise ValueError(f"constraint value must be 0 or 1, got {value!r}")
@@ -78,8 +80,10 @@ class Requirements:
                 if name == "cp":
                     # Raises if some protocol row is forced entirely empty.
                     PartialModel(shape, cells)
-            except (IndexError, ValueError) as exc:
-                raise type(exc)(f"requirements field {name!r}: {exc}") from None
+            except (IndexError, TypeError, ValueError) as exc:
+                kind = BoundsError if isinstance(exc, IndexError) else ValueError
+                raise kind(f"requirements field {name!r}: {exc}") from None
+            object.__setattr__(self, f"{name}_constraints", rows)
         object.__setattr__(self, "cells", tuple(cells))
 
     def induced_partial_model(self) -> PartialModel:
@@ -106,8 +110,8 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         limit = self.time_limit
-        # Written so that NaN, which compares false with everything, fails.
-        if limit is not None and not (isinstance(limit, (int, float)) and limit > 0):
+        # Exactly int or float, as in ModelShape; NaN fails the negated test.
+        if limit is not None and not (type(limit) in (int, float) and limit > 0):
             raise ValueError(f"time limit must be a number > 0, got {limit!r}")
 
 
@@ -493,8 +497,4 @@ def solve_satisfiability(
     lacks raises :class:`BoundsError`."""
     config = config or SolverConfig()
     start = _clock()
-    try:
-        program = Program(normalize(f), req.shape)
-    except IndexError as exc:
-        raise BoundsError(str(exc)) from None
-    return _Search(program, req, config, start).run()
+    return _Search(Program(normalize(f), req.shape), req, config, start).run()

@@ -1,4 +1,4 @@
-"""Witness model serialization: JSON files and DOT transition graphs."""
+"""Input files (requirements, witness and formula text) and witness output (JSON, DOT)."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from contextlib import contextmanager
 from typing import Any
 
 from .mas import Assignment, Model, ModelShape, decode_model, encode_model, state_locals, successors
+from .solver import Requirements
 
 
 def witness_to_dict(m: Model) -> dict[str, Any]:
@@ -30,12 +31,31 @@ def witness_to_dict(m: Model) -> dict[str, Any]:
 
 
 @contextmanager
-def _field(name: str):
+def _blame(culprit: str):
+    """Re-raise bad input as a ``ValueError`` that starts with ``culprit``, a path or field."""
     try:
         yield
+    except RecursionError:
+        raise ValueError(f"{culprit}: JSON nested too deeply") from None
     except (KeyError, TypeError, ValueError) as exc:
         problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"witness field {name!r}: {problem}") from None
+        raise ValueError(f"{culprit}: {problem}") from None
+
+
+def _read_shape(data: Any, kind: str) -> ModelShape:
+    """The file's shape, checked without ``props`` first: ``'props'`` is blamed for its part."""
+    data = data if isinstance(data, dict) else {}
+    # Only a requirements file may leave out the initial locals and props.
+    defaults = {"initial": 0, "props": 0} if kind == "requirements" else {}
+    with _blame(f"{kind} field 'agents'"):
+        agents = data["agents"]
+        if not isinstance(agents, list) or not all(isinstance(a, dict) for a in agents):
+            raise ValueError("expected a list of objects")
+        locs = [a["locals"] for a in agents]
+        init = [{**defaults, **a}["initial"] for a in agents]
+        ModelShape(locs, init)
+    with _blame(f"{kind} field 'props'"):
+        return ModelShape(locs, init, {**defaults, **data}["props"])
 
 
 def _protocol_row(row: Any) -> tuple[bool, ...]:
@@ -53,26 +73,20 @@ def _valuation_row(props: Any, prop_count: int) -> tuple[bool, ...]:
 def witness_from_dict(data: dict[str, Any]) -> Model:
     """Rebuild a model, checking the tables against the raw cell string.
     Malformed content raises ``ValueError`` naming the bad field."""
-    data = data if isinstance(data, dict) else {}
-    with _field("agents"):
-        locs = [a["locals"] for a in data["agents"]]
-        init = [a["initial"] for a in data["agents"]]
-        ModelShape(locs, init)
-    with _field("props"):
-        shape = ModelShape(locs, init, data["props"])
-    with _field("protocols"):
+    shape = _read_shape(data, "witness")
+    with _blame("witness field 'protocols'"):
         protocols = tuple(
             tuple(_protocol_row(row) for row in table) for table in data["protocols"]
         )
         Model(shape, protocols, [[False] * shape.prop_count] * shape.state_count)
-    with _field("valuation"):
+    with _blame("witness field 'valuation'"):
         valuation = tuple(
             _valuation_row(props, shape.prop_count) for props in data["valuation"]
         )
         model = Model(shape, protocols, valuation)
     bits = data.get("bits")
     if bits is not None:
-        with _field("bits"):
+        with _blame("witness field 'bits'"):
             recoded = decode_model(Assignment.from_string(shape, bits))
             if recoded != model:
                 raise ValueError("the tables disagree with the raw cell string")
@@ -85,17 +99,28 @@ def write_witness_json(m: Model, path: str) -> None:
         fh.write("\n")
 
 
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file; bytes that do not decode are a ``ValueError`` naming it."""
+    with open(path, "r", encoding="utf-8") as fh, _blame(path):
+        return fh.read()
+
+
 def read_json(path: str) -> Any:
-    """Decode a JSON file; nesting too deep to decode is a ``ValueError`` naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+    """Decode a JSON file; text that does not decode or parse is a ``ValueError`` naming it."""
+    text = read_text(path)
+    with _blame(path):
+        return json.loads(text)
 
 
 def read_witness_json(path: str) -> Model:
     return witness_from_dict(read_json(path))
+
+
+def read_requirements_json(path: str) -> Requirements:
+    """Read a requirements file; malformed content is a ``ValueError`` naming the field."""
+    data = read_json(path)
+    shape = _read_shape(data, "requirements")
+    return Requirements(shape, data.get("cp", ()), data.get("cv", ()))
 
 
 def witness_to_dot(m: Model) -> str:

@@ -270,7 +270,7 @@ class TestBoundsErrors:
         assert main(["verify", "-f", formula, "--witness", str(witness)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert main(["bench", str(formulas), "--req", str(req)]) == 0
-        assert capsys.readouterr().err == f"error in formula {formula!r}: {message}\n"
+        assert capsys.readouterr().err == f"error: formula {formula!r}: {message}\n"
 
     def test_constant_names_its_stand_in(self, tmp_path, capsys):
         # true normalizes to a formula over p0, which a shape without
@@ -305,6 +305,80 @@ def test_deeply_nested_json_is_one_error_line(command, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {deep}: JSON nested too deeply\n"
+
+
+# Bad input for each command: the argv, with ``{name}`` for a path from the
+# ``input_files`` fixture, and a text its one error line must hold.  A file
+# that cannot be opened, decoded or parsed is named in the error.
+BAD_INPUTS = {
+    "check-missing-req": (["check", "-f", "p0", "--req", "{missing}"], "{missing}"),
+    "check-missing-formula-file": (
+        ["check", "--formula-file", "{missing}", "--req", "{req}"], "{missing}"),
+    "check-directory-req": (["check", "-f", "p0", "--req", "{directory}"], "{directory}"),
+    "check-truncated-req": (["check", "-f", "p0", "--req", "{truncated}"], "{truncated}: "),
+    "check-non-utf8-req": (["check", "-f", "p0", "--req", "{non_utf8}"], "{non_utf8}: "),
+    "check-non-utf8-formula-file": (
+        ["check", "--formula-file", "{non_utf8}", "--req", "{req}"], "{non_utf8}: "),
+    "check-syntax-error": (["check", "-f", "p0 & & p1", "--req", "{req}"], "1:6: "),
+    "check-out-of-range-p4": (["check", "-f", "p4", "--req", "{req}"], "formula uses p4"),
+    "check-timeout-0": (
+        ["check", "-f", "p0", "--req", "{req}", "--timeout", "0"], "time limit"),
+    "bench-missing-formulas": (["bench", "{missing}", "--req", "{req}"], "{missing}"),
+    "bench-missing-req": (["bench", "{formulas}", "--req", "{missing}"], "{missing}"),
+    "bench-directory-formulas": (["bench", "{directory}", "--req", "{req}"], "{directory}"),
+    "bench-truncated-req": (["bench", "{formulas}", "--req", "{truncated}"], "{truncated}: "),
+    "bench-non-utf8-req": (["bench", "{formulas}", "--req", "{non_utf8}"], "{non_utf8}: "),
+    "bench-non-utf8-formulas": (["bench", "{non_utf8}", "--req", "{req}"], "{non_utf8}: "),
+    "bench-syntax-error": (
+        ["bench", "{bad_formulas}", "--req", "{req}"], "formula 'p0 & & p1': 1:6: "),
+    "bench-timeout-0": (
+        ["bench", "{formulas}", "--req", "{req}", "--timeout", "0"], "time limit"),
+    "verify-missing-witness": (["verify", "-f", "p0", "--witness", "{missing}"], "{missing}"),
+    "verify-directory-witness": (
+        ["verify", "-f", "p0", "--witness", "{directory}"], "{directory}"),
+    "verify-truncated-witness": (
+        ["verify", "-f", "p0", "--witness", "{truncated}"], "{truncated}: "),
+    "verify-non-utf8-witness": (
+        ["verify", "-f", "p0", "--witness", "{non_utf8}"], "{non_utf8}: "),
+    "verify-non-utf8-formula-file": (
+        ["verify", "--formula-file", "{non_utf8}", "--witness", "{witness}"], "{non_utf8}: "),
+    "verify-syntax-error": (["verify", "-f", "p0 & & p1", "--witness", "{witness}"], "1:6: "),
+    "verify-out-of-range-p4": (
+        ["verify", "-f", "p4", "--witness", "{witness}"], "formula uses p4"),
+    "generate-count-minus-1": (
+        ["generate", "--agents", "2", "--groups", "1", "--props", "1", "--depth", "1",
+         "--count", "-1"], "--count must be >= 0"),
+}
+
+
+@pytest.fixture
+def input_files(tmp_path):
+    """Paths for ``BAD_INPUTS``: good inputs, bad ones, a directory and a
+    path that does not exist."""
+    files = {
+        "req": json.dumps({"agents": [{"locals": 2}], "props": 1}).encode(),
+        "witness": json.dumps(GOOD_WITNESS).encode(),
+        "formulas": b"p0\n",
+        "bad_formulas": b"p0\np0 & & p1\n",
+        "truncated": b'{"agents": [',
+        "non_utf8": b"p0 \xff\n",
+    }
+    paths = {"missing": str(tmp_path / "missing.json"), "directory": str(tmp_path)}
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+        paths[name] = str(tmp_path / name)
+    return paths
+
+
+@pytest.mark.parametrize("argv, expect", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_is_one_error_line(argv, expect, input_files, capsys):
+    # Every command ends through main's one handler: one error line naming
+    # the cause, nothing on stdout, exit 1, and no traceback.
+    assert main([arg.format(**input_files) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert expect.format(**input_files) in captured.err
 
 
 class TestGenerate:
@@ -477,7 +551,7 @@ class TestBench:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error in formula 'p0 & & p1': ")
+        assert captured.err.startswith("error: formula 'p0 & & p1': ")
         assert captured.err.count("\n") == 1
         assert solves == []
         assert not out_json.exists()

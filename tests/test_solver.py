@@ -4,7 +4,17 @@ from collections import namedtuple
 
 import pytest
 
-from atlsat.approx import Mode, PartialModel, check_validity, is_compatible, sapp
+import atlsat
+from atlsat import approx
+from atlsat.approx import (
+    Mode,
+    PartialModel,
+    Program,
+    check_validity,
+    is_compatible,
+    sapp,
+    solve_formula,
+)
 from atlsat.formula import (
     And,
     Coalition,
@@ -96,6 +106,29 @@ class TestRequirements:
         with pytest.raises(IndexError):
             Requirements(S22P1, cv_constraints=((4, 0, 1),))
 
+    @pytest.mark.parametrize(
+        "cp, cv",
+        [
+            (((0, 0, 0, True),), ()),
+            (((0, 0, 0, 1.0),), ()),
+            (((0, 0, 1),), ()),
+            (5, ()),
+            ((), ((0, False, 1),)),
+            ((), ((0, 0, 1, 1),)),
+        ],
+    )
+    def test_rows_must_be_exact_integers(self, cp, cv):
+        # A bool or a float is not a cell value or index, and a short row
+        # or a non-list is a ValueError naming its field, never a TypeError.
+        field = "cp" if cp else "cv"
+        with pytest.raises(ValueError, match=f"requirements field '{field}'"):
+            Requirements(S22P1, cp_constraints=cp, cv_constraints=cv)
+
+    def test_rows_read_as_lists_are_kept_as_tuples(self):
+        listed = Requirements(S22P1, [[0, 1, 1, 1]], [[3, 0, 0]])
+        assert listed == Requirements(S22P1, ((0, 1, 1, 1),), ((3, 0, 0),))
+        assert listed.cp_constraints == ((0, 1, 1, 1),) and hash(listed)
+
     def test_contradictory_constraints(self):
         with pytest.raises(ValueError):
             Requirements(S22P1, cp_constraints=((0, 0, 0, 1), (0, 0, 0, 0)))
@@ -141,7 +174,8 @@ class TestStructuralClauses:
 
 class TestSolverConfig:
     def test_time_limit_must_be_a_positive_number(self):
-        for limit in (0, 0.0, -1, float("nan"), "5"):
+        # A bool is an int to isinstance; True would read as a 1 s limit.
+        for limit in (0, 0.0, -1, float("nan"), "5", True, False):
             with pytest.raises(ValueError, match="time limit must be a number > 0"):
                 SolverConfig(time_limit=limit)
         for limit in (None, 0.001, 5, float("inf")):
@@ -542,6 +576,29 @@ class TestSolveSatisfiability:
         )
         r = solve_satisfiability(f, Requirements(ModelShape([2, 2, 2], [0, 0, 0], 3)))
         assert r.satisfiable
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: Program(Prop(1), S22P1),
+            lambda: sapp(PartialModel(S22P1, [None] * S22P1.bit_count), Prop(1), Mode.OVER),
+            lambda: solve_formula(
+                decode_model(Assignment(S22P1, (1,) * S22P1.bit_count)),
+                Next(Coalition([2]), Prop(0)),
+            ),
+            lambda: Requirements(S22P1, cp_constraints=((0, 2, 0, 1),)),
+            lambda: Requirements(S22P1, cv_constraints=((4, 0, 1),)),
+            lambda: solve_satisfiability(parse_formula("<<0,2>> X p0"), Requirements(S22P1)),
+        ],
+        ids=["program", "sapp", "solve_formula", "requirements-cp", "requirements-cv", "solve"],
+    )
+    def test_one_bounds_error_type(self, call):
+        # An index beyond the shape raises one type, wherever it is found,
+        # and callers catching either base class still catch it.
+        assert atlsat.BoundsError is solver.BoundsError is approx.BoundsError
+        for caught in (BoundsError, IndexError, ValueError):
+            with pytest.raises(caught):
+                call()
 
     def test_bounds_error(self):
         with pytest.raises(BoundsError):
