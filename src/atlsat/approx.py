@@ -33,6 +33,16 @@ across the theory calls of one solve keeps each split structure, and so its
 pre-image plan, while the structure's enabled rows repeat, and reuses each
 strategic step's last result while its inputs repeat.
 
+When the over approximation excludes the initial state,
+:meth:`Program.explain` walks that evaluation backwards and returns the
+cells it read to do so, in ascending order and all of them assigned: the
+valuation cells of the atoms it used, and the protocol cells that fix each
+split row at the states whose strategic steps it used.  Least fixpoints in
+``OVER`` and greatest ones in ``UNDER`` are justified by a set closed under
+the step, the others by the ranks of their iterates.  Every partial model
+that agrees with these cells excludes the initial state too, so the search
+learns their negation as a theory conflict clause.
+
 A partial model is updated in place, one cell at a time, and recomputes a
 proposition mask or an agent's rows only when one of its cells changed.  A
 solve keeps two: the search's view of its assignment, and a probe of the
@@ -48,7 +58,7 @@ from typing import Sequence
 
 from .formula import And, Formula, Globally, Next, Not, Prop, Until
 from .mas import Assignment, Model, ModelShape, TransitionStructure, encode_model
-from .mc import StateSet, solve_globally, solve_next, solve_until
+from .mc import StateSet, atl_pre, solve_globally, solve_next, solve_until
 
 Cell = int | None
 
@@ -243,10 +253,12 @@ class Program:
     when the inputs repeat.  ``reused`` counts the steps answered from
     their last result.  Keep a program to one solve: these caches hold one
     entry each and live as long as it does.
+
+    After :meth:`explain`, ``justified`` holds per value position the
+    states its backward pass justified there.
     """
 
     def __init__(self, f: Formula, shape: ModelShape):
-        self.formula = f
         self.shape = shape
         self.full = shape.full_mask
         slots, self.nodes, root = _cons(f, shape)
@@ -294,6 +306,11 @@ class Program:
         self._structures: list[TransitionStructure | None] = [None] * len(views)
         self._last: list[tuple | None] = [None] * (2 * len(slots))
         self.reused = 0
+        # The values of the last approximation, kept for explain, and the
+        # partial model they approximate OVER, else None.
+        self._values: list[StateSet] = [0] * len(self._last)
+        self._over: PartialModel | None = None
+        self.justified: list[StateSet] = []
 
     @classmethod
     def of(cls, f: Formula | Program, shape: ModelShape) -> Program:
@@ -316,15 +333,16 @@ class Program:
                 # A split structure's propositions are never read: atoms
                 # take their sets from the partial model's masks.
                 structures[view] = TransitionStructure(self.shape, enabled, ())
-        return self._run(u, pm.masks, structures, self._last)
+        self._over = None if u else pm
+        return self._run(u, pm.masks, structures, self._last, self._values)
 
     def exact(self, m: TransitionStructure) -> StateSet:
         """:func:`solve_formula` of the compiled formula.  It neither reads
         nor feeds the reuse caches, and evaluates on a copy of ``m``, so no
         pre-image plan outlives the call on ``m``."""
         st = TransitionStructure(m.shape, m.enabled, m.prop_masks)
-        masks = (m.prop_masks, m.prop_masks)
-        return self._run(0, masks, [st] * len(self.picks), [None] * len(self._last))
+        masks, n = (m.prop_masks, m.prop_masks), len(self._last)
+        return self._run(0, masks, [st] * len(self.picks), [None] * n, [0] * n)
 
     def _run(
         self,
@@ -332,12 +350,13 @@ class Program:
         masks: Sequence[Sequence[int]],
         structures: Sequence[TransitionStructure | None],
         last: list[tuple | None],
+        values: list[StateSet],
     ) -> StateSet:
         # ``structures[view]`` is the structure of each view the steps of
         # ``u`` use; ``last`` holds each strategic step's last inputs and
-        # result.
+        # result.  Each step writes its value position before any later
+        # step reads it, so ``values`` may hold an earlier run's values.
         full = self.full
-        values: list[StateSet] = [0] * len(last)
         for kind, out, a, b, view, coalition in self.steps[u]:
             if kind == _PROP:
                 values[out] = masks[b][a]
@@ -363,6 +382,117 @@ class Program:
                 last[out] = (rows, x, y, result)
                 values[out] = result
         return values[self.roots[u]]
+
+    def explain(self, pm: PartialModel) -> list[int]:
+        """The cells that keep the initial state out of the last
+        approximation, which must be ``approximate(pm, Mode.OVER)`` with
+        ``pm`` unchanged since: ascending, all of them assigned.  Any partial model that
+        agrees with ``pm`` on these cells excludes the initial state too.
+
+        One backward pass over ``steps[0]`` carries a state mask per value
+        position: states to be justified outside the value at an ``OVER``
+        position, inside it at an ``UNDER`` one."""
+        if self._over is not pm:
+            raise ValueError("explain needs the OVER approximation of pm as the last evaluation")
+        values, structures = self._values, self._structures
+        shape, full, cells = self.shape, self.full, pm.cells
+        root, initial = self.roots[0], 1 << shape.initial_state
+        if values[root] & initial:
+            raise ValueError("the OVER approximation holds at the initial state")
+        p, vb = shape.prop_count, shape.vb_offset
+        locals_table, slot_masks = shape.state_locals_table, shape.slot_masks
+        offsets, widths = shape.tb_offsets, shape.locals_per_agent
+        kept: set[int] = set()
+        successors: dict[tuple[int, int], StateSet] = {}
+
+        def step(view: int, s: int) -> StateSet:
+            # Keep the cells that fix the rows of the view's split at s, and
+            # return s's split successors.
+            succ = successors.get((view, s))
+            if succ is None:
+                succ, enabled = full, structures[view].enabled
+                for i, (l, pick) in enumerate(zip(locals_table[s], self.picks[view])):
+                    n = widths[i]
+                    row = offsets[i] + l * n
+                    # The 0-cells of a possible row, the 1-cells of a necessary one.
+                    kept.update(c for c in range(row, row + n) if cells[c] == 1 - pick)
+                    reach = 0
+                    for a in enabled[i][l]:
+                        reach |= slot_masks[i][a]
+                    succ &= reach
+                successors[view, s] = succ
+            return succ
+
+        pending = [0] * len(values)
+        pending[root] = initial
+        for kind, out, a, b, view, coalition in reversed(self.steps[0]):
+            todo = pending[out]
+            if not todo:
+                continue
+            under = out & 1
+            if kind == _PROP:
+                kept.update(vb + s * p + a for s in _members(todo))
+            elif kind == _NOT:
+                pending[a] |= todo
+            elif kind == _AND:
+                # In UNDER both conjuncts hold; in OVER the left one fails,
+                # or else the right one.
+                pending[a] |= todo if under else todo & ~values[a]
+                pending[b] |= todo if under else todo & values[a]
+            elif kind == _NEXT:
+                x = values[a] if under else full & ~values[a]
+                for s in _members(todo):
+                    pending[a] |= step(view, s) & x
+            elif (kind == _UNTIL) != under:
+                # OVER U and UNDER G: close the states under the step, a trap
+                # outside the result or a post-fixpoint inside it.  In OVER U
+                # a state outside x is justified by x alone.
+                x, inside = values[a], values[out] if under else full & ~values[out]
+                closed = todo
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    if low & x:
+                        new = step(view, low.bit_length() - 1) & inside & ~closed
+                        closed |= new
+                        todo |= new
+                if under:
+                    pending[a] |= closed
+                else:
+                    pending[a] |= closed & ~x
+                    pending[b] |= closed
+            else:
+                # OVER G and UNDER U: recompute the iterates.  zs[k] holds the
+                # states that left them (OVER G) or joined them (UNDER U) by
+                # iterate k; a state of rank k > 0 is justified by its step
+                # into rank k - 1, one of rank 0 by x (OVER G) or y (UNDER U).
+                x, st = values[a], structures[view]
+                goal = values[b] if under else 0
+                ys = [goal if under else x]
+                while True:
+                    y = goal | (x & atl_pre(st, coalition, ys[-1]))
+                    if y == ys[-1]:
+                        break
+                    ys.append(y)
+                zs = ys if under else [full & ~y for y in ys]
+                for k in range(len(zs) - 1, 0, -1):
+                    for s in _members(todo & zs[k] & ~zs[k - 1]):
+                        todo |= step(view, s) & zs[k - 1]
+                if under:
+                    pending[a] |= todo & ~zs[0]
+                    pending[b] |= todo & zs[0]
+                else:
+                    pending[a] |= todo & zs[0]
+        self.justified = pending
+        return sorted(kept)
+
+
+def _members(states: StateSet):
+    """The states of a set, ascending."""
+    while states:
+        low = states & -states
+        yield low.bit_length() - 1
+        states ^= low
 
 
 def sapp(pm: PartialModel, f: Formula | Program, mode: Mode) -> StateSet:

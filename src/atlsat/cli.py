@@ -34,6 +34,7 @@ from .witness import (
     read_text,
     read_witness_json,
     witness_to_dot,
+    write_text,
     write_witness_json,
 )
 
@@ -45,7 +46,11 @@ EXIT_ERROR = 1
 def _read_formula(args) -> Formula:
     if args.formula is not None:
         return parse_formula(args.formula)
-    return parse_formula(read_text(args.formula_file).strip())
+    text = read_text(args.formula_file).strip()
+    try:
+        return parse_formula(text)
+    except FormulaSyntaxError as exc:
+        raise ValueError(f"{args.formula_file}: {exc}") from None
 
 
 def _solver_config(args) -> SolverConfig:
@@ -66,7 +71,7 @@ def cmd_check(args) -> int:
         write_witness_json(result.witness, args.out_json)
     if result.satisfiable and args.out_dot:
         with open(args.out_dot, "w", encoding="utf-8") as fh:
-            fh.write(witness_to_dot(result.witness))
+            write_text(fh, witness_to_dot(result.witness))
     stats = result.stats
     if args.verbose:
         print(
@@ -158,8 +163,7 @@ def cmd_bench(args) -> int:
             if args.deterministic_report:
                 del r["time"]
         if fh is not None:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            write_text(fh, json.dumps(rows, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -16,7 +16,9 @@ After propagation settles at each level, the two-sided approximation of the
 partial assignment decides the step:
 
 * initial state outside the over set: no compatible completion can satisfy
-  the formula, so a conflict clause over the assigned cells is learned;
+  the formula, so a conflict clause over the assigned cells is learned (when
+  minimizing, over the cells the over evaluation read, then shrunk
+  greedily);
 * initial state inside the under set: every compatible completion satisfies
   the formula, so the assignment is completed and the witness returned;
 * otherwise the search deepens.
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .approx import BoundsError, Mode, PartialModel, Program, check_validity, is_compatible, sapp
-from .formula import Formula, Globally, Next, Prop, Until, iter_subformulas, normalize
+from .formula import Formula, normalize
 from .mas import Assignment, Model, ModelShape, decode_model
 
 
@@ -138,31 +140,6 @@ def structural_clauses(req: Requirements) -> list[tuple[int, ...]]:
     return clauses
 
 
-def cone_of_influence(f: Formula, shape: ModelShape) -> frozenset[int]:
-    """The cells the theory verdict on core formula ``f`` can read: the
-    valuation cells of the propositions ``f`` names and, when ``f`` has a
-    strategic operator, every protocol cell.  Without one the verdict is the
-    initial state's bit of a set computed state by state, so only valuation
-    cells at the initial state count.
-
-    Dropping a conflict clause's literals outside the cone before greedy
-    minimization leaves the clause it returns unchanged and saves one
-    recheck per literal dropped, since a recheck's answer depends on cone
-    cells alone.  Greedy keeps its current set a conflict throughout, so at
-    a literal outside the cone the recheck answers conflict and the literal
-    goes; a literal in the cone meets a current set that differs from the
-    unfiltered run only outside the cone, and gets the same answer."""
-    nodes = list(iter_subformulas(f))
-    props = {node.index for node in nodes if isinstance(node, Prop)}
-    if any(isinstance(node, (Next, Globally, Until)) for node in nodes):
-        states = range(shape.state_count)
-        cells = set(range(shape.vb_offset))
-    else:
-        states, cells = (shape.initial_state,), set()
-    cells.update(shape.vb_bit(s, v) for s in states for v in props)
-    return frozenset(cells)
-
-
 def minimize_conflict(
     clause: tuple[int, ...], recheck: Callable[[tuple[int, ...]], bool]
 ) -> tuple[int, ...]:
@@ -224,11 +201,7 @@ class _Search:
         self.stats = SolverStats()
         for c in structural_clauses(req):
             self.add_clause(c)
-        # The cells a theory conflict clause names, in ascending order: only
-        # those in the cone of influence when minimizing.
-        self.cone = range(self.n)
         if config.minimize_conflicts:
-            self.cone = sorted(cone_of_influence(self.program.formula, self.shape))
             self.probe = req.induced_partial_model()
             self.required = req.cells
             # The literals of the last recheck's candidate, shown on the probe.
@@ -417,16 +390,21 @@ class _Search:
     def run_theory(self) -> tuple[int, ...] | None:
         """The conflict clause when the over approximation excludes the
         initial state, else None.  The clause negates every assigned cell;
-        when minimizing, its literals outside the cone of influence are
-        dropped and the rest reduced greedily."""
+        when minimizing, it negates only the cells that the failing
+        evaluation read (:meth:`~atlsat.approx.Program.explain`), is
+        confirmed by one recheck, and is then reduced greedily.  A justified
+        clause that the recheck does not confirm raises ``AssertionError``."""
         self.stats.theory_checks += 1
         if sapp(self.view, self.program, Mode.OVER) >> self.shape.initial_state & 1:
             return None
         value = self.value
-        clause = tuple(-(v + 1) if value[v] else (v + 1) for v in self.cone if value[v] is not None)
-        if self.config.minimize_conflicts:
-            clause = minimize_conflict(clause, self.recheck)
-        return clause
+        if not self.config.minimize_conflicts:
+            return tuple(-(v + 1) if b else (v + 1) for v, b in enumerate(value) if b is not None)
+        # Every justified cell is assigned.
+        clause = tuple(-(v + 1) if value[v] else (v + 1) for v in self.program.explain(self.view))
+        if not self.recheck(clause):
+            raise AssertionError("the justified clause is not a theory conflict")
+        return minimize_conflict(clause, self.recheck)
 
     def accepts(self) -> bool:
         """Whether the under approximation holds at the initial state, so

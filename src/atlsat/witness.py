@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import Any
+from typing import Any, TextIO
 
 from .mas import Assignment, Model, ModelShape, decode_model, encode_model, state_locals, successors
 from .solver import Requirements
@@ -93,10 +93,19 @@ def witness_from_dict(data: dict[str, Any]) -> Model:
     return model
 
 
+def write_text(fh: TextIO, text: str) -> None:
+    """Write ``text`` to an open output file and close it; an error doing so
+    is an ``OSError`` that starts with the file's path."""
+    try:
+        with fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"{fh.name}: {exc}") from None
+
+
 def write_witness_json(m: Model, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(witness_to_dict(m), fh, indent=2)
-        fh.write("\n")
+        write_text(fh, json.dumps(witness_to_dict(m), indent=2) + "\n")
 
 
 def read_text(path: str) -> str:

@@ -1,8 +1,8 @@
 """Helpers the tests share that the solver itself does not need: operator
-evaluation one operator at a time, the core grammar test, cell
-classification, partial models built from and read as tables or
-assignments, a partial model computed in bulk as the reference for the
-incremental one, split structures built on their own, the evaluations a
+evaluation one operator at a time, the core grammar test, the cone of
+influence, cell classification, partial models built from and read as
+tables or assignments, a partial model computed in bulk as the reference for
+the incremental one, split structures built on their own, the evaluations a
 compiled program makes, and the search in a seeded random decision order."""
 
 from __future__ import annotations
@@ -50,6 +50,31 @@ CORE_TYPES = (Prop, Not, And, Next, Globally, Until)
 def is_core(f: Formula) -> bool:
     """Whether every node of ``f`` is of a core type."""
     return all(isinstance(node, CORE_TYPES) for node in iter_subformulas(f))
+
+
+def cone_of_influence(f: Formula, shape: ModelShape) -> frozenset[int]:
+    """The cells the theory verdict on core formula ``f`` can read: the
+    valuation cells of the propositions ``f`` names and, when ``f`` has a
+    strategic operator, every protocol cell.  Without one the verdict is the
+    initial state's bit of a set computed state by state, so only valuation
+    cells at the initial state count.
+
+    Dropping a conflict clause's literals outside the cone before greedy
+    minimization leaves the clause it returns unchanged and saves one
+    recheck per literal dropped, since a recheck's answer depends on cone
+    cells alone.  Greedy keeps its current set a conflict throughout, so at
+    a literal outside the cone the recheck answers conflict and the literal
+    goes; a literal in the cone meets a current set that differs from the
+    unfiltered run only outside the cone, and gets the same answer."""
+    nodes = list(iter_subformulas(f))
+    props = {node.index for node in nodes if isinstance(node, Prop)}
+    if any(isinstance(node, (Next, Globally, Until)) for node in nodes):
+        states = range(shape.state_count)
+        cells = set(range(shape.vb_offset))
+    else:
+        states, cells = (shape.initial_state,), set()
+    cells.update(shape.vb_bit(s, v) for s in states for v in props)
+    return frozenset(cells)
 
 
 def bit_owner(shape: ModelShape, index: int) -> tuple:

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import os
 import re
+import stat
 import shlex
 from pathlib import Path
 
@@ -320,6 +322,8 @@ BAD_INPUTS = {
     "check-non-utf8-formula-file": (
         ["check", "--formula-file", "{non_utf8}", "--req", "{req}"], "{non_utf8}: "),
     "check-syntax-error": (["check", "-f", "p0 & & p1", "--req", "{req}"], "1:6: "),
+    "check-syntax-error-in-formula-file": (
+        ["check", "--formula-file", "{bad_formula}", "--req", "{req}"], "{bad_formula}: 1:6: "),
     "check-out-of-range-p4": (["check", "-f", "p4", "--req", "{req}"], "formula uses p4"),
     "check-timeout-0": (
         ["check", "-f", "p0", "--req", "{req}", "--timeout", "0"], "time limit"),
@@ -343,6 +347,9 @@ BAD_INPUTS = {
     "verify-non-utf8-formula-file": (
         ["verify", "--formula-file", "{non_utf8}", "--witness", "{witness}"], "{non_utf8}: "),
     "verify-syntax-error": (["verify", "-f", "p0 & & p1", "--witness", "{witness}"], "1:6: "),
+    "verify-syntax-error-in-formula-file": (
+        ["verify", "--formula-file", "{bad_formula}", "--witness", "{witness}"],
+        "{bad_formula}: 1:6: "),
     "verify-out-of-range-p4": (
         ["verify", "-f", "p4", "--witness", "{witness}"], "formula uses p4"),
     "generate-count-minus-1": (
@@ -360,6 +367,7 @@ def input_files(tmp_path):
         "witness": json.dumps(GOOD_WITNESS).encode(),
         "formulas": b"p0\n",
         "bad_formulas": b"p0\np0 & & p1\n",
+        "bad_formula": b"p0 & & p1\n",
         "truncated": b'{"agents": [',
         "non_utf8": b"p0 \xff\n",
     }
@@ -512,6 +520,7 @@ class TestUnwritableOutput:
         assert captured.out == ""
         err = captured.err
         assert err.startswith("error: ") and err.count("\n") == 1
+        return err
 
     @pytest.mark.parametrize("flag", ["--out-json", "--out-dot"])
     def test_check_into_a_missing_directory(self, req221, tmp_path, capsys, flag):
@@ -538,6 +547,25 @@ class TestUnwritableOutput:
         assert main(["bench", str(formulas), "--req", req221, "--out-json", str(tmp_path)]) == 1
         self.assert_one_error_line(capsys)
         assert solves == []
+
+    # Writes to /dev/full open and then fail: the error names the path.
+    full_device = pytest.mark.skipif(
+        not (os.path.exists("/dev/full") and stat.S_ISCHR(os.stat("/dev/full").st_mode)),
+        reason="/dev/full is not a character device here")
+
+    @full_device
+    @pytest.mark.parametrize("flag", ["--out-json", "--out-dot"])
+    def test_check_onto_a_full_device(self, req221, capsys, flag):
+        assert main(["check", "-f", "p0", "--req", req221, flag, "/dev/full"]) == 1
+        assert self.assert_one_error_line(capsys).startswith("error: /dev/full: ")
+
+    @full_device
+    def test_bench_report_onto_a_full_device(self, req221, tmp_path, capsys):
+        formulas = tmp_path / "formulas.txt"
+        formulas.write_text("p0\n")
+        assert main(["bench", str(formulas), "--req", req221, "--out-json", "/dev/full"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: /dev/full: ") and err.count("\n") == 1
 
 
 class TestBench:

@@ -1,6 +1,6 @@
 import random
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 import pytest
 
@@ -19,9 +19,11 @@ from atlsat.formula import (
     And,
     Coalition,
     GenParams,
+    Globally,
     Next,
     Not,
     Prop,
+    Until,
     format_formula,
     generate_random_formula,
     normalize,
@@ -35,20 +37,20 @@ from atlsat.solver import (
     SolveTimeout,
     SolverConfig,
     _Search,
-    cone_of_influence,
     minimize_conflict,
     solve_satisfiability,
     structural_clauses,
 )
 from helpers import (
+    cone_of_influence,
     protocol_tables,
     reference_partial_model,
     solve_in_random_order,
     to_assignment,
     valuation_rows,
 )
-from oracles import enumerate_models, oracle_check_validity
-from samplers import random_core_formula, random_model, random_partial_model
+from oracles import compatible_completions, enumerate_models, oracle_check_validity
+from samplers import random_core_formula, random_model, random_partial_model, random_shape
 from test_acceptance import BENCH_FORMULA_1, BENCH_ROWS
 
 S22P1 = ModelShape([2, 2], [0, 0], 1)
@@ -281,6 +283,15 @@ class TestMinimizeConflict:
         assert out.verdict == "conflict"
         assert out.clause == (S22P1.vb_bit(0, 0) + 1,)
 
+    def test_an_unconfirmed_justification_raises(self, theory_check, monkeypatch):
+        # The justified clause must pass one recheck before greedy sees it.
+        monkeypatch.setattr(Program, "explain", lambda self, pm: [])
+        bits = [None] * S22P1.bit_count
+        bits[S22P1.vb_bit(0, 0)] = 0
+        with pytest.raises(AssertionError, match="justified clause"):
+            theory_check(Assignment(S22P1, tuple(bits)), parse_formula("p0"), Requirements(S22P1),
+                         minimize=True)
+
     def test_minimization_off_keeps_clause(self, theory_check):
         req = Requirements(S22P1)
         bits = [None] * S22P1.bit_count
@@ -378,12 +389,19 @@ class TestLiveView:
         return search
 
     def test_view_restored_after_an_emptied_row(self, monkeypatch):
+        # Agent 1 must allow both actions at local 0, so the justified
+        # clause keeps both cells; without the first one, the successors
+        # through action 1 still exclude the initial state.
         def minimize(clause, recheck):
             assert recheck(clause[1:])
             recheck(tuple(S22P1.tb_bit(0, 1, a) + 1 for a in range(2)))
 
         monkeypatch.setattr(solver, "minimize_conflict", minimize)
-        search = self._conflict_search("<<0,1>> X p0", SolverConfig(minimize_conflicts=True))
+        search = self._conflict_search("<<0>> X p0", SolverConfig(minimize_conflicts=True))
+        cells = [None] * S22P1.bit_count
+        for a in range(2):
+            cells[S22P1.tb_bit(1, 0, a)] = 1
+        load(search, cells)
         with pytest.raises(ValueError, match="row determined empty"):
             search.run_theory()
         assert_view_shows_value(search)
@@ -477,6 +495,73 @@ class TestProbe:
             assert not r.satisfiable
         assert len(minimizations) == 3 and min(minimizations.values()) >= 2
         assert rechecks > 0
+
+
+class TestJustification:
+    """``Program.explain``: the cells it keeps, and when it may be called."""
+
+    def test_justified_cells_keep_the_conflict(self):
+        """On the OVER conflicts of random core formulas over random partial
+        models, loaded into a search with random valuation requirements, the
+        cells kept are assigned and in the cone of influence, and with the
+        requirements alone they still exclude the initial state: by the
+        evaluator, and by the oracle over every compatible completion on
+        shapes of up to 4 states where at most 6 cells stay free."""
+        rng = random.Random(20)
+        reached = Counter()
+        conflicts = oracle_checked = 0
+        while conflicts < 1000:
+            shape = random_shape(rng, max_states=8)
+            if shape.prop_count == 0:
+                continue
+            f = random_core_formula(rng, shape.agent_count, shape.prop_count, rng.randint(1, 3))
+            cv = {(rng.randrange(shape.state_count), rng.randrange(shape.prop_count)):
+                  rng.randint(0, 1) for _ in range(rng.randint(0, 2))}
+            req = Requirements(shape, cv_constraints=[(*at, b) for at, b in cv.items()])
+            search = _Search(f, req, SolverConfig(minimize_conflicts=True))
+            pm = random_partial_model(rng, shape, rng.randint(0, shape.bit_count))
+            load(search, [b if r is None else r for b, r in zip(pm.cells, req.cells)])
+            program = search.program
+            if sapp(search.view, program, Mode.OVER) >> shape.initial_state & 1:
+                continue
+            conflicts += 1
+            cells = program.explain(search.view)
+            assert cells == sorted(set(cells))
+            assert all(search.value[c] is not None for c in cells)
+            assert set(cells) <= cone_of_influence(f, shape)
+            for _, out, *_ in program.steps[0]:
+                node = program.nodes[out >> 1]
+                if program.justified[out] and isinstance(node, (Next, Globally, Until)):
+                    reached[type(node).__name__, out & 1] += 1
+            kept = set(cells)
+            reduced = PartialModel(shape, [
+                b if v in kept or r is not None else None
+                for v, (b, r) in enumerate(zip(search.value, req.cells))
+            ])
+            assert not sapp(reduced, f, Mode.OVER) >> shape.initial_state & 1
+            # The completions double with each free cell.
+            if shape.state_count <= 4 and reduced.cells.count(None) <= 6:
+                oracle_checked += 1
+                assert not any(oracle_check_validity(m, f) for m in compatible_completions(reduced))
+        # Each strategic rule, in OVER (0) and UNDER (1), was reached.
+        assert set(reached) == {(op, u) for op in ("Next", "Globally", "Until") for u in (0, 1)}
+        assert oracle_checked >= 200
+
+    def test_only_the_last_over_approximation_is_explained(self):
+        # Not before any evaluation, nor after an UNDER one or one of
+        # another partial model.
+        cells = [None] * S22P1.bit_count
+        cells[S22P1.vb_bit(0, 0)] = 0
+        pm, other = PartialModel(S22P1, cells), PartialModel(S22P1, cells)
+        program = Program(Prop(0), S22P1)
+        with pytest.raises(ValueError, match="last evaluation"):
+            program.explain(pm)
+        assert program.approximate(pm, Mode.OVER) == 0b1110
+        assert program.explain(pm) == [S22P1.vb_bit(0, 0)]
+        for last, mode in ((pm, Mode.UNDER), (other, Mode.OVER)):
+            program.approximate(last, mode)
+            with pytest.raises(ValueError, match="last evaluation"):
+                program.explain(pm)
 
 
 def falsified_by_unit_propagation(clauses, assumed):
@@ -664,6 +749,38 @@ class TestSolveSatisfiability:
                 assert check_validity(result.witness, normalize(f))
             done += 1
 
+    def test_minimized_verdicts_match_enumeration(self):
+        # Random formulas and requirements on tiny shapes with minimization
+        # on: the verdict in the default decision order and in a random
+        # order equals exhaustive enumeration under the oracle semantics.
+        shapes = [ModelShape([2], [0], 2), ModelShape([2, 1], [1, 0], 1),
+                  ModelShape([3], [0], 1), S22P1]
+        models = {s: list(enumerate_models(s)) for s in shapes}
+        rng = random.Random(21)
+        config = SolverConfig(minimize_conflicts=True)
+        verdicts = Counter()
+        while sum(verdicts.values()) < 80:
+            shape = rng.choice(shapes)
+            cp = {(rng.randrange(shape.agent_count), rng.randrange(2), rng.randrange(2)):
+                  rng.randint(0, 1) for _ in range(rng.randint(0, 2))}
+            cv = {(rng.randrange(shape.state_count), rng.randrange(shape.prop_count)):
+                  rng.randint(0, 1) for _ in range(rng.randint(0, 2))}
+            try:
+                req = Requirements(shape, [(*at, b) for at, b in cp.items()],
+                                   [(*at, b) for at, b in cv.items()])
+            except ValueError:
+                continue  # a cell out of range or a row forced empty
+            f = random_core_formula(rng, shape.agent_count, shape.prop_count, rng.randint(1, 3))
+            pm = req.induced_partial_model()
+            exists = any(is_compatible(m, pm) and oracle_check_validity(m, f)
+                         for m in models[shape])
+            seed = sum(verdicts.values())
+            for r in (solve_satisfiability(f, req, config),
+                      solve_in_random_order(f, req, seed, config)):
+                assert r.satisfiable == exists, (format_formula(f), req)
+            verdicts[exists] += 1
+        assert verdicts[True] >= 10 and verdicts[False] >= 10, verdicts
+
     def test_learned_clauses_never_exclude_models(self, monkeypatch):
         # Every clause learned during search is entailed: no compatible
         # satisfying model falsifies it.
@@ -810,9 +927,9 @@ class TestSolveSatisfiability:
              r.stats.propagations, r.stats.rechecks)
             for r in runs
         ] == [
-            (False, 193, 40, 231, 100, 540),
-            (False, 304, 76, 378, 210, 1202),
-            (False, 324, 111, 429, 390, 1643),
+            (False, 193, 40, 231, 100, 246),
+            (False, 274, 68, 336, 192, 408),
+            (False, 298, 107, 397, 391, 913),
         ]
 
     def test_criterion_6_search_at_2222_is_pinned(self):
@@ -883,8 +1000,8 @@ class TestSolveSatisfiability:
             for r in runs
         ] == [
             (True, 16, 5, 22, 11, 0),
-            (True, 30, 5, 36, 13, 95),
-            (False, 53, 18, 71, 44, 335),
+            (True, 35, 5, 41, 12, 29),
+            (False, 52, 17, 69, 44, 123),
         ]
 
     def test_propagations_counted_and_repeatable(self):
@@ -899,7 +1016,7 @@ class TestSolveSatisfiability:
         runs = [
             solve_satisfiability(f, req, SolverConfig(minimize_conflicts=True)) for _ in range(2)
         ]
-        assert [r.stats.rechecks for r in runs] == [540, 540]
+        assert [r.stats.rechecks for r in runs] == [246, 246]
         off = solve_satisfiability(parse_formula("p0 & !p0"), Requirements(S22P1))
         assert off.stats.conflicts > 0 and off.stats.rechecks == 0
 
