@@ -56,7 +56,6 @@ from .solver import (
     SolverStats,
     minimize_conflict,
     solve_satisfiability,
-    structural_clauses,
 )
 from .witness import (
     read_witness_json,

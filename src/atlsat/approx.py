@@ -56,9 +56,10 @@ from itertools import compress
 from operator import getitem, ne
 from typing import Sequence
 
+from . import mc
 from .formula import And, Formula, Globally, Next, Not, Prop, Until
 from .mas import Assignment, Model, ModelShape, TransitionStructure, encode_model
-from .mc import StateSet, atl_pre, solve_globally, solve_next, solve_until
+from .mc import StateSet, solve_globally, solve_next, solve_until
 
 Cell = int | None
 
@@ -469,8 +470,9 @@ class Program:
                 x, st = values[a], structures[view]
                 goal = values[b] if under else 0
                 ys = [goal if under else x]
+                # Through the module, so a wrapper of mc.atl_pre sees these calls.
                 while True:
-                    y = goal | (x & atl_pre(st, coalition, ys[-1]))
+                    y = goal | (x & mc.atl_pre(st, coalition, ys[-1]))
                     if y == ys[-1]:
                         break
                     ys.append(y)

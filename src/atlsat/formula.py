@@ -487,7 +487,9 @@ def generate_random_formula(params: GenParams) -> Formula:
     whole depth budget, interleaved with Boolean connectives; sibling
     subtrees get a depth drawn from a clamped normal, usually small, so the
     Boolean-connective count stays near 1.5 per depth level, matching the
-    profile of the bundled benchmark sweep.
+    profile of the bundled benchmark sweep.  The drawn formula prints
+    within :data:`MAX_NESTING`: where a connective would not fit, the spine
+    takes its modal branch and a propositional subtree draws a literal.
     """
     rng = random.Random(params.seed)
     all_masks = list(range(1, 2**params.agent_count))
@@ -497,20 +499,35 @@ def generate_random_formula(params: GenParams) -> Formula:
         for mask in all_masks[: params.group_count]
     ]
 
-    def literal() -> Formula:
-        p = Prop(rng.randrange(params.prop_count))
-        return Not(p) if rng.random() < 0.5 else p
+    def cost(node: type, ctx: int) -> int:
+        # The nesting a node adds at the printer's precedence context ctx:
+        # its operator, plus the parentheses format_formula wraps it in.
+        return 1 + (node in _BINARY and ctx > _BINARY[node][1])
 
-    def propositional(budget: int) -> Formula:
+    def under(node: type) -> int:
+        # The context of a node's operands; an &/| operand is charged as a
+        # left one, since the side it takes is drawn after it.
+        return _BINARY[node][1] + 1 if node in _BINARY else _PREC_UNARY
+
+    # ``room`` is the nesting a subtree may still add; no check draws.
+    def literal(room: int) -> Formula:
+        p = Prop(rng.randrange(params.prop_count))
+        return Not(p) if rng.random() < 0.5 and room >= 1 else p
+
+    def propositional(budget: int, room: int, ctx: int) -> Formula:
         if budget <= 0:
-            return literal()
+            return literal(room)
         op = rng.choice(("!", "&", "|", "leaf"))
         if op == "leaf":
-            return literal()
-        if op == "!":
-            return Not(propositional(budget - 1))
-        sub = rng.choice((And, Or))
-        return sub(propositional(budget - 1), propositional(budget - 1))
+            return literal(room)
+        node = Not if op == "!" else rng.choice((And, Or))
+        rest = room - cost(node, ctx)
+        if rest < 0:
+            return literal(room)
+        if node is Not:
+            return Not(propositional(budget - 1, rest, _PREC_UNARY))
+        return node(propositional(budget - 1, rest, under(node)),
+                    propositional(budget - 1, rest, under(node)))
 
     def side_depth(limit: int) -> int:
         # Mostly flat siblings; occasionally a modal one, kept shallow so the
@@ -519,25 +536,29 @@ def generate_random_formula(params: GenParams) -> Formula:
             return _clamped_normal(rng, limit / 3, limit / 4 + 0.5, 1, max(1, limit // 2))
         return 0
 
-    def spine(depth: int, boolean_run: int = 0) -> Formula:
+    def spine(depth: int, room: int, ctx: int, boolean_run: int = 0) -> Formula:
+        # room >= depth: the modal branch always fits.
         if depth == 0:
-            return propositional(_clamped_normal(rng, 0.8, 0.8, 0, 2))
+            return propositional(_clamped_normal(rng, 0.8, 0.8, 0, 2), room, ctx)
         boolean_allowed = boolean_run < 2
         if boolean_allowed and rng.random() < 0.50:
             node = rng.choice((Not, And, Or))
-            if node is Not:
-                return Not(spine(depth, boolean_run + 1))
-            main = spine(depth, boolean_run + 1)
-            side = spine(side_depth(depth))
-            pair = (main, side) if rng.random() < 0.5 else (side, main)
-            return node(*pair)
+            rest = room - cost(node, ctx)
+            if rest >= depth:
+                if node is Not:
+                    return Not(spine(depth, rest, _PREC_UNARY, boolean_run + 1))
+                main = spine(depth, rest, under(node), boolean_run + 1)
+                side = spine(side_depth(depth), rest, under(node))
+                pair = (main, side) if rng.random() < 0.5 else (side, main)
+                return node(*pair)
         coalition = rng.choice(pool)
         node = rng.choice((Next, Globally, Eventually, Until))
         if node is Until:
-            return Until(coalition, spine(side_depth(depth - 1)), spine(depth - 1))
-        return node(coalition, spine(depth - 1))
+            return Until(coalition, spine(side_depth(depth - 1), room - 1, 0),
+                         spine(depth - 1, room - 1, 0))
+        return node(coalition, spine(depth - 1, room - 1, _PREC_UNARY))
 
-    return spine(params.max_depth)
+    return spine(params.max_depth, MAX_NESTING, 0)
 
 
 def generate_with_counts(

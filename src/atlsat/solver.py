@@ -2,13 +2,16 @@
 
 The search assigns the model bit vector one cell at a time, in the cell list
 of the partial model the approximation reads, so theory calls see the
-assignment without a copy.  Clauses are tuples of literals (see
-:func:`structural_clauses`).  Unit propagation runs over structural clauses
-(one per protocol row, so rows stay nonempty, plus one unit clause per
-forced cell) and learned clauses.  Each clause watches two literals,
-non-false ones while it has them, and is visited only when a watched literal
-becomes false; a visit that finds the other watch true ends there, since the
-clause is satisfied (the blocker rule).  Propagation walks the trail in
+assignment without a copy.  A clause is a tuple of literals over model
+cells: literal ``v+1`` asserts cell ``v`` true, ``-(v+1)`` asserts it false,
+and the empty tuple is unsatisfiable.  The search starts from one
+at-least-one clause per protocol row, so rows stay nonempty, and from the
+forced cells of the requirements, assigned at level 0 without a reason, as
+MiniSat enqueues unit input clauses.  Unit propagation runs over the row
+clauses and learned clauses.  Each clause watches two literals, non-false
+ones while it has them, and is visited only when a watched literal becomes
+false; a visit that finds the other watch true ends there, since the clause
+is satisfied (the blocker rule).  Propagation walks the trail in
 order, as in Chaff and MiniSat; a clause entering the search implies its
 literal itself when it is unit on arrival.  Decisions take the lowest-index
 free cell, 1 first for a protocol cell and 0 first for a valuation cell.
@@ -124,22 +127,6 @@ class SolverResult:
     stats: SolverStats
 
 
-def structural_clauses(req: Requirements) -> list[tuple[int, ...]]:
-    """One at-least-one clause per protocol row plus one unit clause per
-    forced cell of the requirements, in cell order.  A clause is a tuple of
-    literals over model cells: literal ``v+1`` asserts cell ``v`` true,
-    ``-(v+1)`` asserts it false, and the empty tuple is unsatisfiable."""
-    shape = req.shape
-    clauses = []
-    for agent, n in enumerate(shape.locals_per_agent):
-        for local in range(n):
-            clauses.append(tuple(shape.tb_bit(agent, local, a) + 1 for a in range(n)))
-    for bit, value in enumerate(req.cells):
-        if value is not None:
-            clauses.append((bit + 1,) if value else (-(bit + 1),))
-    return clauses
-
-
 def minimize_conflict(
     clause: tuple[int, ...], recheck: Callable[[tuple[int, ...]], bool]
 ) -> tuple[int, ...]:
@@ -199,8 +186,13 @@ class _Search:
         # Trail literals before ``head`` have had their watchers visited.
         self.head = 0
         self.stats = SolverStats()
-        for c in structural_clauses(req):
-            self.add_clause(c)
+        for off, n in zip(self.shape.tb_offsets, self.shape.locals_per_agent):
+            for row in range(off, off + n * n, n):
+                self.add_clause(tuple(range(row + 1, row + n + 1)))
+        # The forced cells, less those a one-cell row has already implied.
+        for v, b in enumerate(req.cells):
+            if b is not None and self.value[v] is None:
+                self.assign(v + 1 if b else -(v + 1), None)
         if config.minimize_conflicts:
             self.probe = req.induced_partial_model()
             self.required = req.cells
@@ -268,8 +260,8 @@ class _Search:
 
     def add_clause(self, clause: tuple[int, ...]) -> None:
         """Append a clause and watch it, implying its literal when it is
-        unit.  Clauses enter at construction (structural clauses, where each
-        unit clause implies its cell) and right after the backjump that
+        unit.  Clauses enter at construction (row clauses, where a one-cell
+        row implies its cell) and right after the backjump that
         makes a learned clause asserting, where it implies its last literal.
         Neither kind is false on arrival; a clause that is, added before the
         walk of the trail passes its literals, is found as that walk's

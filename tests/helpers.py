@@ -57,15 +57,7 @@ def cone_of_influence(f: Formula, shape: ModelShape) -> frozenset[int]:
     valuation cells of the propositions ``f`` names and, when ``f`` has a
     strategic operator, every protocol cell.  Without one the verdict is the
     initial state's bit of a set computed state by state, so only valuation
-    cells at the initial state count.
-
-    Dropping a conflict clause's literals outside the cone before greedy
-    minimization leaves the clause it returns unchanged and saves one
-    recheck per literal dropped, since a recheck's answer depends on cone
-    cells alone.  Greedy keeps its current set a conflict throughout, so at
-    a literal outside the cone the recheck answers conflict and the literal
-    goes; a literal in the cone meets a current set that differs from the
-    unfiltered run only outside the cone, and gets the same answer."""
+    cells at the initial state count."""
     nodes = list(iter_subformulas(f))
     props = {node.index for node in nodes if isinstance(node, Prop)}
     if any(isinstance(node, (Next, Globally, Until)) for node in nodes):

@@ -425,14 +425,11 @@ class TestGenerate:
 
     def test_depth_limit_is_the_nesting_limit(self, capsys):
         # A strategic depth past MAX_NESTING could never parse back.  At
-        # MAX_NESTING itself the drawn formula nests deeper than the parser
-        # accepts: an error naming the seed, and nothing printed.
+        # MAX_NESTING itself the drawn formula parses back, with that depth.
         args = ["generate", "--agents", "3", "--groups", "4", "--props", "3", "--depth"]
-        assert main(args + [str(MAX_NESTING), "--seed", "7"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "seed 7" in captured.err and str(MAX_NESTING) in captured.err
+        assert main(args + [str(MAX_NESTING), "--seed", "7"]) == 0
+        f = parse_formula(capsys.readouterr().out.strip())
+        assert strategic_depth(f) == MAX_NESTING
         for depth in (MAX_NESTING + 1, 1000):
             assert main(args + [str(depth)]) == 1
             captured = capsys.readouterr()
@@ -440,17 +437,19 @@ class TestGenerate:
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
             assert str(MAX_NESTING) in captured.err
 
-    def test_unparsable_draw_prints_nothing(self, capsys):
-        # Seeds 0-3 at depth 40 parse back; seed 4 nests too deep.
+    def test_deep_draws_parse_back(self, capsys):
+        # At depth 40 the draw of seed 4 used to nest past MAX_NESTING; the
+        # generator's nesting budget keeps every draw parsable.
         args = ["generate", "--agents", "3", "--groups", "4", "--props", "3",
-                "--depth", "40", "--count"]
-        assert main(args + ["4"]) == 0
-        assert capsys.readouterr().out.count("\n") == 4
-        assert main(args + ["5"]) == 1
+                "--depth", "40", "--count", "5"]
+        assert main(args) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "seed 4" in captured.err and str(MAX_NESTING) in captured.err
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 5
+        assert lines[4] == format_formula(generate_random_formula(GenParams(3, 4, 3, 40, 4)))
+        for line in lines:
+            assert strategic_depth(parse_formula(line)) == 40
 
     def test_connective_target_prints_distinct_formulas(self, capsys):
         # Each scan starts one seed past the last match, so --count 4 prints

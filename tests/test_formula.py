@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -291,6 +292,25 @@ class TestGenerator:
                 for n in nodes
                 if isinstance(n, (Next, Globally, Eventually, Until)) and len(n.coalition)
             )
+
+    def test_every_depth_parses_back(self):
+        # Boolean connectives and their parentheses nest too, so past depth
+        # 37 an unbudgeted draw could print deeper than MAX_NESTING.
+        for depth in range(MAX_NESTING + 1):
+            for seed in range(5):
+                f = generate_random_formula(GenParams(3, 4, 3, depth, seed))
+                g = parse_formula(format_formula(f))
+                assert g == f and strategic_depth(g) == depth, (depth, seed)
+
+    def test_shallow_draws_are_pinned(self):
+        # The nesting budget never binds on these draws, so they are the
+        # draws the generator made before it had one.
+        digest = hashlib.sha256()
+        for depth in range(34):
+            for seed in range(20):
+                text = format_formula(generate_random_formula(GenParams(3, 4, 3, depth, seed)))
+                digest.update(text.encode() + b"\n")
+        assert digest.hexdigest()[:16] == "a9af0b90358e865c"
 
     def test_coalition_pool_size(self):
         from atlsat.formula import Globally, Next, Until, iter_subformulas

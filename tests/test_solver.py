@@ -29,7 +29,7 @@ from atlsat.formula import (
     normalize,
     parse_formula,
 )
-from atlsat import solver
+from atlsat import mc, solver
 from atlsat.mas import Assignment, ModelShape, decode_model, encode_model
 from atlsat.solver import (
     BoundsError,
@@ -39,7 +39,6 @@ from atlsat.solver import (
     _Search,
     minimize_conflict,
     solve_satisfiability,
-    structural_clauses,
 )
 from helpers import (
     cone_of_influence,
@@ -146,32 +145,42 @@ class TestRequirements:
         assert valuation_rows(pm)[3] == (0,)
 
 
-class TestStructuralClauses:
-    def test_row_clauses_only(self):
-        req = Requirements(S22P1)
-        clauses = structural_clauses(req)
-        assert len(clauses) == 4
-        assert all(len(c) == 2 for c in clauses)
-        assert all(lit > 0 for c in clauses for lit in c)
+class TestLevelZeroFacts:
+    # Agent 0 has one local state, so its one protocol row is a one-cell row.
+    SHAPE = ModelShape([1, 2], [0, 0], 1)
 
-    def test_protocol_unit_clause(self):
-        req = Requirements(S22P1, cp_constraints=((0, 0, 1, 1),))
-        units = [c for c in structural_clauses(req) if len(c) == 1]
-        assert units == [(S22P1.tb_bit(0, 0, 1) + 1,)]
+    def search(self, cp=(), cv=()):
+        return _Search(normalize(parse_formula("p0")), Requirements(self.SHAPE, cp, cv),
+                       SolverConfig())
 
-    def test_unit_clauses_in_cell_order_once_each(self):
-        # Valuation rows given first, a protocol row given twice: one unit
-        # clause per forced cell, protocol cells first.
-        req = Requirements(S22P1, cp_constraints=((1, 1, 0, 1), (0, 0, 1, 0), (1, 1, 0, 1)),
-                           cv_constraints=((3, 0, 1), (0, 0, 0)))
-        units = [c for c in structural_clauses(req) if len(c) == 1]
-        assert units == [(-(S22P1.tb_bit(0, 0, 1) + 1),), (S22P1.tb_bit(1, 1, 0) + 1,),
-                         (-(S22P1.vb_bit(0, 0) + 1),), (S22P1.vb_bit(3, 0) + 1,)]
+    def test_trail_is_one_cell_rows_then_forced_cells_in_order(self):
+        # Valuation rows given first, and the one-cell row's cell forced too:
+        # the row clause implies that cell, and the forced cells follow in
+        # cell order, each assigned once with no reason.
+        shape = self.SHAPE
+        search = self.search(cp=((1, 1, 0, 1), (0, 0, 0, 1), (1, 0, 1, 0)),
+                             cv=((1, 0, 1), (0, 0, 0)))
+        one_cell = shape.tb_bit(0, 0, 0) + 1
+        forced = [-(shape.tb_bit(1, 0, 1) + 1), shape.tb_bit(1, 1, 0) + 1,
+                  -(shape.vb_bit(0, 0) + 1), shape.vb_bit(1, 0) + 1]
+        assert search.trail == [one_cell] + forced and search.trail_lim == []
+        assert all(search.level[abs(lit) - 1] == 0 for lit in search.trail)
+        assert search.reason[one_cell - 1] == (one_cell,)
+        assert all(search.reason[abs(lit) - 1] is None for lit in forced)
+        # Only the one-cell row was implied by a clause.
+        assert search.stats.propagations == 1
 
-    def test_valuation_negative_unit_clause(self):
-        req = Requirements(S22P1, cv_constraints=((3, 0, 0),))
-        units = [c for c in structural_clauses(req) if len(c) == 1]
-        assert units == [(-(S22P1.vb_bit(3, 0) + 1),)]
+    def test_clauses_are_the_protocol_rows(self):
+        shape = self.SHAPE
+        rows = [(shape.tb_bit(0, 0, 0) + 1,)] + [
+            tuple(shape.tb_bit(1, local, a) + 1 for a in range(2)) for local in range(2)
+        ]
+        for cp, cv in (((), ()), (((1, 1, 0, 1), (1, 0, 1, 0)), ((1, 0, 0),))):
+            assert self.search(cp, cv).clauses == rows
+
+    def test_a_repeated_row_is_one_fact(self):
+        search = self.search(cp=((1, 1, 0, 1), (1, 1, 0, 1)))
+        assert search.trail == [self.SHAPE.tb_bit(0, 0, 0) + 1, self.SHAPE.tb_bit(1, 1, 0) + 1]
 
 
 class TestSolverConfig:
@@ -563,6 +572,32 @@ class TestJustification:
             with pytest.raises(ValueError, match="last evaluation"):
                 program.explain(pm)
 
+    def test_rank_walks_call_the_pre_image_through_mc(self, monkeypatch):
+        # A wrapper of mc.atl_pre, such as a tracer's, sees the pre-images
+        # that explain computes to rank the iterates of an OVER G.
+        calls = Counter()
+        explaining = []
+        atl_pre, explain = mc.atl_pre, Program.explain
+
+        def counted_pre(*args):
+            calls["explain" if explaining else "other"] += 1
+            return atl_pre(*args)
+
+        def marked_explain(program, pm):
+            explaining.append(True)
+            try:
+                return explain(program, pm)
+            finally:
+                explaining.pop()
+
+        monkeypatch.setattr(mc, "atl_pre", counted_pre)
+        monkeypatch.setattr(Program, "explain", marked_explain)
+        r = solve_satisfiability(parse_formula("<<0>> G p0 & <<>> F !p0"),
+                                 Requirements(ModelShape([3, 2], None, 1)),
+                                 SolverConfig(minimize_conflicts=True))
+        assert not r.satisfiable
+        assert calls["explain"] > 0 and calls["other"] > 0
+
 
 def falsified_by_unit_propagation(clauses, assumed):
     """Whether assigning the literals ``assumed`` and unit-propagating over
@@ -589,8 +624,8 @@ class TestAnalyze:
         literal at the conflict level; every other literal is false at a
         level from 1 to one below it; the backjump level is the highest of
         those, or 0 for a unit; and the clause is RUP: its negation
-        propagates to a falsified clause over the search's clauses plus the
-        conflict."""
+        propagates to a falsified clause over the search's clauses, its
+        forced cells as unit premises, and the conflict."""
         analyze = _Search.analyze
         counts = {"unit": 0, "longer": 0}
 
@@ -610,8 +645,10 @@ class TestAnalyze:
                 assert 1 <= level[abs(lit) - 1] < conflict_level, (learned, lit)
             assert backjump == max((level[abs(lit) - 1] for lit in rest), default=0)
             assert len({abs(lit) for lit in learned}) == len(learned)
+            facts = [(v + 1 if b else -(v + 1),)
+                     for v, b in enumerate(search.req.cells) if b is not None]
             assert falsified_by_unit_propagation(
-                search.clauses + [conflict], [-lit for lit in learned])
+                search.clauses + facts + [conflict], [-lit for lit in learned])
             counts["longer" if rest else "unit"] += 1
             return result
 
@@ -977,7 +1014,7 @@ class TestSolveSatisfiability:
         ]
 
     def test_constrained_search_is_pinned(self):
-        # Requirements with a repeated row: their unit clauses drive the
+        # Requirements with a repeated row: their forced cells drive the
         # search from level 0.  (verdict, decisions, conflicts, theory
         # checks, propagations, rechecks).
         req = Requirements(
@@ -999,9 +1036,9 @@ class TestSolveSatisfiability:
              r.stats.propagations, r.stats.rechecks)
             for r in runs
         ] == [
-            (True, 16, 5, 22, 11, 0),
-            (True, 35, 5, 41, 12, 29),
-            (False, 52, 17, 69, 44, 123),
+            (True, 16, 5, 22, 6, 0),
+            (True, 35, 5, 41, 7, 29),
+            (False, 52, 17, 69, 39, 123),
         ]
 
     def test_propagations_counted_and_repeatable(self):
@@ -1235,7 +1272,7 @@ class TestPropagation:
         assert arrivals > 0
 
     def test_asserting_clause_implies_on_arrival(self):
-        # Two decisions on valuation cells, which no structural clause
+        # Two decisions on valuation cells, which no row clause
         # reads, then a conflict on both: the learned clause is asserting
         # after the backjump to level 1, implies its last literal there as it
         # is added, and the walk of the trail that follows implies nothing.
