@@ -13,10 +13,14 @@ ones while it has them, and is visited only when a watched literal becomes
 false; a visit that finds the other watch true ends there, since the clause
 is satisfied (the blocker rule).  Propagation walks the trail in
 order, as in Chaff and MiniSat; a clause entering the search implies its
-literal itself when it is unit on arrival.  Decisions take the lowest-index
-free cell, 1 first for a protocol cell and 0 first for a valuation cell.
-After propagation settles at each level, the two-sided approximation of the
-partial assignment decides the step:
+literal itself when it is unit on arrival.  Decisions follow clause activity
+(VSIDS, as in Chaff and MiniSat): each conflict analysis bumps the activity
+of every cell in the clauses it resolves, by an amount that grows with each
+conflict, so recent conflicts weigh most.  A decision takes the free cell of
+highest activity, ties going to the lowest index, so before the first
+conflict it is the lowest-index free cell; it sets 1 for a protocol cell and
+0 for a valuation cell.  After propagation settles at each level, the
+two-sided approximation of the partial assignment decides the step:
 
 * initial state outside the over set: no compatible completion can satisfy
   the formula, so a conflict clause over the assigned cells is learned (when
@@ -156,7 +160,12 @@ class _Search:
     Minimization rechecks evaluate on ``probe``, a partial model of the
     requirements built once per solve, and each recheck changes only the
     probe's cells whose literal entered or left the candidate since the
-    previous recheck."""
+    previous recheck.
+
+    Decisions read ``score``: a free cell's ``activity``, and -1.0 for an
+    assigned cell, which ``assign`` writes and ``backjump`` undoes.  Only
+    ``analyze`` bumps an activity, and only of a cell it saw assigned, so the
+    score of a free cell always equals its activity."""
 
     def __init__(self, f: Formula | Program, req: Requirements, config: SolverConfig,
                  start: float | None = None):
@@ -176,6 +185,11 @@ class _Search:
         self.reason: list[tuple[int, ...] | None] = [None] * self.n
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
+        self.activity = [0.0] * self.n
+        self.score = [0.0] * self.n
+        # The activity a conflict adds to each cell it sees; it grows by
+        # 1/0.95 per conflict, which decays every older bump relative to it.
+        self.bump = 1.0
         self.clauses: list[tuple[int, ...]] = []
         # Per clause, its watched literals; per literal, the clauses that
         # watch it (and so must be revisited when it becomes false).
@@ -245,13 +259,16 @@ class _Search:
         self.view.put(v, 1 if lit > 0 else 0)
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
+        self.score[v] = -1.0
         self.trail.append(lit)
 
     def backjump(self, target_level: int) -> None:
         cut = self.trail_lim[target_level]
-        put = self.view.put
+        put, score, activity = self.view.put, self.score, self.activity
         for lit in self.trail[cut:]:
-            put(abs(lit) - 1, None)
+            v = abs(lit) - 1
+            put(v, None)
+            score[v] = activity[v]
         del self.trail[cut:]
         del self.trail_lim[target_level:]
         self.head = min(self.head, cut)
@@ -350,32 +367,54 @@ class _Search:
         literal is kept, and at level 0, false for good, dropped.  The
         learned clause is the kept literals in marking order, which picks its
         watches, then the negated last pivot; the backjump level is the
-        highest level among the kept literals, or 0 for a unit clause."""
+        highest level among the kept literals, or 0 for a unit clause.
+
+        Each cell marked above level 0 gains ``bump`` activity, and ``bump``
+        then grows by 1/0.95; once it passes 1e100, every activity and
+        ``bump`` are scaled by 1e-100, which keeps their order."""
         level = self.level
         conflict_level = max((level[abs(lit) - 1] for lit in clause), default=0)
         if conflict_level == 0:
             return None
+        activity, bump = self.activity, self.bump
         seen: set[int] = set()
         pending: set[int] = set()
         learned: list[int] = []
+        backjump = 0
         walk = reversed(self.trail)
         while True:
             for lit in clause:
                 v = abs(lit) - 1
                 if v not in seen:
                     seen.add(v)
-                    if level[v] == conflict_level:
+                    lv = level[v]
+                    if lv == conflict_level:
                         pending.add(v)
-                    elif level[v] > 0:
+                    elif lv:
                         learned.append(lit)
+                        if lv > backjump:
+                            backjump = lv
+                    else:
+                        continue  # level 0: false for good, dropped
+                    activity[v] += bump
             pivot = next(lit for lit in walk if abs(lit) - 1 in pending)
             pending.remove(abs(pivot) - 1)
             if not pending:
                 break
             clause = self.reason[abs(pivot) - 1]
-        backjump = max((level[abs(lit) - 1] for lit in learned), default=0)
         learned.append(-pivot)
+        self.bump = bump / 0.95
+        if self.bump > 1e100:
+            self.rescale()
         return tuple(learned), backjump
+
+    def rescale(self) -> None:
+        """Scale every activity, the free cells' scores and ``bump`` by
+        1e-100, in place."""
+        activity, score = self.activity, self.score
+        activity[:] = [a * 1e-100 for a in activity]
+        score[:] = [a if s >= 0 else -1.0 for a, s in zip(activity, score)]
+        self.bump *= 1e-100
 
     # -- theory interface
 
@@ -391,7 +430,7 @@ class _Search:
             return None
         value = self.value
         if not self.config.minimize_conflicts:
-            return tuple(-(v + 1) if b else (v + 1) for v, b in enumerate(value) if b is not None)
+            return tuple([-(v + 1) if b else (v + 1) for v, b in enumerate(value) if b is not None])
         # Every justified cell is assigned.
         clause = tuple(-(v + 1) if value[v] else (v + 1) for v in self.program.explain(self.view))
         if not self.recheck(clause):
@@ -424,12 +463,18 @@ class _Search:
     # -- decisions
 
     def decide(self) -> bool:
-        """Open a decision level and assign the lowest-index free cell, 1
-        for a protocol cell and 0 for a valuation cell; False when no cell
-        is free."""
+        """Open a decision level and assign the free cell of highest
+        activity, the lowest-index one among equals, 1 for a protocol cell
+        and 0 for a valuation cell; False when no cell is free.  Until the
+        first analysis bumps, every free cell scores 0.0, so the scores need
+        no scan for their maximum."""
+        score = self.score
+        best = max(score) if self.bump > 1.0 else 0.0
+        if best < 0:
+            return False
         try:
-            v = self.value.index(None)
-        except ValueError:
+            v = score.index(best)
+        except ValueError:  # nothing bumped yet, and no cell free
             return False
         self.trail_lim.append(len(self.trail))
         self.stats.decisions += 1

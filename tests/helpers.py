@@ -192,7 +192,7 @@ def split_structure(pm: PartialModel, coalition, mode: Mode) -> TransitionStruct
 class RandomOrderSearch(_Search):
     """The search with decisions drawn from ``random.Random(seed)``: a free
     cell, then its value, each uniformly.  Any decision order keeps the
-    verdict, so this exercises orders the lowest-index rule never takes."""
+    verdict, so this exercises orders the activity rule never takes."""
 
     def __init__(self, f, req: Requirements, config: SolverConfig, seed: int):
         super().__init__(f, req, config)

@@ -41,6 +41,7 @@ from atlsat.solver import (
     solve_satisfiability,
 )
 from helpers import (
+    RandomOrderSearch,
     cone_of_influence,
     protocol_tables,
     reference_partial_model,
@@ -181,6 +182,124 @@ class TestLevelZeroFacts:
     def test_a_repeated_row_is_one_fact(self):
         search = self.search(cp=((1, 1, 0, 1), (1, 1, 0, 1)))
         assert search.trail == [self.SHAPE.tb_bit(0, 0, 0) + 1, self.SHAPE.tb_bit(1, 1, 0) + 1]
+
+
+class TestActivity:
+    SHAPE = ModelShape([2, 2, 2], [0, 0, 0], 2)
+    # (formula, shape, minimize): without minimization the strategic
+    # refutations at [2,2,2] take over 10 s.
+    CASES = (("<<0>> X p0 & <<1>> X !p0", SHAPE, True),
+             ("<<0>> G p0 & <<>> F !p0", SHAPE, True),
+             ("<<0>> G p0 & <<1,2>> F p1", SHAPE, False),
+             ("<<0>> G p0 & <<1,2>> F p1", SHAPE, True),
+             ("p0 & !p0", S22P1, False))
+
+    class Logged(_Search):
+        """The search, logging per decision the conflicts so far, the
+        lowest-index free cell, the free cell of highest activity (lowest
+        index among equals, found by a plain scan) and the cell decided."""
+
+        def decide(self):
+            free = [v for v in range(self.n) if self.value[v] is None]
+            top = max(free, key=lambda v: (self.activity[v], -v), default=None)
+            decided = super().decide()
+            assert decided == bool(free)
+            if decided:
+                lit = self.trail[-1]
+                assert (lit > 0) == (abs(lit) - 1 < self.shape.vb_offset)
+                self.log.append((self.stats.conflicts, free[0], top, abs(lit) - 1))
+            return decided
+
+    def logged_runs(self):
+        for text, shape, minimize in self.CASES:
+            search = self.Logged(normalize(parse_formula(text)), Requirements(shape),
+                                 SolverConfig(minimize_conflicts=minimize))
+            search.log = []
+            search.run()
+            yield search.log
+
+    def test_before_any_conflict_the_lowest_index_free_cell_is_decided(self):
+        early = [(lowest, cell) for log in self.logged_runs()
+                 for conflicts, lowest, _, cell in log if conflicts == 0]
+        assert len(early) > 20
+        assert all(cell == lowest for lowest, cell in early)
+
+    def test_the_most_active_free_cell_is_decided(self):
+        late = [(top, lowest, cell) for log in self.logged_runs()
+                for conflicts, lowest, top, cell in log if conflicts > 0]
+        assert all(cell == top for top, _, cell in late)
+        # Activity, not the index, picked some of them.
+        assert sum(cell != lowest for _, lowest, cell in late) > 20
+
+    def search(self):
+        return _Search(normalize(parse_formula("p0")), Requirements(self.SHAPE), SolverConfig())
+
+    def test_ties_go_to_the_lowest_index(self):
+        search = self.search()
+        search.bump = 1 / 0.95  # as after one conflict
+        for v, a in ((3, 2.0), (5, 2.0), (9, 1.0)):
+            search.activity[v] = search.score[v] = a
+        assert search.decide() and search.trail[-1] == 4
+        search.activity[5] = search.score[5] = 3.0
+        search.backjump(0)
+        assert search.decide() and search.trail[-1] == 6
+
+    def test_no_decision_without_a_free_cell(self):
+        # Before and after the first bump.
+        for bump in (1.0, 1 / 0.95):
+            search = self.search()
+            search.bump = bump
+            load(search, [1] * search.n)
+            assert not search.decide() and search.trail_lim == []
+
+    def test_score_is_activity_of_free_cells(self):
+        # After every assign and backjump of random-order searches, with and
+        # without minimization, a free cell's score is its activity and an
+        # assigned cell's is -1.0.
+        checks = Counter()
+
+        class Checked(RandomOrderSearch):
+            def holds(self):
+                assert self.score == [a if b is None else -1.0
+                                      for a, b in zip(self.activity, self.value)]
+
+            def assign(self, lit, reason):
+                super().assign(lit, reason)
+                self.holds()
+                checks["assign"] += 1
+
+            def backjump(self, target_level):
+                super().backjump(target_level)
+                self.holds()
+                checks["backjump"] += 1
+
+        for seed, (text, shape, minimize) in enumerate(self.CASES):
+            Checked(normalize(parse_formula(text)), Requirements(shape),
+                    SolverConfig(minimize_conflicts=minimize), seed).run()
+        assert checks["backjump"] > 100 and checks["assign"] > checks["backjump"]
+
+    def test_rescale_keeps_the_order_of_activities(self):
+        # With ``bump`` just under 1e100 the first conflict passes it: every
+        # activity and ``bump`` are scaled by 1e-100, once, in order.
+        seen = []
+
+        class Rescaled(_Search):
+            def rescale(self):
+                before = list(self.activity)
+                super().rescale()
+                seen.append((before, list(self.activity), self.bump))
+
+        search = Rescaled(normalize(parse_formula("<<0>> X p0 & <<1>> X !p0")),
+                          Requirements(self.SHAPE), SolverConfig(minimize_conflicts=True))
+        search.bump = 0.96e100
+        assert not search.run().satisfiable
+        assert len(seen) == 1
+        before, after, bump = seen[0]
+        assert max(before) > 1e99 and 1e-2 < max(after) < 1
+        assert after == [a * 1e-100 for a in before]
+        assert bump == pytest.approx(0.96 / 0.95)
+        cells = range(search.n)
+        assert sorted(cells, key=before.__getitem__) == sorted(cells, key=after.__getitem__)
 
 
 class TestSolverConfig:
@@ -866,7 +985,7 @@ class TestSolveSatisfiability:
             )
 
     def test_decision_orders_agree_on_verdict(self):
-        # The lowest-index rule and random orders from three seeds.
+        # The activity rule and random orders from three seeds.
         rng = random.Random(10)
         for _ in range(15):
             f = random_core_formula(rng, 2, 1, rng.randint(1, 2))
@@ -915,6 +1034,20 @@ class TestSolveSatisfiability:
             assert r.satisfiable, (depth, seed)
             assert check_validity(r.witness, normalize(f))
 
+    def test_hard_draws_are_decided(self):
+        # Three draws at [2,2,2] that took over 5 s each when every decision
+        # took the lowest-index free cell.  The SAT witness is checked
+        # exactly here and by the independent oracle.
+        req = Requirements(ModelShape([2, 2, 2], [0, 0, 0], 3))
+        config = SolverConfig(minimize_conflicts=True, time_limit=10)
+        for depth, seed, sat in ((17, 3, False), (25, 3, False), (33, 3, True)):
+            f = generate_random_formula(GenParams(3, 4, 3, depth, seed))
+            r = solve_satisfiability(f, req, config)
+            assert r.satisfiable == sat, (depth, seed)
+            if sat:
+                assert check_validity(r.witness, normalize(f))
+                assert oracle_check_validity(r.witness, normalize(f))
+
     def test_unsat_ladder_search_is_pinned(self):
         # Minimization off, the [3,2] rung is refuted by Boolean conflicts
         # alone; the counts pin the search that propagation order drives.
@@ -953,7 +1086,8 @@ class TestSolveSatisfiability:
     def test_refute_theory_search_is_pinned(self):
         # The refute-theory formulas at [2,2,2] with 2 props, minimization
         # on: (verdict, decisions, conflicts, theory checks, propagations,
-        # rechecks) pin the search that the minimized theory conflicts drive.
+        # rechecks) pin the search that the minimized theory conflicts drive,
+        # and the activity they give the cells they learn over.
         req = Requirements(ModelShape([2, 2, 2], [0, 0, 0], 2))
         config = SolverConfig(minimize_conflicts=True)
         texts = ("<<0>> X p0 & <<1>> X !p0", "<<0,1>> X p0 & <<2>> X !p0",
@@ -964,9 +1098,9 @@ class TestSolveSatisfiability:
              r.stats.propagations, r.stats.rechecks)
             for r in runs
         ] == [
-            (False, 193, 40, 231, 100, 246),
-            (False, 274, 68, 336, 192, 408),
-            (False, 298, 107, 397, 391, 913),
+            (False, 113, 37, 148, 107, 226),
+            (False, 126, 71, 190, 202, 417),
+            (False, 224, 92, 312, 294, 765),
         ]
 
     def test_criterion_6_search_at_2222_is_pinned(self):
@@ -1038,7 +1172,7 @@ class TestSolveSatisfiability:
         ] == [
             (True, 16, 5, 22, 6, 0),
             (True, 35, 5, 41, 7, 29),
-            (False, 52, 17, 69, 39, 123),
+            (False, 53, 20, 73, 39, 144),
         ]
 
     def test_propagations_counted_and_repeatable(self):
@@ -1053,7 +1187,7 @@ class TestSolveSatisfiability:
         runs = [
             solve_satisfiability(f, req, SolverConfig(minimize_conflicts=True)) for _ in range(2)
         ]
-        assert [r.stats.rechecks for r in runs] == [246, 246]
+        assert [r.stats.rechecks for r in runs] == [226, 226]
         off = solve_satisfiability(parse_formula("p0 & !p0"), Requirements(S22P1))
         assert off.stats.conflicts > 0 and off.stats.rechecks == 0
 
