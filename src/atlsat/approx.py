@@ -279,9 +279,8 @@ class Program:
         for slot, (kind, arg, children) in enumerate(slots):
             bits = need[slot]
             for u in (0, 1):
+                # need[slot] is nonzero, so one root mode or the other needs (slot, u).
                 over, under = bits >> u & 1, bits >> (1 - u) & 1
-                if not (over or under):
-                    continue
                 view = coalition = None
                 if kind == _PROP:
                     a, b = arg, 1 - u

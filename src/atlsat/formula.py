@@ -38,9 +38,6 @@ class Coalition:
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
 
-    def __contains__(self, agent: int) -> bool:
-        return agent in self.members
-
     def __len__(self) -> int:
         return len(self.members)
 

@@ -24,8 +24,8 @@ two-sided approximation of the partial assignment decides the step:
 
 * initial state outside the over set: no compatible completion can satisfy
   the formula, so a conflict clause over the assigned cells is learned (when
-  minimizing, over the cells the over evaluation read, then shrunk
-  greedily);
+  minimizing, over the cells the over evaluation read and the requirements
+  leave free, then shrunk greedily);
 * initial state inside the under set: every compatible completion satisfies
   the formula, so the assignment is completed and the witness returned;
 * otherwise the search deepens.
@@ -209,7 +209,6 @@ class _Search:
                 self.assign(v + 1 if b else -(v + 1), None)
         if config.minimize_conflicts:
             self.probe = req.induced_partial_model()
-            self.required = req.cells
             # The literals of the last recheck's candidate, shown on the probe.
             self.shown: set[int] = set()
 
@@ -422,17 +421,21 @@ class _Search:
         """The conflict clause when the over approximation excludes the
         initial state, else None.  The clause negates every assigned cell;
         when minimizing, it negates only the cells that the failing
-        evaluation read (:meth:`~atlsat.approx.Program.explain`), is
-        confirmed by one recheck, and is then reduced greedily.  A justified
-        clause that the recheck does not confirm raises ``AssertionError``."""
+        evaluation read (:meth:`~atlsat.approx.Program.explain`) and the
+        requirements leave free, is confirmed by one recheck, and is then
+        reduced greedily.  A justified clause that the recheck does not
+        confirm raises ``AssertionError``."""
         self.stats.theory_checks += 1
         if sapp(self.view, self.program, Mode.OVER) >> self.shape.initial_state & 1:
             return None
         value = self.value
         if not self.config.minimize_conflicts:
             return tuple([-(v + 1) if b else (v + 1) for v, b in enumerate(value) if b is not None])
-        # Every justified cell is assigned.
-        clause = tuple(-(v + 1) if value[v] else (v + 1) for v in self.program.explain(self.view))
+        # Every justified cell is assigned.  A forced one is a level-0 fact
+        # that the probe always shows and analyze would drop, so it is left out.
+        forced = self.req.cells
+        clause = tuple(-(v + 1) if value[v] else (v + 1)
+                       for v in self.program.explain(self.view) if forced[v] is None)
         if not self.recheck(clause):
             raise AssertionError("the justified clause is not a theory conflict")
         return minimize_conflict(clause, self.recheck)
@@ -445,17 +448,17 @@ class _Search:
     def recheck(self, candidate: tuple[int, ...]) -> bool:
         """Oracle for clause minimization: does the conflict survive when only
         the requirements and the cells these clause literals negate stay
-        assigned?  The deadline runs first, so a time limit holds inside a
-        minimization.  A candidate that empties a protocol row raises
-        ``ValueError``.  The probe is left showing the candidate."""
+        assigned?  A candidate names no forced cell, so a cell whose literal
+        leaves it is freed.  The deadline runs first, so a time limit holds
+        inside a minimization.  A candidate that empties a protocol row
+        raises ``ValueError``.  The probe is left showing the candidate."""
         self.deadline()
         self.stats.rechecks += 1
-        probe, required = self.probe, self.required
+        probe = self.probe
         shown, new = self.shown, set(candidate)
         self.shown = new
         for lit in shown - new:
-            v = abs(lit) - 1
-            probe.put(v, required[v])
+            probe.put(abs(lit) - 1, None)
         for lit in new - shown:
             probe.put(abs(lit) - 1, 0 if lit > 0 else 1)
         return not sapp(probe, self.program, Mode.OVER) >> self.shape.initial_state & 1

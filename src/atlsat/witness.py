@@ -109,8 +109,9 @@ def write_witness_json(m: Model, path: str) -> None:
 
 
 def read_text(path: str) -> str:
-    """The text of a UTF-8 file; bytes that do not decode are a ``ValueError`` naming it."""
-    with open(path, "r", encoding="utf-8") as fh, _blame(path):
+    """The text of a UTF-8 file, less a leading byte-order mark; bytes that
+    do not decode are a ``ValueError`` naming it."""
+    with open(path, "r", encoding="utf-8-sig") as fh, _blame(path):
         return fh.read()
 
 

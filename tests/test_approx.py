@@ -73,6 +73,12 @@ class TestPartialModel:
         with pytest.raises(ValueError, match="has 5 cells, shape needs 6"):
             PartialModel(shape, (None,) * 5)
 
+    @pytest.mark.parametrize("cell", [2, -1, 0.5, "1"])
+    def test_rejects_other_cell_values(self, cell):
+        shape = ModelShape([2], [0], 1)
+        with pytest.raises(ValueError, match="cells must be 0, 1 or None"):
+            PartialModel(shape, (1, 1, 1, 1, None, cell))
+
     def test_assignment_round_trip(self):
         rng = random.Random(0)
         for _ in range(200):
@@ -483,6 +489,10 @@ class TestProgram:
         same = Program(f, ModelShape([2, 2], [1, 1], 1))
         assert sapp(pm, same, Mode.OVER) == 0b1000
         assert check_validity(m, same) == bool(m.valuation[shape.initial_state][0])
+
+    def test_rejects_a_formula_that_is_not_core(self):
+        with pytest.raises(ValueError, match="not core-normalized"):
+            Program(parse_formula("p0 | p0"), ModelShape([2], [0], 1))
 
     def test_shared_subformulas_share_a_slot(self):
         shape = ModelShape([2, 2], [0, 0], 2)

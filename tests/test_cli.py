@@ -4,6 +4,8 @@ import os
 import re
 import stat
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -387,6 +389,49 @@ def test_bad_input_is_one_error_line(argv, expect, input_files, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert expect.format(**input_files) in captured.err
+
+
+def test_input_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # Each file is read as if it had no mark: the cv row makes p0 false at
+    # the initial state, and the first formula of the list is plain p0.
+    texts = {
+        "req": json.dumps({"agents": [{"locals": 2}], "props": 1, "cv": [[0, 0, 0]]}),
+        "formula": "p0 | !p0\n",
+        "formulas": "p0\np0 & !p0\n",
+        "witness": json.dumps(GOOD_WITNESS),
+    }
+    paths = {}
+    for name, text in texts.items():
+        (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + text.encode())
+        paths[name] = str(tmp_path / name)
+    report = tmp_path / "report.json"
+    assert main(["check", "-f", "p0", "--req", paths["req"]]) == 20
+    assert main(["check", "--formula-file", paths["formula"], "--req", paths["req"]]) == 10
+    assert main(["bench", paths["formulas"], "--req", paths["req"], "--out-json", str(report),
+                 "--deterministic-report"]) == 0
+    assert [(r["formula"], r["verdict"]) for r in json.loads(report.read_text())] == [
+        ("p0", "UNSAT"), ("p0 & !p0", "UNSAT")]
+    assert main(["verify", "-f", "p0", "--witness", paths["witness"]]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m atlsat.cli`` in a child process, importing this atlsat."""
+    src = str(Path(atlsat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "atlsat.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+
+
+def test_process_exit_codes(req221, tmp_path):
+    # The codes reach the shell through sys.exit, not only as main's value.
+    assert run_cli("check", "-f", "p0", "--req", req221).returncode == 10
+    assert run_cli("check", "-f", "p0 & !p0", "--req", req221).returncode == 20
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"agents": 3}))
+    failed = run_cli("check", "-f", "p0", "--req", str(bad))
+    assert failed.returncode == 1 and failed.stdout == ""
+    assert failed.stderr.startswith("error: ") and failed.stderr.count("\n") == 1
 
 
 class TestGenerate:

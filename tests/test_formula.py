@@ -150,6 +150,7 @@ class TestScanner:
             ("p0_1", 1, 1, "unknown identifier 'p0_1'"),
             ("<<0 1>> X p0", 1, 5, "expected '>>', got '1'"),
             ("<<0,>> X p0", 1, 5, "expected agent index, got '>>'"),
+            ("<<0>> (p0 X p1)", 1, 11, "expected 'U' inside coalition scope, got 'X'"),
         ],
     )
     def test_ascii_positions(self, text, line, column, message):
@@ -204,6 +205,16 @@ class TestFormat:
     def test_until_rendering(self):
         f = Until(Coalition([0, 1]), Prop(0), Prop(1))
         assert format_formula(f) == "<<0,1>> (p0 U p1)"
+
+    def test_constants_round_trip(self):
+        f = Or(Not(TrueConst()), Eventually(Coalition([1]), FalseConst()))
+        assert format_formula(f) == "!true | <<1>> F false"
+        assert parse_formula(format_formula(f)) == f
+
+    def test_str_and_repr(self):
+        f = Next(Coalition([0]), And(Prop(0), Not(Prop(1))))
+        assert str(f) == "<<0>> X (p0 & !p1)"
+        assert repr(f) == "Next('<<0>> X (p0 & !p1)')"
 
     def test_left_nested_conjunction_keeps_parens(self):
         f = And(And(Prop(0), Prop(1)), Prop(2))

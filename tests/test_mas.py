@@ -69,6 +69,11 @@ class TestShape:
         with pytest.raises(IndexError):
             state_index(ModelShape([3, 2]), (3, 0))
 
+    def test_state_index_wrong_arity(self):
+        for locs in ((0,), (0, 0, 0)):
+            with pytest.raises(IndexError, match="wrong number of local components"):
+                state_index(ModelShape([3, 2]), locs)
+
     def test_bit_owner_round_trip(self):
         shape = EX_SHAPE
         for agent in range(2):
@@ -87,6 +92,8 @@ class TestShape:
             ModelShape([0, 2])
         with pytest.raises(ValueError):
             ModelShape([2], [2])
+        with pytest.raises(ValueError, match="prop_count must be >= 0"):
+            ModelShape([2], [0], -1)
 
     def test_size_limits(self):
         # [6,6,6] with 3 props (216 states, 756 cells) is the largest shape
@@ -141,6 +148,10 @@ class TestDecodeErrors:
         with pytest.raises(EmptyProtocolRowError):
             Model(ModelShape([2]), (((0, 0), (1, 0)),), tuple(() for _ in range(2)))
 
+    def test_model_constructor_rejects_a_missing_table(self):
+        with pytest.raises(ValueError, match="one protocol table per agent"):
+            Model(EX_SHAPE, (EX_P0,), tuple((0, 0, 0) for _ in range(6)))
+
     def test_assignment_length_checked(self):
         with pytest.raises(ValueError):
             Assignment(EX_SHAPE, (0,) * 5)
@@ -149,6 +160,10 @@ class TestDecodeErrors:
         a = Assignment(ModelShape([2], [0], 0), (1, None, 0, 1))
         assert a.to_string() == "1x01"
         assert Assignment.from_string(a.shape, "1x01") == a
+
+    def test_assignment_string_rejects_other_characters(self):
+        with pytest.raises(ValueError, match="invalid cell character '2'"):
+            Assignment.from_string(ModelShape([2], [0], 0), "1x21")
 
 
 class TestSuccessors:

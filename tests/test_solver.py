@@ -582,7 +582,7 @@ class TestProbe:
         # After every recheck the probe holds the requirements with the
         # candidate's cells set, and reads like a partial model of those
         # cells computed from scratch; the view shows the assignment
-        # throughout.  The requirements pin cells that rechecks revert to.
+        # throughout.  The requirements pin cells that no candidate names.
         original = solver.minimize_conflict
         minimizations: dict[_Search, int] = {}
         rechecks = 0
@@ -593,6 +593,7 @@ class TestProbe:
 
             def checked(candidate):
                 nonlocal rechecks
+                assert all(required[abs(lit) - 1] is None for lit in candidate)
                 assert_view_shows_value(search)
                 out = recheck(candidate)
                 cells = list(required)
@@ -690,6 +691,11 @@ class TestJustification:
             program.approximate(last, mode)
             with pytest.raises(ValueError, match="last evaluation"):
                 program.explain(pm)
+        # Nor after an OVER approximation that holds at the initial state.
+        holds = PartialModel(S22P1, [None] * S22P1.bit_count)
+        assert program.approximate(holds, Mode.OVER) & 1
+        with pytest.raises(ValueError, match="holds at the initial state"):
+            program.explain(holds)
 
     def test_rank_walks_call_the_pre_image_through_mc(self, monkeypatch):
         # A wrapper of mc.atl_pre, such as a tracer's, sees the pre-images
@@ -1150,7 +1156,8 @@ class TestSolveSatisfiability:
     def test_constrained_search_is_pinned(self):
         # Requirements with a repeated row: their forced cells drive the
         # search from level 0.  (verdict, decisions, conflicts, theory
-        # checks, propagations, rechecks).
+        # checks, propagations, rechecks).  No justified clause names a
+        # forced cell, so greedy spends no recheck dropping one.
         req = Requirements(
             ModelShape([2, 2, 2], [0, 0, 0], 2),
             cp_constraints=((0, 0, 1, 0), (1, 1, 0, 1), (0, 0, 1, 0)),
@@ -1171,8 +1178,8 @@ class TestSolveSatisfiability:
             for r in runs
         ] == [
             (True, 16, 5, 22, 6, 0),
-            (True, 35, 5, 41, 7, 29),
-            (False, 53, 20, 73, 39, 144),
+            (True, 35, 5, 41, 7, 25),
+            (False, 53, 20, 73, 39, 121),
         ]
 
     def test_propagations_counted_and_repeatable(self):
@@ -1247,6 +1254,25 @@ class TestExtractModel:
 
         with pytest.raises(UndefCellError):
             decode_model(empty_assignment(S22P1))
+
+    def test_a_witness_that_breaks_the_requirements_raises(self, monkeypatch):
+        # The decoded model flips p0 at the initial state, which cv forces.
+        forced = S22P1.vb_bit(0, 0)
+
+        def flipped_decode(a):
+            bits = list(a.bits)
+            bits[forced] ^= 1
+            return decode_model(Assignment(a.shape, tuple(bits)))
+
+        monkeypatch.setattr(solver, "decode_model", flipped_decode)
+        req = Requirements(S22P1, cv_constraints=((0, 0, 1),))
+        with pytest.raises(AssertionError, match="witness violates the requirements"):
+            solve_satisfiability(parse_formula("p0"), req)
+
+    def test_a_witness_that_fails_the_formula_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "check_validity", lambda m, f: False)
+        with pytest.raises(AssertionError, match="witness fails exact model checking"):
+            solve_satisfiability(parse_formula("p0"), Requirements(S22P1))
 
 
 class TestPropagation:
