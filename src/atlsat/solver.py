@@ -148,11 +148,11 @@ def minimize_conflict(
 
 
 class _Search:
-    """One satisfiability run, from the compiled formula to the result: the
-    Boolean search, its theory side (the verdict on each settled assignment
-    and conflict minimization), the time limit and the witness.  ``start``
-    is the clock reading the time limit counts from, by default the time of
-    construction.  Not reusable across calls.
+    """One satisfiability run, from the formula to the result: compiling
+    it, the Boolean search, its theory side (the verdict on each settled
+    assignment and conflict minimization), the time limit and the witness.
+    The time limit counts from the start of construction, so it covers
+    normalizing and compiling.  Not reusable across calls.
 
     The assignment is ``value``, the cells of ``view``, a
     :class:`~atlsat.approx.PartialModel` that theory calls evaluate on; only
@@ -167,15 +167,14 @@ class _Search:
     ``analyze`` bumps an activity, and only of a cell it saw assigned, so the
     score of a free cell always equals its activity."""
 
-    def __init__(self, f: Formula | Program, req: Requirements, config: SolverConfig,
-                 start: float | None = None):
-        self.start = _clock() if start is None else start
+    def __init__(self, f: Formula, req: Requirements, config: SolverConfig):
+        self.start = _clock()
         self.req = req
         self.config = config
         self.shape = req.shape
         # Compiled once: its strategic steps reuse results across the
         # theory calls and rechecks of this run.
-        self.program = Program.of(f, req.shape)
+        self.program = Program(normalize(f), req.shape)
         self.n = self.shape.bit_count
         self.view = PartialModel(self.shape, [None] * self.n)
         # One list: nothing may write ``value`` directly, since ``put``
@@ -468,17 +467,13 @@ class _Search:
     def decide(self) -> bool:
         """Open a decision level and assign the free cell of highest
         activity, the lowest-index one among equals, 1 for a protocol cell
-        and 0 for a valuation cell; False when no cell is free.  Until the
-        first analysis bumps, every free cell scores 0.0, so the scores need
-        no scan for their maximum."""
+        and 0 for a valuation cell; False when the trail holds every cell.
+        Until the first analysis bumps, every free cell scores 0.0, so the
+        scores need no scan for their maximum."""
+        if len(self.trail) == self.n:
+            return False
         score = self.score
-        best = max(score) if self.bump > 1.0 else 0.0
-        if best < 0:
-            return False
-        try:
-            v = score.index(best)
-        except ValueError:  # nothing bumped yet, and no cell free
-            return False
+        v = score.index(max(score) if self.bump > 1.0 else 0.0)
         self.trail_lim.append(len(self.trail))
         self.stats.decisions += 1
         self.assign((v + 1) if v < self.shape.vb_offset else -(v + 1), None)
@@ -513,6 +508,4 @@ def solve_satisfiability(
     at the initial state; on success the witness is verified exactly before
     being returned.  A formula naming an agent or proposition the shape
     lacks raises :class:`BoundsError`."""
-    config = config or SolverConfig()
-    start = _clock()
-    return _Search(Program(normalize(f), req.shape), req, config, start).run()
+    return _Search(f, req, config or SolverConfig()).run()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atlsat import formula
 from atlsat.formula import (
     MAX_NESTING,
     And,
@@ -270,6 +271,13 @@ class TestNormalize:
 
 
 class TestQueries:
+    @pytest.mark.parametrize("walk", [format_formula, normalize, strategic_depth])
+    @pytest.mark.parametrize("node", ["p0", None, Coalition([0])])
+    def test_a_non_formula_is_refused(self, walk, node):
+        for f in (node, Not(node)):
+            with pytest.raises(TypeError, match="not a formula"):
+                walk(f)
+
     def test_counts_on_benchmark_prefix(self):
         text = (
             "<<0>> X (!p0 | <<1>> G (!p1 | <<0,1>> F (!p1 | <<0,1>> F (!p0 | "
@@ -358,6 +366,12 @@ class TestGenerator:
             f, found = generate_with_counts(3, 4, 3, depth, None, base_seed=seed)
             assert found == seed
             assert f == generate_random_formula(GenParams(3, 4, 3, depth, seed))
+
+    def test_the_scan_gives_up_after_count_tries_seeds(self, monkeypatch):
+        # 20 seeds stand in for the real 50,000, whose scan takes seconds.
+        monkeypatch.setattr(formula, "COUNT_TRIES", 20)
+        with pytest.raises(ValueError, match=r"no seed in \[5, 25\) yields depth=9 with 1000"):
+            generate_with_counts(3, 4, 3, depth=9, connectives=1000, base_seed=5)
 
     def test_negative_connectives_are_refused(self):
         with pytest.raises(ValueError, match="connectives must be >= 0"):

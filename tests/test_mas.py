@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from atlsat.mas import (
     state_locals,
     successors,
 )
+from atlsat.witness import witness_from_dict, witness_to_dict
 from helpers import bit_owner
 from samplers import random_model, random_shape
 
@@ -116,6 +118,13 @@ class TestEncode:
         shape = ModelShape([2], [0], 0)
         m = Model(shape, (((1, 0), (0, 1)),), tuple(() for _ in range(2)))
         assert len(encode_model(m).bits) == 4
+
+    def test_witness_json_round_trip_is_equal_and_hashes_equal(self):
+        m = example_model(tuple((s % 2, 0, 1) for s in range(6)))
+        again = witness_from_dict(json.loads(json.dumps(witness_to_dict(m))))
+        assert again == m and again is not m
+        assert hash(again) == hash(m)
+        assert len({m, again, example_model()}) == 2
 
     def test_round_trip_bulk(self):
         rng = random.Random(11)

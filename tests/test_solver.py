@@ -252,6 +252,22 @@ class TestActivity:
             load(search, [1] * search.n)
             assert not search.decide() and search.trail_lim == []
 
+    @pytest.mark.parametrize("f, shape, bumped", [
+        (Prop(0), S22P1, True),  # after one conflict: the max(score) branch
+        (generate_random_formula(GenParams(3, 4, 3, 9, 8)),
+         ModelShape([2, 2, 2], [0, 0, 0], 3), False),  # before any bump
+    ])
+    def test_a_full_trail_without_a_verdict_is_an_error(self, monkeypatch, f, shape, bumped):
+        # A theory that never accepts lets the search fill the trail; decide
+        # then finds no free cell, which the loop reports as a broken search.
+        monkeypatch.setattr(_Search, "accepts", lambda self: False)
+        search = _Search(f, Requirements(shape), SolverConfig())
+        with pytest.raises(AssertionError, match="total assignment reached without a verdict"):
+            search.run()
+        assert len(search.trail) == search.n
+        assert (search.bump > 1.0) is bumped
+        assert search.stats.conflicts == (1 if bumped else 0)
+
     def test_score_is_activity_of_free_cells(self):
         # After every assign and backjump of random-order searches, with and
         # without minimization, a free cell's score is its activity and an
@@ -507,7 +523,7 @@ class TestLiveView:
         # A search whose loaded assignment the formula refutes: protocol
         # cells set, and p0 false at every state.
         shape = S22P1
-        search = _Search(normalize(parse_formula(text)), Requirements(shape), config, start=0.0)
+        search = _Search(normalize(parse_formula(text)), Requirements(shape), config)
         cells = [None] * shape.bit_count
         cells[shape.tb_bit(0, 0, 0)] = 1
         cells[shape.tb_bit(1, 1, 1)] = 0
@@ -535,9 +551,10 @@ class TestLiveView:
         assert_view_shows_value(search)
 
     def test_view_restored_after_a_timeout(self, monkeypatch):
-        # The first recheck runs in time and moves the view; the second
-        # finds the limit passed before it counts itself.
-        ticks = iter([0.0])
+        # Construction reads the clock once; the first recheck runs in time
+        # and moves the view; the second finds the limit passed before it
+        # counts itself.
+        ticks = iter([0.0, 0.0])
         monkeypatch.setattr(solver, "_clock", lambda: next(ticks, 5.0))
         search = self._conflict_search(
             "<<0,1>> X p0", SolverConfig(minimize_conflicts=True, time_limit=1.0))
@@ -1232,6 +1249,25 @@ class TestSolveSatisfiability:
         with pytest.raises(SolveTimeout):
             solve_satisfiability(f, req, SolverConfig(minimize_conflicts=True, time_limit=10))
         assert len(rechecks) == 1
+
+    def test_timeout_covers_normalizing_and_compiling(self, monkeypatch):
+        # The clock passes the limit while the formula is normalized: the
+        # solve stops at its first deadline, before any propagation.
+        now = [0.0]
+        monkeypatch.setattr(solver, "_clock", lambda: now[0])
+
+        def slow_normalize(f):
+            now[0] = 2.0
+            return normalize(f)
+
+        def propagate(self):
+            raise AssertionError("propagated past the deadline")
+
+        monkeypatch.setattr(solver, "normalize", slow_normalize)
+        monkeypatch.setattr(_Search, "propagate", propagate)
+        with pytest.raises(SolveTimeout):
+            solve_satisfiability(parse_formula("p0"), Requirements(S22P1),
+                                 SolverConfig(time_limit=1.0))
 
     def test_timeout_raises(self):
         f = generate_random_formula(GenParams(3, 4, 3, 20, 3))  # a slow refutation
