@@ -255,6 +255,9 @@ class Program:
     their last result.  Keep a program to one solve: these caches hold one
     entry each and live as long as it does.
 
+    ``cone`` is the set of cells the verdict at the initial state can read,
+    in either mode: partial models that agree on it agree on that verdict.
+
     After :meth:`explain`, ``justified`` holds per value position the
     states its backward pass justified there.
     """
@@ -264,16 +267,33 @@ class Program:
         self.full = shape.full_mask
         slots, self.nodes, root = _cons(f, shape)
         # Bit u of need[slot]: root mode OVER evaluates the slot in mode u.
-        # Root mode UNDER needs the same slots with the modes swapped.
+        # Root mode UNDER needs the same slots with the modes swapped.  Bit 2:
+        # the slot sits under a strategic step, so its value is read at every
+        # state, not only the initial one; it is no mode and never swaps.
         need = [0] * len(slots)
         need[root] = 1
+        strategic = False
         for slot in range(root, -1, -1):
             kind, _, children = slots[slot]
             bits = need[slot]
             if kind == _NOT:
-                bits = (bits & 1) << 1 | bits >> 1
+                bits = (bits & 1) << 1 | bits >> 1 & 1 | bits & 4
+            elif kind >= _NEXT:
+                bits |= 4
+                strategic = True
             for c in children:
                 need[c] |= bits
+        # The cells a verdict at the initial state can read: every protocol
+        # cell once a strategic step exists, and per atom its proposition's
+        # valuation cells, at every state under a strategic step, else only
+        # at the initial state.
+        p, vb = shape.prop_count, shape.vb_offset
+        cone = set(range(vb)) if strategic else set()
+        for slot, (kind, arg, _) in enumerate(slots):
+            if kind == _PROP:
+                states = range(shape.state_count) if need[slot] & 4 else (shape.initial_state,)
+                cone.update([vb + s * p + arg for s in states])
+        self.cone = frozenset(cone)
         views: dict[tuple[tuple[int, ...], int], int] = {}
         steps: tuple[list[tuple], list[tuple]] = ([], [])
         for slot, (kind, arg, children) in enumerate(slots):

@@ -76,7 +76,8 @@ def cmd_check(args) -> int:
         print(
             f"c decisions={stats.decisions} conflicts={stats.conflicts} "
             f"theory_checks={stats.theory_checks} propagations={stats.propagations} "
-            f"rechecks={stats.rechecks} reused={stats.reused} time={stats.wall_time:.3f}s"
+            f"rechecks={stats.rechecks} reused={stats.reused} "
+            f"cone={stats.cone_cells}/{req.shape.bit_count} time={stats.wall_time:.3f}s"
         )
     if result.satisfiable:
         print("s SATISFIABLE")
@@ -128,6 +129,7 @@ def _report_rows(lines: list[str], formulas: list[Formula], req, config) -> list
             "decisions": stats.decisions,
             "conflicts": stats.conflicts,
             "theory_checks": stats.theory_checks,
+            "cone_cells": stats.cone_cells,
         })
     return rows
 

@@ -16,11 +16,15 @@ order, as in Chaff and MiniSat; a clause entering the search implies its
 literal itself when it is unit on arrival.  Decisions follow clause activity
 (VSIDS, as in Chaff and MiniSat): each conflict analysis bumps the activity
 of every cell in the clauses it resolves, by an amount that grows with each
-conflict, so recent conflicts weigh most.  A decision takes the free cell of
-highest activity, ties going to the lowest index, so before the first
-conflict it is the lowest-index free cell; it sets 1 for a protocol cell and
-0 for a valuation cell.  After propagation settles at each level, the
-two-sided approximation of the partial assignment decides the step:
+conflict, so recent conflicts weigh most.  Decisions range over the cone of
+the compiled formula (``Program.cone``), the cells its verdict can read: a
+decision takes the free cone cell of highest activity, ties going to the
+lowest index, so before the first conflict it is the lowest-index free cone
+cell; it sets 1 for a protocol cell and 0 for a valuation cell.  Once no cone
+cell is free the search decides no more, since the verdict is then settled;
+the witness completes the cells outside the cone.  After propagation settles
+at each level, the two-sided approximation of the partial assignment decides
+the step:
 
 * initial state outside the over set: no compatible completion can satisfy
   the formula, so a conflict clause over the assigned cells is learned (when
@@ -107,6 +111,7 @@ class SolverStats:
     propagations: int = 0
     rechecks: int = 0
     reused: int = 0
+    cone_cells: int = 0
     wall_time: float = 0.0
 
 
@@ -162,10 +167,21 @@ class _Search:
     probe's cells whose literal entered or left the candidate since the
     previous recheck.
 
-    Decisions read ``score``: a free cell's ``activity``, and -1.0 for an
-    assigned cell, which ``assign`` writes and ``backjump`` undoes.  Only
-    ``analyze`` bumps an activity, and only of a cell it saw assigned, so the
-    score of a free cell always equals its activity."""
+    Decisions read ``score``: a free cone cell's ``activity``, and -1.0 for
+    an assigned cell, which ``assign`` writes and ``backjump`` undoes, and
+    for every cell outside the cone, for the whole solve.  Only ``analyze``
+    bumps an activity, and only of a cell it saw assigned, so the score of a
+    free cone cell always equals its activity.
+
+    Decisions stop once every cone cell is set, when the trail reaches
+    ``filled`` cells.  No cell outside the cone is decided, and none is
+    implied above level 0.  While that holds, every cell a theory clause or a
+    reason names is a cone cell or a level-0 fact, analysis drops the facts,
+    and so a learned clause names cone cells alone; a row clause over
+    protocol cells outside the cone (only without strategic steps) has no
+    literal assigned above level 0, so it implies only at level 0.  A cell
+    outside the cone is thus assigned at level 0, for good, and ``assign``
+    counts it into ``filled`` when it arrives."""
 
     def __init__(self, f: Formula, req: Requirements, config: SolverConfig):
         self.start = _clock()
@@ -185,7 +201,12 @@ class _Search:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.activity = [0.0] * self.n
-        self.score = [0.0] * self.n
+        cone = self.program.cone
+        self.score = [-1.0] * self.n
+        for v in cone:
+            self.score[v] = 0.0
+        # The trail length at which no cone cell is free.
+        self.filled = len(cone)
         # The activity a conflict adds to each cell it sees; it grows by
         # 1/0.95 per conflict, which decays every older bump relative to it.
         self.bump = 1.0
@@ -198,7 +219,7 @@ class _Search:
         }
         # Trail literals before ``head`` have had their watchers visited.
         self.head = 0
-        self.stats = SolverStats()
+        self.stats = SolverStats(cone_cells=len(cone))
         for off, n in zip(self.shape.tb_offsets, self.shape.locals_per_agent):
             for row in range(off, off + n * n, n):
                 self.add_clause(tuple(range(row + 1, row + n + 1)))
@@ -234,7 +255,8 @@ class _Search:
                 self.backjump(backjump)
                 self.add_clause(learned)
             elif not self.decide():
-                # Over and under coincide at total assignments, so the theory
+                # Over and under read only cone cells at the initial state, so
+                # they coincide once every cone cell is set, and the theory
                 # verdict above must have been conflict or acceptance.
                 raise AssertionError("total assignment reached without a verdict")
 
@@ -257,7 +279,11 @@ class _Search:
         self.view.put(v, 1 if lit > 0 else 0)
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
-        self.score[v] = -1.0
+        score = self.score
+        if score[v] < 0.0:
+            # Free with a negative score: outside the cone, assigned for good.
+            self.filled += 1
+        score[v] = -1.0
         self.trail.append(lit)
 
     def backjump(self, target_level: int) -> None:
@@ -465,12 +491,12 @@ class _Search:
     # -- decisions
 
     def decide(self) -> bool:
-        """Open a decision level and assign the free cell of highest
+        """Open a decision level and assign the free cone cell of highest
         activity, the lowest-index one among equals, 1 for a protocol cell
-        and 0 for a valuation cell; False when the trail holds every cell.
-        Until the first analysis bumps, every free cell scores 0.0, so the
+        and 0 for a valuation cell; False when no cone cell is free.  Until
+        the first analysis bumps, every free cone cell scores 0.0, so the
         scores need no scan for their maximum."""
-        if len(self.trail) == self.n:
+        if len(self.trail) == self.filled:
             return False
         score = self.score
         v = score.index(max(score) if self.bump > 1.0 else 0.0)

@@ -191,15 +191,17 @@ def split_structure(pm: PartialModel, coalition, mode: Mode) -> TransitionStruct
 
 class RandomOrderSearch(_Search):
     """The search with decisions drawn from ``random.Random(seed)``: a free
-    cell, then its value, each uniformly.  Any decision order keeps the
-    verdict, so this exercises orders the activity rule never takes."""
+    cone cell, then its value, each uniformly.  Any decision order over the
+    cone keeps the verdict, so this exercises orders the activity rule never
+    takes."""
 
     def __init__(self, f, req: Requirements, config: SolverConfig, seed: int):
         super().__init__(f, req, config)
         self.rng = random.Random(seed)
+        self.cone = sorted(self.program.cone)
 
     def decide(self) -> bool:
-        free = [v for v in range(self.n) if self.value[v] is None]
+        free = [v for v in self.cone if self.value[v] is None]
         if not free:
             return False
         v = self.rng.choice(free)

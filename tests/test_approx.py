@@ -30,6 +30,7 @@ from atlsat.formula import (
 from atlsat.mas import Assignment, Model, ModelShape, encode_model, state_index
 from atlsat.mc import solve_globally, solve_next, solve_until
 from helpers import (
+    cone_of_influence,
     flipped,
     partial_model,
     protocol_tables,
@@ -515,6 +516,103 @@ class TestProgram:
         pm = random_partial_model(random.Random(13), shape)
         for mode in Mode:
             assert sapp(pm, f, mode) == recursive_sapp(pm, inner, mode)
+
+
+def _mode_walk(f):
+    """The ``(subformula, mode)`` evaluations of root mode ``OVER``, by a
+    recursive walk in which only negation swaps the mode."""
+    out, stack = set(), [(f, Mode.OVER)]
+    while stack:
+        node, mode = stack.pop()
+        if (node, mode) in out:
+            continue
+        out.add((node, mode))
+        if isinstance(node, Not):
+            stack.append((node.child, flipped(mode)))
+        elif isinstance(node, (And, Until)):
+            stack += [(node.left, mode), (node.right, mode)]
+        elif not isinstance(node, Prop):
+            stack.append((node.child, mode))
+    return out
+
+
+class TestCone:
+    """``Program.cone``: the cells a verdict at the initial state can read."""
+
+    def test_a_subset_of_the_reference_cone(self):
+        # Strictly smaller when a proposition is read at the initial state
+        # alone, and equal when every atom sits under a strategic step: here,
+        # the random formula wrapped in one.
+        rng = random.Random(26)
+        strict = 0
+        for _ in range(400):
+            shape = random_shape(rng, max_states=8, max_props=3)
+            if shape.prop_count == 0:
+                continue
+            f = random_core_formula(rng, shape.agent_count, shape.prop_count, rng.randint(0, 3))
+            if rng.random() < 0.5:  # a shallow atom beside whatever f holds
+                f = And(random_core_formula(rng, shape.agent_count, shape.prop_count, 0), f)
+            cone = Program(f, shape).cone
+            assert cone <= cone_of_influence(f, shape)
+            strict += cone != cone_of_influence(f, shape)
+            wrapped = Next(random_coalition(rng, shape.agent_count), f)
+            assert Program(wrapped, shape).cone == cone_of_influence(wrapped, shape)
+        assert strict > 15
+
+    def test_a_shallow_atom_reads_the_initial_state_alone(self):
+        shape = ModelShape([2, 2], [1, 0], 2)
+        program = Program(normalize(parse_formula("p1 & <<0>> X p0")), shape)
+        assert program.cone == frozenset(range(shape.vb_offset)) | {
+            shape.vb_bit(s, 0) for s in range(shape.state_count)} | {
+            shape.vb_bit(shape.initial_state, 1)}
+        # Under a negation, and below one inside a strategic step.
+        for text, deep in (("!p1 & !<<0>> X p0", False), ("<<0>> X !p1 & p0", True)):
+            cone = Program(normalize(parse_formula(text)), shape).cone
+            p1 = {s for s in range(shape.state_count) if shape.vb_bit(s, 1) in cone}
+            assert p1 == (set(range(shape.state_count)) if deep else {shape.initial_state})
+        # Without a strategic step no protocol cell is read.
+        cone = Program(normalize(parse_formula("p1 & !p0")), shape).cone
+        assert cone == {shape.vb_bit(shape.initial_state, v) for v in (0, 1)}
+
+    def test_the_strategic_bit_never_reaches_the_modes(self):
+        # The bit that marks slots under a strategic step passes through
+        # negations unswapped: each root mode evaluates exactly what a
+        # recursive walk in which only negation swaps the mode evaluates.
+        rng = random.Random(27)
+        for _ in range(300):
+            shape = random_shape(rng, max_props=2)
+            if shape.prop_count == 0:
+                continue
+            f = random_core_formula(rng, shape.agent_count, shape.prop_count, rng.randint(1, 3))
+            f = rng.choice((f, Not(f), Next(Coalition(()), Not(f))))
+            program = Program(f, shape)
+            assert set(visits(program, Mode.OVER)) == _mode_walk(f)
+            assert set(visits(program, Mode.UNDER)) == {
+                (node, flipped(mode)) for node, mode in _mode_walk(f)}
+
+    def test_cells_outside_the_cone_leave_the_verdict(self):
+        # Partial models that agree on the cone agree on both approximations
+        # at the initial state, whatever the other cells hold.
+        rng = random.Random(28)
+        moved = 0
+        for _ in range(300):
+            shape = random_shape(rng, max_props=3)
+            if shape.prop_count == 0:
+                continue
+            f = random_core_formula(rng, shape.agent_count, shape.prop_count, rng.randint(0, 2))
+            program = Program(f, shape)
+            pm = random_partial_model(rng, shape, shape.bit_count)
+            cells = [b if v in program.cone else rng.choice((0, 1, None))
+                     for v, b in enumerate(pm.cells)]
+            try:
+                other = PartialModel(shape, cells)
+            except ValueError:
+                continue  # a protocol row determined empty
+            moved += cells != pm.cells
+            for mode in Mode:
+                bit = sapp(pm, program, mode) >> shape.initial_state & 1
+                assert sapp(other, program, mode) >> shape.initial_state & 1 == bit
+        assert moved > 100
 
 
 # The refute-theory formulas, and a strategic G alone.

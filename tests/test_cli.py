@@ -107,6 +107,13 @@ class TestCheck:
         stats = re.search(r"^c .* propagations=\d+ rechecks=(\d+) ", capsys.readouterr().out, re.M)
         assert stats and int(stats.group(1)) > 0
 
+    def test_verbose_reports_the_cone(self, req221, capsys):
+        # Of the 12 cells at [2,2] with 1 prop: p0 at the initial state
+        # alone, then every cell once a strategic step reads p0 everywhere.
+        for text, code, cone in (("p0 & !p0", 20, "1/12"), ("p0 & <<0>> X !p0", 10, "12/12")):
+            assert main(["check", "-v", "-f", text, "--req", req221]) == code
+            assert re.search(rf"^c .* reused=\d+ cone={cone} time=", capsys.readouterr().out, re.M)
+
     def test_verbose_reports_reused(self, req32, capsys):
         # The worked example reuses strategic results, the same number in
         # each of two solves; p0 & !p0 has no strategic step to reuse.
@@ -638,7 +645,7 @@ class TestBench:
         assert unsat["verdict"] == "UNSAT" and unsat["conflicts"] > 0
         assert error == {
             "id": 2, "formula": "p5", "depth": 0, "connectives": 0, "verdict": "ERROR",
-            "decisions": 0, "conflicts": 0, "theory_checks": 0,
+            "decisions": 0, "conflicts": 0, "theory_checks": 0, "cone_cells": 0,
         }
         assert main(argv) == 0
         assert all(isinstance(r["time"], float) for r in json.loads(out_json.read_text()))
@@ -668,6 +675,8 @@ class TestBench:
         # Counts are recomputed from the parsed tree.
         assert rows[2]["depth"] == 1
         assert rows[0]["connectives"] == 0
+        # The cells each search could decide, of the 12 at [2,2] with 1 prop.
+        assert [r["cone_cells"] for r in rows] == [1, 1, 12]
 
     def test_empty_list(self, req221, tmp_path, capsys):
         formulas = tmp_path / "empty.txt"

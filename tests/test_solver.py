@@ -196,11 +196,13 @@ class TestActivity:
 
     class Logged(_Search):
         """The search, logging per decision the conflicts so far, the
-        lowest-index free cell, the free cell of highest activity (lowest
-        index among equals, found by a plain scan) and the cell decided."""
+        lowest-index free cone cell, the free cone cell of highest activity
+        (lowest index among equals, found by a plain scan) and the cell
+        decided."""
 
         def decide(self):
-            free = [v for v in range(self.n) if self.value[v] is None]
+            cone = self.program.cone
+            free = [v for v in range(self.n) if self.value[v] is None and v in cone]
             top = max(free, key=lambda v: (self.activity[v], -v), default=None)
             decided = super().decide()
             assert decided == bool(free)
@@ -219,6 +221,7 @@ class TestActivity:
             yield search.log
 
     def test_before_any_conflict_the_lowest_index_free_cell_is_decided(self):
+        # The lowest-index free cone cell.
         early = [(lowest, cell) for log in self.logged_runs()
                  for conflicts, lowest, _, cell in log if conflicts == 0]
         assert len(early) > 20
@@ -232,7 +235,9 @@ class TestActivity:
         assert sum(cell != lowest for _, lowest, cell in late) > 20
 
     def search(self):
-        return _Search(normalize(parse_formula("p0")), Requirements(self.SHAPE), SolverConfig())
+        # A strategic formula: every protocol cell is in its cone.
+        return _Search(normalize(parse_formula("<<0>> X p0")), Requirements(self.SHAPE),
+                       SolverConfig())
 
     def test_ties_go_to_the_lowest_index(self):
         search = self.search()
@@ -258,26 +263,29 @@ class TestActivity:
          ModelShape([2, 2, 2], [0, 0, 0], 3), False),  # before any bump
     ])
     def test_a_full_trail_without_a_verdict_is_an_error(self, monkeypatch, f, shape, bumped):
-        # A theory that never accepts lets the search fill the trail; decide
-        # then finds no free cell, which the loop reports as a broken search.
+        # A theory that never accepts lets the search set every cone cell;
+        # decide then finds no free cone cell, which the loop reports as a
+        # broken search.
         monkeypatch.setattr(_Search, "accepts", lambda self: False)
         search = _Search(f, Requirements(shape), SolverConfig())
         with pytest.raises(AssertionError, match="total assignment reached without a verdict"):
             search.run()
-        assert len(search.trail) == search.n
+        assert all(search.value[v] is not None for v in search.program.cone)
+        assert len(search.trail) == search.filled
         assert (search.bump > 1.0) is bumped
         assert search.stats.conflicts == (1 if bumped else 0)
 
     def test_score_is_activity_of_free_cells(self):
         # After every assign and backjump of random-order searches, with and
-        # without minimization, a free cell's score is its activity and an
-        # assigned cell's is -1.0.
+        # without minimization, a free cone cell's score is its activity, and
+        # an assigned cell's or one outside the cone is -1.0.
         checks = Counter()
 
         class Checked(RandomOrderSearch):
             def holds(self):
-                assert self.score == [a if b is None else -1.0
-                                      for a, b in zip(self.activity, self.value)]
+                cone = self.program.cone
+                assert self.score == [a if b is None and v in cone else -1.0
+                                      for v, (a, b) in enumerate(zip(self.activity, self.value))]
 
             def assign(self, lit, reason):
                 super().assign(lit, reason)
@@ -643,13 +651,122 @@ class TestProbe:
         assert rechecks > 0
 
 
+class ConeKept(_Search):
+    """The search, asserting that a cell outside the cone enters the trail
+    only at level 0, which the exhaustion test of ``decide`` rests on, and
+    counting per search the cells outside the cone it assigns and, on
+    acceptance, leaves free."""
+
+    outside = left_free = 0
+
+    def assign(self, lit, reason):
+        v = abs(lit) - 1
+        if v not in self.program.cone:
+            assert not self.trail_lim, f"cell {v} outside the cone assigned above level 0"
+            self.outside += 1
+        super().assign(lit, reason)
+
+    def witness(self):
+        self.left_free = self.value.count(None)
+        return super().witness()
+
+
+class RandomConeKept(ConeKept, RandomOrderSearch):
+    """:class:`ConeKept` in the random decision order."""
+
+
+class TestCone:
+    """Decisions over the cone only (``Program.cone``): verdicts, witnesses
+    and the level-0 invariant behind the exhaustion test."""
+
+    # Formulas that name only some of the declared propositions, Boolean
+    # ones, and shallow atoms beside strategic steps.
+    TEXTS = ("p0", "!p0", "p0 & !p0", "p1", "!p1 & p0", "!(p1 & !p0)", "p1 & <<0>> X p0",
+             "!p1 & <<>> G p0", "<<0>> X p1", "p0 & <<>> F !p0", "<<0>> (p0 U p1) & !p1",
+             "!(p0 & <<0>> G !p0)")
+    SHAPES = (ModelShape([2], [0], 2), ModelShape([2, 1], [1, 0], 2), S22P1)
+
+    def test_verdicts_match_enumeration(self):
+        # Random cp/cv rows force cells inside and outside the cone.  The
+        # verdict in the activity order and in a random order over the cone,
+        # with and without minimization, equals exact checking of every
+        # compatible model, and each witness keeps the requirements and
+        # satisfies the formula under the oracle.
+        rng = random.Random(26)
+        models = {shape: list(enumerate_models(shape)) for shape in self.SHAPES}
+        satisfying = {}
+        counts = Counter()
+        while counts["solves"] < 400:
+            shape = rng.choice(self.SHAPES)
+            if rng.random() < 0.5:
+                text = rng.choice(self.TEXTS)
+                if shape.prop_count < 2:
+                    text = text.replace("p1", "p0")
+                f = normalize(parse_formula(text))
+            else:
+                f = random_core_formula(rng, shape.agent_count, rng.randint(1, shape.prop_count),
+                                        rng.randint(0, 2))
+            cp = {(a, rng.randrange(n), rng.randrange(n)): rng.randint(0, 1)
+                  for a, n in enumerate(shape.locals_per_agent) for _ in range(rng.randint(0, 2))}
+            cv = {(rng.randrange(shape.state_count), rng.randrange(shape.prop_count)):
+                  rng.randint(0, 1) for _ in range(rng.randint(0, 3))}
+            try:
+                req = Requirements(shape, [(*at, b) for at, b in cp.items()],
+                                   [(*at, b) for at, b in cv.items()])
+            except ValueError:
+                continue  # a row forced empty
+            key = (shape, f)
+            if key not in satisfying:
+                satisfying[key] = [m for m in models[shape] if check_validity(m, f)]
+            pm = req.induced_partial_model()
+            exists = any(is_compatible(m, pm) for m in satisfying[key])
+            cone = Program(f, shape).cone
+            forced = {v for v, b in enumerate(req.cells) if b is not None}
+            counts["forced inside"] += bool(forced & cone)
+            counts["forced outside"] += bool(forced - cone)
+            seed = counts["solves"]
+            for minimize in (False, True):
+                config = SolverConfig(minimize_conflicts=minimize)
+                for search in (ConeKept(f, req, config), RandomConeKept(f, req, config, seed)):
+                    r = search.run()
+                    assert r.satisfiable == exists, (format_formula(f), req)
+                    assert r.stats.cone_cells == len(cone)
+                    if r.satisfiable:
+                        assert is_compatible(r.witness, pm)
+                        assert oracle_check_validity(r.witness, f)
+                        counts["left free"] += search.left_free > 0
+                    counts["level-0 outside"] += search.outside > len(forced - cone)
+            counts["solves"] += 1
+            counts[exists] += 1
+        assert counts[True] > 100 and counts[False] > 50, counts
+        assert counts["forced inside"] > 100 and counts["forced outside"] > 100, counts
+        # Acceptance with cells still free, and cells outside the cone
+        # implied at level 0 beyond the forced ones.
+        assert counts["left free"] > 100 and counts["level-0 outside"] > 0, counts
+
+    def test_a_row_implied_outside_the_cone_at_level_0(self):
+        # !p0 reads p0 at the initial state alone.  The forced 0-cell leaves
+        # agent 1's row at local 1 one free cell, which the first propagation
+        # implies at level 0, after construction: the exhaustion test must
+        # count it, or decide stops short of the one cone cell.
+        shape = S22P1
+        req = Requirements(shape, cp_constraints=((1, 1, 1, 0),), cv_constraints=((2, 0, 1),))
+        search = ConeKept(normalize(parse_formula("!p0")), req, SolverConfig())
+        implied = shape.tb_bit(1, 1, 0)
+        assert search.program.cone == {shape.vb_bit(0, 0)} and search.value[implied] is None
+        r = search.run()
+        assert r.satisfiable and r.stats.decisions == 1 and search.outside == 3
+        assert search.value[implied] == 1 and search.level[implied] == 0
+        assert not r.witness.valuation[0][0]
+
+
 class TestJustification:
     """``Program.explain``: the cells it keeps, and when it may be called."""
 
     def test_justified_cells_keep_the_conflict(self):
         """On the OVER conflicts of random core formulas over random partial
         models, loaded into a search with random valuation requirements, the
-        cells kept are assigned and in the cone of influence, and with the
+        cells kept are assigned and in the program's cone, and with the
         requirements alone they still exclude the initial state: by the
         evaluator, and by the oracle over every compatible completion on
         shapes of up to 4 states where at most 6 cells stay free."""
@@ -674,7 +791,7 @@ class TestJustification:
             cells = program.explain(search.view)
             assert cells == sorted(set(cells))
             assert all(search.value[c] is not None for c in cells)
-            assert set(cells) <= cone_of_influence(f, shape)
+            assert set(cells) <= program.cone
             for _, out, *_ in program.steps[0]:
                 node = program.nodes[out >> 1]
                 if program.justified[out] and isinstance(node, (Next, Globally, Until)):
@@ -1072,14 +1189,15 @@ class TestSolveSatisfiability:
                 assert oracle_check_validity(r.witness, normalize(f))
 
     def test_unsat_ladder_search_is_pinned(self):
-        # Minimization off, the [3,2] rung is refuted by Boolean conflicts
-        # alone; the counts pin the search that propagation order drives.
+        # Minimization off, the [3,2] rung: its cone is p0's cell at the
+        # initial state, so one decision and its unit clause refute it.
         req = Requirements(ModelShape([3, 2], [0, 0], 2))
         config = SolverConfig(minimize_conflicts=False)
         r = solve_satisfiability(parse_formula("p0 & !p0"), req, config)
         assert not r.satisfiable
-        assert (r.stats.decisions, r.stats.conflicts) == (6173, 6174)
-        assert (r.stats.propagations, r.stats.theory_checks) == (7602, 12347)
+        assert (r.stats.decisions, r.stats.conflicts) == (1, 2)
+        assert (r.stats.propagations, r.stats.theory_checks) == (1, 3)
+        assert r.stats.cone_cells == 1
 
     def test_criterion_6_search_is_pinned(self):
         # Formula 1 and the criterion-6 rows at [2,2,2] under the default
@@ -1095,7 +1213,7 @@ class TestSolveSatisfiability:
             (r.satisfiable, r.stats.decisions, r.stats.conflicts, r.stats.theory_checks)
             for r in runs
         ] == [
-            (True, 22, 0, 23),
+            (True, 19, 0, 20),
             (True, 25, 0, 26),
             (True, 36, 1, 38),
             (True, 14, 0, 15),
@@ -1121,9 +1239,9 @@ class TestSolveSatisfiability:
              r.stats.propagations, r.stats.rechecks)
             for r in runs
         ] == [
-            (False, 113, 37, 148, 107, 226),
-            (False, 126, 71, 190, 202, 417),
-            (False, 224, 92, 312, 294, 765),
+            (False, 92, 37, 127, 107, 226),
+            (False, 117, 71, 181, 202, 417),
+            (False, 200, 92, 288, 294, 765),
         ]
 
     def test_criterion_6_search_at_2222_is_pinned(self):
@@ -1140,7 +1258,7 @@ class TestSolveSatisfiability:
              r.stats.propagations)
             for r in runs
         ] == [
-            (True, 38, 0, 39, 0),
+            (True, 31, 0, 32, 0),
             (True, 44, 0, 45, 0),
             (True, 64, 2, 67, 2),
             (True, 21, 0, 22, 0),
@@ -1153,7 +1271,10 @@ class TestSolveSatisfiability:
 
     def test_refute_bool_search_is_pinned(self):
         # p0 & !p0 with minimization off at the refute-bool shapes, 1 prop:
-        # (verdict, decisions, conflicts, theory checks, propagations).
+        # (verdict, decisions, conflicts, theory checks, propagations).  The
+        # cone is p0's cell at the initial state: one decision, one learned
+        # unit clause, and the conflict at level 0.  At [3,1] the one-cell
+        # row is implied too.
         config = SolverConfig(minimize_conflicts=False)
         runs = [
             solve_satisfiability(parse_formula("p0 & !p0"),
@@ -1165,10 +1286,23 @@ class TestSolveSatisfiability:
              r.stats.propagations)
             for r in runs
         ] == [
-            (False, 161, 162, 323, 201),
-            (False, 685, 686, 1371, 743),
-            (False, 1457, 1458, 2915, 1821),
+            (False, 1, 2, 3, 1),
+            (False, 1, 2, 3, 2),
+            (False, 1, 2, 3, 1),
         ]
+
+    def test_boolean_refutation_over_the_whole_cone_is_pinned(self):
+        # <<>> G p0 & !p0 at [2,2,2], 1 prop, minimization off: the strategic
+        # step puts every cell in the cone, and each theory conflict clause
+        # negates every assigned cell, so Boolean conflicts do most of the
+        # refuting.  (verdict, decisions, conflicts, theory checks,
+        # propagations, cone cells.)
+        shape = ModelShape([2, 2, 2], None, 1)
+        r = solve_satisfiability(parse_formula("<<>> G p0 & !p0"), Requirements(shape),
+                                 SolverConfig(minimize_conflicts=False))
+        assert shape.bit_count == 20
+        assert (r.satisfiable, r.stats.decisions, r.stats.conflicts, r.stats.theory_checks,
+                r.stats.propagations, r.stats.cone_cells) == (False, 1457, 1458, 2915, 1821, 20)
 
     def test_constrained_search_is_pinned(self):
         # Requirements with a repeated row: their forced cells drive the
