@@ -58,12 +58,10 @@ from typing import Sequence
 
 from . import mc
 from .formula import And, Formula, Globally, Next, Not, Prop, Until
-from .mas import Assignment, Model, ModelShape, TransitionStructure, encode_model
+from .mas import CELL_VALUES, Assignment, Model, ModelShape, TransitionStructure, encode_model
 from .mc import StateSet, solve_globally, solve_next, solve_until
 
 Cell = int | None
-
-_CELL_VALUES = frozenset((0, 1, None))
 
 
 class BoundsError(IndexError, ValueError):
@@ -92,7 +90,7 @@ class PartialModel:
             raise ValueError(
                 f"partial model has {len(cells)} cells, shape needs {shape.bit_count}"
             )
-        if not _CELL_VALUES.issuperset(cells):
+        if not CELL_VALUES.issuperset(cells):
             raise ValueError("cells must be 0, 1 or None")
         self.shape = shape
         self.cells: list[Cell] = [None] * shape.bit_count

@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from contextlib import nullcontext
+from dataclasses import asdict
 
 from .approx import check_validity
 from .formula import (
@@ -105,8 +106,9 @@ def cmd_generate(args) -> int:
 
 def _report_rows(lines: list[str], formulas: list[Formula], req, config) -> list[dict]:
     """Solve each formula: one report row each, its structure counts
-    recomputed from the parsed tree and its time the solve's alone.  A
-    TIMEOUT or ERROR row reads the zero counts of a fresh ``SolverStats``."""
+    recomputed from the parsed tree, its time the solve's alone, and every
+    count of its ``SolverStats``.  A TIMEOUT or ERROR row reads the zero
+    counts of a fresh ``SolverStats``."""
     rows = []
     for line, formula in zip(lines, formulas):
         stats, start = SolverStats(), time.perf_counter()
@@ -126,10 +128,7 @@ def _report_rows(lines: list[str], formulas: list[Formula], req, config) -> list
             "connectives": connective_count(formula),
             "verdict": verdict,
             "time": elapsed,
-            "decisions": stats.decisions,
-            "conflicts": stats.conflicts,
-            "theory_checks": stats.theory_checks,
-            "cone_cells": stats.cone_cells,
+            **{k: v for k, v in asdict(stats).items() if k != "wall_time"},
         })
     return rows
 

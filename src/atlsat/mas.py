@@ -338,6 +338,10 @@ class Model(TransitionStructure):
         return hash((self.shape, self.protocols, self.valuation))
 
 
+# The values of a cell: 0, 1, or None while it is undefined.
+CELL_VALUES = frozenset((0, 1, None))
+
+
 @dataclass(frozen=True)
 class Assignment:
     """Three-valued vector over the model cells; ``None`` marks undefined."""
@@ -350,6 +354,8 @@ class Assignment:
             raise ValueError(
                 f"assignment has {len(self.bits)} cells, shape needs {self.shape.bit_count}"
             )
+        if not CELL_VALUES.issuperset(self.bits):
+            raise ValueError("cells must be 0, 1 or None")
 
     def to_string(self) -> str:
         return "".join("x" if b is None else str(b) for b in self.bits)

@@ -4,27 +4,28 @@ The search assigns the model bit vector one cell at a time, in the cell list
 of the partial model the approximation reads, so theory calls see the
 assignment without a copy.  A clause is a tuple of literals over model
 cells: literal ``v+1`` asserts cell ``v`` true, ``-(v+1)`` asserts it false,
-and the empty tuple is unsatisfiable.  The search starts from one
-at-least-one clause per protocol row, so rows stay nonempty, and from the
-forced cells of the requirements, assigned at level 0 without a reason, as
-MiniSat enqueues unit input clauses.  Unit propagation runs over the row
-clauses and learned clauses.  Each clause watches two literals, non-false
-ones while it has them, and is visited only when a watched literal becomes
-false; a visit that finds the other watch true ends there, since the clause
-is satisfied (the blocker rule).  Propagation walks the trail in
-order, as in Chaff and MiniSat; a clause entering the search implies its
-literal itself when it is unit on arrival.  Decisions follow clause activity
-(VSIDS, as in Chaff and MiniSat): each conflict analysis bumps the activity
-of every cell in the clauses it resolves, by an amount that grows with each
-conflict, so recent conflicts weigh most.  Decisions range over the cone of
-the compiled formula (``Program.cone``), the cells its verdict can read: a
-decision takes the free cone cell of highest activity, ties going to the
-lowest index, so before the first conflict it is the lowest-index free cone
-cell; it sets 1 for a protocol cell and 0 for a valuation cell.  Once no cone
-cell is free the search decides no more, since the verdict is then settled;
-the witness completes the cells outside the cone.  After propagation settles
-at each level, the two-sided approximation of the partial assignment decides
-the step:
+and the empty tuple is unsatisfiable.  The search assigns only cells of the
+cone of the compiled formula (``Program.cone``), the cells its verdict can
+read.  It starts from one at-least-one clause per protocol row of the cone,
+so rows stay nonempty, and from the forced cone cells of the requirements,
+assigned at level 0 without a reason, as MiniSat enqueues unit input
+clauses.  Unit propagation runs over the row clauses and learned clauses.
+Each clause watches two literals, non-false ones while it has them, and is
+visited only when a watched literal becomes false; a visit that finds the
+other watch true ends there, since the clause is satisfied (the blocker
+rule).  Propagation walks the trail in order, as in Chaff and MiniSat; a
+clause entering the search implies its literal itself when it is unit on
+arrival.  Decisions follow clause activity (VSIDS, as in Chaff and MiniSat):
+each conflict analysis bumps the activity of every cell in the clauses it
+resolves, by an amount that grows with each conflict, so recent conflicts
+weigh most.  A decision takes the free cone cell of highest activity, ties
+going to the lowest index, so before the first conflict it is the
+lowest-index free cone cell; it sets 1 for a protocol cell and 0 for a
+valuation cell.  Once no cone cell is free the search decides no more, since
+the verdict is then settled; the witness takes the forced cells outside the
+cone from the requirements and completes the rest.  After propagation
+settles at each level, the two-sided approximation of the partial assignment
+decides the step:
 
 * initial state outside the over set: no compatible completion can satisfy
   the formula, so a conflict clause over the assigned cells is learned (when
@@ -173,15 +174,12 @@ class _Search:
     bumps an activity, and only of a cell it saw assigned, so the score of a
     free cone cell always equals its activity.
 
-    Decisions stop once every cone cell is set, when the trail reaches
-    ``filled`` cells.  No cell outside the cone is decided, and none is
-    implied above level 0.  While that holds, every cell a theory clause or a
-    reason names is a cone cell or a level-0 fact, analysis drops the facts,
-    and so a learned clause names cone cells alone; a row clause over
-    protocol cells outside the cone (only without strategic steps) has no
-    literal assigned above level 0, so it implies only at level 0.  A cell
-    outside the cone is thus assigned at level 0, for good, and ``assign``
-    counts it into ``filled`` when it arrives."""
+    No cell outside the cone is ever on the trail.  Row clauses and forced
+    cells enter the search only for cone cells, a decision picks a cone
+    cell, and a theory clause names trail cells or cells the verdict read,
+    so every clause, learned ones too, names cone cells alone.  The trail
+    thus holds every cone cell, and decisions stop, once its length is the
+    cone's size."""
 
     def __init__(self, f: Formula, req: Requirements, config: SolverConfig):
         self.start = _clock()
@@ -205,8 +203,6 @@ class _Search:
         self.score = [-1.0] * self.n
         for v in cone:
             self.score[v] = 0.0
-        # The trail length at which no cone cell is free.
-        self.filled = len(cone)
         # The activity a conflict adds to each cell it sees; it grows by
         # 1/0.95 per conflict, which decays every older bump relative to it.
         self.bump = 1.0
@@ -220,12 +216,14 @@ class _Search:
         # Trail literals before ``head`` have had their watchers visited.
         self.head = 0
         self.stats = SolverStats(cone_cells=len(cone))
+        # Protocol cells are all in the cone or all outside it.
         for off, n in zip(self.shape.tb_offsets, self.shape.locals_per_agent):
             for row in range(off, off + n * n, n):
-                self.add_clause(tuple(range(row + 1, row + n + 1)))
-        # The forced cells, less those a one-cell row has already implied.
+                if row in cone:
+                    self.add_clause(tuple(range(row + 1, row + n + 1)))
+        # The forced cone cells, less those a one-cell row has already implied.
         for v, b in enumerate(req.cells):
-            if b is not None and self.value[v] is None:
+            if b is not None and v in cone and self.value[v] is None:
                 self.assign(v + 1 if b else -(v + 1), None)
         if config.minimize_conflicts:
             self.probe = req.induced_partial_model()
@@ -279,11 +277,7 @@ class _Search:
         self.view.put(v, 1 if lit > 0 else 0)
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
-        score = self.score
-        if score[v] < 0.0:
-            # Free with a negative score: outside the cone, assigned for good.
-            self.filled += 1
-        score[v] = -1.0
+        self.score[v] = -1.0
         self.trail.append(lit)
 
     def backjump(self, target_level: int) -> None:
@@ -444,8 +438,8 @@ class _Search:
 
     def run_theory(self) -> tuple[int, ...] | None:
         """The conflict clause when the over approximation excludes the
-        initial state, else None.  The clause negates every assigned cell;
-        when minimizing, it negates only the cells that the failing
+        initial state, else None.  The clause negates the trail, in cell
+        order; when minimizing, it negates only the cells that the failing
         evaluation read (:meth:`~atlsat.approx.Program.explain`) and the
         requirements leave free, is confirmed by one recheck, and is then
         reduced greedily.  A justified clause that the recheck does not
@@ -453,9 +447,9 @@ class _Search:
         self.stats.theory_checks += 1
         if sapp(self.view, self.program, Mode.OVER) >> self.shape.initial_state & 1:
             return None
-        value = self.value
         if not self.config.minimize_conflicts:
-            return tuple([-(v + 1) if b else (v + 1) for v, b in enumerate(value) if b is not None])
+            return tuple(sorted([-lit for lit in self.trail], key=abs))
+        value = self.value
         # Every justified cell is assigned.  A forced one is a level-0 fact
         # that the probe always shows and analyze would drop, so it is left out.
         forced = self.req.cells
@@ -496,7 +490,7 @@ class _Search:
         and 0 for a valuation cell; False when no cone cell is free.  Until
         the first analysis bumps, every free cone cell scores 0.0, so the
         scores need no scan for their maximum."""
-        if len(self.trail) == self.filled:
+        if len(self.trail) == len(self.program.cone):
             return False
         score = self.score
         v = score.index(max(score) if self.bump > 1.0 else 0.0)
@@ -508,17 +502,19 @@ class _Search:
     # -- the witness on early acceptance
 
     def witness(self) -> Model:
-        """Complete the assignment to a model and check it exactly.  Free
-        cells get 0, except that a protocol row left all 0 gets its first
-        free cell set to 1.  A model that breaks the requirements or fails
-        the formula raises ``AssertionError``."""
-        bits = [0 if b is None else b for b in self.value]
+        """Complete the assignment to a model and check it exactly.  A free
+        cell takes its forced value if the requirements have one, else 0,
+        except that a protocol row left all 0 gets its first cell that
+        neither the search nor the requirements set to 1.  A model that
+        breaks the requirements or fails the formula raises
+        ``AssertionError``."""
+        cells = [f if b is None else b for b, f in zip(self.value, self.req.cells)]
         shape = self.shape
         for off, n in zip(shape.tb_offsets, shape.locals_per_agent):
             for row in range(off, off + n * n, n):
-                if not any(bits[row : row + n]):
-                    bits[self.value.index(None, row, row + n)] = 1
-        model = decode_model(Assignment(shape, tuple(bits)))
+                if not any(cells[row : row + n]):
+                    cells[cells.index(None, row, row + n)] = 1
+        model = decode_model(Assignment(shape, tuple([b or 0 for b in cells])))
         # Exact checking of a program does not use its reuse cache.
         if not is_compatible(model, self.req.induced_partial_model()):
             raise AssertionError("witness violates the requirements")

@@ -645,7 +645,8 @@ class TestBench:
         assert unsat["verdict"] == "UNSAT" and unsat["conflicts"] > 0
         assert error == {
             "id": 2, "formula": "p5", "depth": 0, "connectives": 0, "verdict": "ERROR",
-            "decisions": 0, "conflicts": 0, "theory_checks": 0, "cone_cells": 0,
+            "decisions": 0, "conflicts": 0, "theory_checks": 0, "propagations": 0,
+            "rechecks": 0, "reused": 0, "cone_cells": 0,
         }
         assert main(argv) == 0
         assert all(isinstance(r["time"], float) for r in json.loads(out_json.read_text()))

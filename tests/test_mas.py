@@ -170,6 +170,13 @@ class TestDecodeErrors:
         assert a.to_string() == "1x01"
         assert Assignment.from_string(a.shape, "1x01") == a
 
+    @pytest.mark.parametrize("bad", [2, "x", -1, 0.5])
+    def test_assignment_rejects_other_cell_values(self, bad):
+        # 2 or 'x' used to decode as a true cell, and to_string wrote a 2
+        # that from_string then rejected.
+        with pytest.raises(ValueError, match="cells must be 0, 1 or None"):
+            Assignment(ModelShape([1], None, 1), (1, bad))
+
     def test_assignment_string_rejects_other_characters(self):
         with pytest.raises(ValueError, match="invalid cell character '2'"):
             Assignment.from_string(ModelShape([2], [0], 0), "1x21")

@@ -150,8 +150,9 @@ class TestLevelZeroFacts:
     # Agent 0 has one local state, so its one protocol row is a one-cell row.
     SHAPE = ModelShape([1, 2], [0, 0], 1)
 
-    def search(self, cp=(), cv=()):
-        return _Search(normalize(parse_formula("p0")), Requirements(self.SHAPE, cp, cv),
+    def search(self, cp=(), cv=(), text="<<0>> X p0"):
+        # By default a strategic formula: every cell is in its cone.
+        return _Search(normalize(parse_formula(text)), Requirements(self.SHAPE, cp, cv),
                        SolverConfig())
 
     def test_trail_is_one_cell_rows_then_forced_cells_in_order(self):
@@ -182,6 +183,18 @@ class TestLevelZeroFacts:
     def test_a_repeated_row_is_one_fact(self):
         search = self.search(cp=((1, 1, 0, 1), (1, 1, 0, 1)))
         assert search.trail == [self.SHAPE.tb_bit(0, 0, 0) + 1, self.SHAPE.tb_bit(1, 1, 0) + 1]
+
+    def test_a_boolean_formula_has_no_row_clauses(self):
+        # p0 reads p0 at the initial state alone: no protocol row is in its
+        # cone, so no row clause is built, the one-cell row is not implied,
+        # and of the forced cells only the cone cell is on the trail.
+        shape = self.SHAPE
+        search = self.search(cp=((1, 1, 0, 1), (0, 0, 0, 1), (1, 0, 1, 0)),
+                             cv=((1, 0, 1), (0, 0, 0)), text="p0")
+        assert search.program.cone == {shape.vb_bit(0, 0)}
+        assert search.clauses == []
+        assert search.trail == [-(shape.vb_bit(0, 0) + 1)]
+        assert search.stats.propagations == 0
 
 
 class TestActivity:
@@ -254,7 +267,8 @@ class TestActivity:
         for bump in (1.0, 1 / 0.95):
             search = self.search()
             search.bump = bump
-            load(search, [1] * search.n)
+            cone = search.program.cone
+            load(search, [1 if v in cone else None for v in range(search.n)])
             assert not search.decide() and search.trail_lim == []
 
     @pytest.mark.parametrize("f, shape, bumped", [
@@ -271,7 +285,7 @@ class TestActivity:
         with pytest.raises(AssertionError, match="total assignment reached without a verdict"):
             search.run()
         assert all(search.value[v] is not None for v in search.program.cone)
-        assert len(search.trail) == search.filled
+        assert len(search.trail) == len(search.program.cone)
         assert (search.bump > 1.0) is bumped
         assert search.stats.conflicts == (1 if bumped else 0)
 
@@ -652,18 +666,15 @@ class TestProbe:
 
 
 class ConeKept(_Search):
-    """The search, asserting that a cell outside the cone enters the trail
-    only at level 0, which the exhaustion test of ``decide`` rests on, and
-    counting per search the cells outside the cone it assigns and, on
-    acceptance, leaves free."""
+    """The search, asserting that no cell outside the cone enters the trail,
+    at any level, which the exhaustion test of ``decide`` rests on, and
+    counting per search the cells it leaves free on acceptance."""
 
-    outside = left_free = 0
+    left_free = 0
 
     def assign(self, lit, reason):
         v = abs(lit) - 1
-        if v not in self.program.cone:
-            assert not self.trail_lim, f"cell {v} outside the cone assigned above level 0"
-            self.outside += 1
+        assert v in self.program.cone, f"cell {v} outside the cone assigned"
         super().assign(lit, reason)
 
     def witness(self):
@@ -676,8 +687,8 @@ class RandomConeKept(ConeKept, RandomOrderSearch):
 
 
 class TestCone:
-    """Decisions over the cone only (``Program.cone``): verdicts, witnesses
-    and the level-0 invariant behind the exhaustion test."""
+    """Assignments over the cone only (``Program.cone``): verdicts, witnesses
+    and the invariant behind the exhaustion test."""
 
     # Formulas that name only some of the declared propositions, Boolean
     # ones, and shallow atoms beside strategic steps.
@@ -724,6 +735,12 @@ class TestCone:
             forced = {v for v, b in enumerate(req.cells) if b is not None}
             counts["forced inside"] += bool(forced & cone)
             counts["forced outside"] += bool(forced - cone)
+            # A protocol row outside the cone that the requirements leave
+            # one free cell: the witness, not the search, sets that cell.
+            counts["one-free row outside"] += any(
+                row not in cone and req.cells[row : row + n].count(None) == 1
+                for off, n in zip(shape.tb_offsets, shape.locals_per_agent)
+                for row in range(off, off + n * n, n))
             seed = counts["solves"]
             for minimize in (False, True):
                 config = SolverConfig(minimize_conflicts=minimize)
@@ -735,29 +752,49 @@ class TestCone:
                         assert is_compatible(r.witness, pm)
                         assert oracle_check_validity(r.witness, f)
                         counts["left free"] += search.left_free > 0
-                    counts["level-0 outside"] += search.outside > len(forced - cone)
             counts["solves"] += 1
             counts[exists] += 1
         assert counts[True] > 100 and counts[False] > 50, counts
         assert counts["forced inside"] > 100 and counts["forced outside"] > 100, counts
-        # Acceptance with cells still free, and cells outside the cone
-        # implied at level 0 beyond the forced ones.
-        assert counts["left free"] > 100 and counts["level-0 outside"] > 0, counts
+        # Acceptance with cells still free, and rows outside the cone that
+        # the requirements leave one free cell.
+        assert counts["left free"] > 100 and counts["one-free row outside"] > 50, counts
 
-    def test_a_row_implied_outside_the_cone_at_level_0(self):
+    def test_a_row_left_one_free_cell_outside_the_cone(self):
         # !p0 reads p0 at the initial state alone.  The forced 0-cell leaves
-        # agent 1's row at local 1 one free cell, which the first propagation
-        # implies at level 0, after construction: the exhaustion test must
-        # count it, or decide stops short of the one cone cell.
+        # agent 1's row at local 1 one free cell.  The search assigns neither
+        # it nor the forced cells, which all lie outside the cone; it decides
+        # the one cone cell, and the witness sets the row's free cell to 1
+        # and keeps the forced cells.
         shape = S22P1
         req = Requirements(shape, cp_constraints=((1, 1, 1, 0),), cv_constraints=((2, 0, 1),))
         search = ConeKept(normalize(parse_formula("!p0")), req, SolverConfig())
-        implied = shape.tb_bit(1, 1, 0)
-        assert search.program.cone == {shape.vb_bit(0, 0)} and search.value[implied] is None
+        assert search.program.cone == {shape.vb_bit(0, 0)}
         r = search.run()
-        assert r.satisfiable and r.stats.decisions == 1 and search.outside == 3
-        assert search.value[implied] == 1 and search.level[implied] == 0
-        assert not r.witness.valuation[0][0]
+        assert r.satisfiable and r.stats.decisions == 1
+        assert search.trail == [-(shape.vb_bit(0, 0) + 1)]
+        bits = encode_model(r.witness).bits
+        assert bits[shape.tb_bit(1, 1, 0)] == 1 and bits[shape.tb_bit(1, 1, 1)] == 0
+        assert bits[shape.vb_bit(2, 0)] == 1 and bits[shape.vb_bit(0, 0)] == 0
+
+    def test_the_witness_keeps_forced_cells_outside_the_cone(self):
+        # p0 reads one cell.  Agent 0's row at local 1 is forced to hold
+        # action 1 and agent 1's row at local 0 is forced down to its middle
+        # cell; p0 is forced true at state 1.  None of these cells is in the
+        # cone, so the trail holds p0 at the initial state alone, and the
+        # witness keeps each forced cell, sets the one free cell of agent 1's
+        # row, and completes every other row with its first cell.
+        shape = ModelShape([2, 3], [0, 0], 1)
+        req = Requirements(shape, cp_constraints=((0, 1, 1, 1), (1, 0, 0, 0), (1, 0, 2, 0)),
+                           cv_constraints=((1, 0, 1),))
+        search = ConeKept(normalize(parse_formula("p0")), req, SolverConfig())
+        r = search.run()
+        assert r.satisfiable and search.trail == [shape.vb_bit(0, 0) + 1]
+        bits = encode_model(r.witness).bits
+        assert [bits[shape.tb_bit(0, 1, a)] for a in range(2)] == [0, 1]
+        assert [bits[shape.tb_bit(1, 0, a)] for a in range(3)] == [0, 1, 0]
+        assert [bits[shape.tb_bit(0, 0, a)] for a in range(2)] == [1, 0]
+        assert bits[shape.vb_bit(1, 0)] == 1
 
 
 class TestJustification:
@@ -1273,8 +1310,8 @@ class TestSolveSatisfiability:
         # p0 & !p0 with minimization off at the refute-bool shapes, 1 prop:
         # (verdict, decisions, conflicts, theory checks, propagations).  The
         # cone is p0's cell at the initial state: one decision, one learned
-        # unit clause, and the conflict at level 0.  At [3,1] the one-cell
-        # row is implied too.
+        # unit clause, and the conflict at level 0.  No protocol row is in
+        # the cone, so [3,1]'s one-cell row is no clause and is not implied.
         config = SolverConfig(minimize_conflicts=False)
         runs = [
             solve_satisfiability(parse_formula("p0 & !p0"),
@@ -1287,7 +1324,7 @@ class TestSolveSatisfiability:
             for r in runs
         ] == [
             (False, 1, 2, 3, 1),
-            (False, 1, 2, 3, 2),
+            (False, 1, 2, 3, 1),
             (False, 1, 2, 3, 1),
         ]
 
