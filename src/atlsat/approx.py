@@ -1,4 +1,4 @@
-"""Partial models, split structures, and the one evaluator for exact and
+"""Partial models, split views, and the one evaluator for exact and
 approximate checking.
 
 A :class:`PartialModel` is a three-valued view over the model cell vector:
@@ -10,7 +10,7 @@ excluded) or optimistically (*possible*: undef included).
 (mode ``OVER``) or be contained in (mode ``UNDER``) the exact satisfaction
 set of every total model compatible with the partial model.  Negation swaps
 the mode of the subformula; strategic operators evaluate on a split
-structure, whose optimism is split by coalition membership:
+view, whose optimism is split by coalition membership:
 
 * ``OVER``: coalition agents get possible protocols, all others necessary
   ones, and the valuation is possible — extra coalition options and fewer
@@ -28,10 +28,13 @@ so exact checking (:func:`solve_formula`) runs the same steps with the model
 itself as the structure for every coalition and mode.
 
 Both run a :class:`Program`: the core formula compiled for a shape into
-hash-consed slots, evaluated by one loop with no recursion.  A program kept
-across the theory calls of one solve keeps each split structure, and so its
-pre-image plan, while the structure's enabled rows repeat, and reuses each
-strategic step's last result while its inputs repeat.
+hash-consed slots, evaluated by one loop with no recursion.  A split view is
+no transition structure, only the view's enabled rows and its pre-image
+plan, the ``(is member, shifts)`` steps :func:`~atlsat.mc.atl_pre` follows.
+The partial model keeps each agent's shifts next to its rows, so a program
+kept across the theory calls of one solve rebuilds a view's plan, when its
+enabled rows change, by picking each agent's shifts in elimination order.
+It reuses each strategic step's last result while its inputs repeat.
 
 When the over approximation excludes the initial state,
 :meth:`Program.explain` walks that evaluation backwards and returns the
@@ -79,10 +82,12 @@ class PartialModel:
 
     Setting a valuation cell sets or clears its state's bit in its
     proposition's necessary and possible masks.  Setting a protocol cell
-    marks its agent stale; ``rows()`` looks a stale agent's rows up again in
-    the shape's memo.  A protocol row determined false everywhere admits no
-    compatible model: construction, and ``rows()`` after an update, raise
-    ``ValueError`` on it.
+    marks its agent stale; ``rows()`` looks a stale agent's slice up again
+    in the shape's memo (:meth:`~atlsat.mas.ModelShape.agent_slice`), which
+    gives its rows and, into ``shifts``, the pre-image shifts of each.  A
+    protocol row determined false everywhere admits no compatible model:
+    construction, and ``rows()`` after an update, raise ``ValueError`` on
+    it.
     """
 
     def __init__(self, shape: ModelShape, cells: Sequence[Cell]):
@@ -98,6 +103,7 @@ class PartialModel:
         # Per proposition its state mask, first necessary, then possible.
         self.masks = ([0] * self._p, [shape.full_mask] * self._p)
         self._rows: list = [None] * shape.agent_count
+        self.shifts: list = [None] * shape.agent_count
         self._agent = [i for i, n in enumerate(shape.locals_per_agent) for _ in range(n * n)]
         self._stale = set(range(shape.agent_count))
         self.load(cells)
@@ -135,33 +141,35 @@ class PartialModel:
             self.put(cell, cells[cell])
 
     def rows(self) -> list[tuple[tuple[tuple[int, ...], ...], ...]]:
-        """Per agent its (necessary, possible) enabled rows."""
+        """Per agent its (necessary, possible) enabled rows; ``shifts`` then
+        holds per agent the pre-image shifts of each."""
         stale = self._stale
         if stale:
             shape, cells = self.shape, self.cells
             for i in sorted(stale):
                 off, n = shape.tb_offsets[i], shape.locals_per_agent[i]
-                self._rows[i] = _agent_rows(shape, i, tuple(cells[off : off + n * n]))
+                entry = _agent_slice(shape, i, tuple(cells[off : off + n * n]))
+                self._rows[i], self.shifts[i] = entry[:2], entry[2:]
                 stale.discard(i)
         return self._rows
 
 
-def _agent_rows(shape: ModelShape, agent: int, table: tuple[Cell, ...]) -> tuple[tuple, tuple]:
-    # The agent's (necessary, possible) rows, one lookup of its protocol
-    # slice in the shape's memo; a row determined empty raises.
-    rows = shape.protocol_rows(table)
-    possible = rows[1]
+def _agent_slice(shape: ModelShape, agent: int, table: tuple[Cell, ...]) -> tuple[tuple, ...]:
+    # The agent's rows and shifts, one lookup of its protocol slice in the
+    # shape's memo; a row determined empty raises.
+    entry = shape.agent_slice(agent, table)
+    possible = entry[1]
     if () in possible:
         raise ValueError(
             f"agent {agent}, local state {possible.index(())}: row determined empty, "
             "no compatible model exists"
         )
-    return rows
+    return entry
 
 
 def _picks(agent_count: int, members, mode: Mode) -> tuple[int, ...]:
-    # Per agent, which of its (necessary, possible) rows the split structure
-    # for this coalition and mode takes.
+    # Per agent, which of its (necessary, possible) rows the split view for
+    # this coalition and mode takes.
     optimistic = mode is Mode.OVER
     return tuple(int((i in members) == optimistic) for i in range(agent_count))
 
@@ -235,6 +243,20 @@ def _cons(f: Formula, shape: ModelShape) -> tuple[list[tuple], list[Formula], in
     return slots, nodes, slot_of[id(f)]
 
 
+class _Split:
+    """A split view as :func:`~atlsat.mc.atl_pre` reads it: the enabled
+    rows, which :meth:`Program.explain` reads too, and the pre-image plan
+    that ``choice_masks`` returns for the view's one coalition."""
+
+    __slots__ = ("shape", "enabled", "plan")
+
+    def __init__(self, shape: ModelShape):
+        self.shape, self.enabled, self.plan = shape, None, ()
+
+    def choice_masks(self, coalition) -> tuple[tuple[bool, tuple], ...]:
+        return self.plan
+
+
 class Program:
     """A core formula compiled for one shape.
 
@@ -246,12 +268,13 @@ class Program:
     proposition and the valuation side), and a strategic step's ``view`` is
     its ``(coalition, mode)`` split, one of ``picks``.
 
-    Each view keeps its split structure, with the structure's pre-image
-    plan, until the view's enabled rows change.  Each strategic step keeps
-    its last enabled rows, operand sets and result, and reuses the result
-    when the inputs repeat.  ``reused`` counts the steps answered from
-    their last result.  Keep a program to one solve: these caches hold one
-    entry each and live as long as it does.
+    ``views[view]`` is the view's split, its enabled rows and pre-image
+    plan, rebuilt from the partial model's rows and shifts when the rows
+    change.  Each strategic step keeps its last enabled rows, operand sets
+    and result, and reuses the result when the inputs repeat.  ``reused``
+    counts the steps answered from their last result.  Keep a program to
+    one solve: these caches hold one entry each and live as long as it
+    does.
 
     ``cone`` is the set of cells the verdict at the initial state can read,
     in either mode: partial models that agree on it agree on that verdict.
@@ -317,11 +340,12 @@ class Program:
         self.steps = steps
         self.roots = (2 * root, 2 * root + 1)
         self.picks = [_picks(shape.agent_count, members, _MODES[u]) for members, u in views]
+        self._orders = [shape.elimination_plan(members) for members, _ in views]
         # Per root mode, the views its steps use.
         self.used = tuple(
             sorted({step[4] for step in mode_steps if step[4] is not None}) for mode_steps in steps
         )
-        self._structures: list[TransitionStructure | None] = [None] * len(views)
+        self.views = [_Split(shape) for _ in views]
         self._last: list[tuple | None] = [None] * (2 * len(slots))
         self.reused = 0
         # The values of the last approximation, kept for explain, and the
@@ -342,17 +366,18 @@ class Program:
 
     def approximate(self, pm: PartialModel, mode: Mode) -> StateSet:
         """:func:`sapp` of the compiled formula."""
-        rows, picks, structures = pm.rows(), self.picks, self._structures
+        rows, shifts, views = pm.rows(), pm.shifts, self.views
         u = 1 if mode is Mode.UNDER else 0
         for view in self.used[u]:
-            enabled = tuple(map(getitem, rows, picks[view]))
-            st = structures[view]
-            if st is None or st.enabled != enabled:
-                # A split structure's propositions are never read: atoms
-                # take their sets from the partial model's masks.
-                structures[view] = TransitionStructure(self.shape, enabled, ())
+            picks, split = self.picks[view], views[view]
+            enabled = tuple(map(getitem, rows, picks))
+            if split.enabled != enabled:
+                split.enabled = enabled
+                split.plan = tuple([
+                    (member, shifts[i][picks[i]]) for i, member in self._orders[view]
+                ])
         self._over = None if u else pm
-        return self._run(u, pm.masks, structures, self._last, self._values)
+        return self._run(u, pm.masks, views, self._last, self._values)
 
     def exact(self, m: TransitionStructure) -> StateSet:
         """:func:`solve_formula` of the compiled formula.  It neither reads
@@ -366,14 +391,14 @@ class Program:
         self,
         u: int,
         masks: Sequence[Sequence[int]],
-        structures: Sequence[TransitionStructure | None],
+        views: Sequence[TransitionStructure | _Split],
         last: list[tuple | None],
         values: list[StateSet],
     ) -> StateSet:
-        # ``structures[view]`` is the structure of each view the steps of
-        # ``u`` use; ``last`` holds each strategic step's last inputs and
-        # result.  Each step writes its value position before any later
-        # step reads it, so ``values`` may hold an earlier run's values.
+        # ``views[view]`` is what each view the steps of ``u`` use evaluates
+        # on; ``last`` holds each strategic step's last inputs and result.
+        # Each step writes its value position before any later step reads
+        # it, so ``values`` may hold an earlier run's values.
         full = self.full
         for kind, out, a, b, view, coalition in self.steps[u]:
             if kind == _PROP:
@@ -383,7 +408,7 @@ class Program:
             elif kind == _AND:
                 values[out] = values[a] & values[b]
             else:
-                st, x = structures[view], values[a]
+                st, x = views[view], values[a]
                 rows = st.enabled
                 y = None if b is None else values[b]
                 prior = last[out]
@@ -412,7 +437,7 @@ class Program:
         position, inside it at an ``UNDER`` one."""
         if self._over is not pm:
             raise ValueError("explain needs the OVER approximation of pm as the last evaluation")
-        values, structures = self._values, self._structures
+        values, views = self._values, self.views
         shape, full, cells = self.shape, self.full, pm.cells
         root, initial = self.roots[0], 1 << shape.initial_state
         if values[root] & initial:
@@ -428,7 +453,7 @@ class Program:
             # return s's split successors.
             succ = successors.get((view, s))
             if succ is None:
-                succ, enabled = full, structures[view].enabled
+                succ, enabled = full, views[view].enabled
                 for i, (l, pick) in enumerate(zip(locals_table[s], self.picks[view])):
                     n = widths[i]
                     row = offsets[i] + l * n
@@ -484,7 +509,7 @@ class Program:
                 # states that left them (OVER G) or joined them (UNDER U) by
                 # iterate k; a state of rank k > 0 is justified by its step
                 # into rank k - 1, one of rank 0 by x (OVER G) or y (UNDER U).
-                x, st = values[a], structures[view]
+                x, st = values[a], views[view]
                 goal = values[b] if under else 0
                 ys = [goal if under else x]
                 # Through the module, so a wrapper of mc.atl_pre sees these calls.

@@ -163,47 +163,48 @@ class ModelShape:
         ``a`` at local state ``l`` moves the agent's coordinate by ``d = (l -
         a) * radix_weights[agent]``, and ``mask_d`` is the union of the slot
         masks of the local states that use ``d``.  An empty row is in no
-        mask.  Built once per agent and distinct table."""
-        key = (agent, rows)
-        shifts = self._shifts.get(key)
-        if shifts is None:
-            weight, slots = self.radix_weights[agent], self.slot_masks[agent]
-            masks: dict[int, int] = {}
-            for l, row in enumerate(rows):
-                for a in row:
-                    d = (l - a) * weight
-                    masks[d] = masks.get(d, 0) | slots[l]
-            shifts = self._shifts[key] = tuple(masks.items())
-        return shifts
+        mask."""
+        weight, slots = self.radix_weights[agent], self.slot_masks[agent]
+        masks: dict[int, int] = {}
+        for l, row in enumerate(rows):
+            for a in row:
+                d = (l - a) * weight
+                masks[d] = masks.get(d, 0) | slots[l]
+        return tuple(masks.items())
 
-    def protocol_rows(
-        self, table: tuple[int | None, ...]
-    ) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """``(necessary, possible)`` enabled rows of one agent's n x n slice
-        of three-valued protocol cells (row-major, cells 0, 1 or None): per
-        local state the actions whose cell is 1, and those whose cell is not
-        0.  Built once per distinct slice."""
-        rows = self._protocol_rows.get(table)
-        if rows is None:
-            n = isqrt(len(table))
-            starts = range(0, n * n, n)
-            rows = self._protocol_rows[table] = (
-                tuple(tuple(a for a in range(n) if table[k + a] == 1) for k in starts),
-                tuple(tuple(a for a in range(n) if table[k + a] != 0) for k in starts),
-            )
-        return rows
+    def agent_slice(self, agent: int, table: tuple[int | None, ...]) -> tuple[tuple, ...]:
+        """One agent's n x n slice of three-valued protocol cells (row-major,
+        cells 0, 1 or None) read both ways, as ``(necessary rows, possible
+        rows, necessary shifts, possible shifts)``: per local state the
+        actions whose cell is 1 and those whose cell is not 0, and the
+        :meth:`agent_shifts` of each.  Built once per agent and distinct
+        slice.  A partial slice reads as its two total completions, None as 0
+        and None as 1, so it shares their rows and shifts."""
+        key = (agent, table)
+        entry = self._slices.get(key)
+        if entry is None:
+            if None in table:
+                low = self.agent_slice(agent, tuple([c or 0 for c in table]))
+                high = self.agent_slice(agent, tuple([1 if c is None else c for c in table]))
+                entry = (low[0], high[1], low[2], high[3])
+            else:
+                n = isqrt(len(table))
+                rows = tuple(
+                    tuple(a for a in range(n) if table[k + a]) for k in range(0, n * n, n)
+                )
+                shifts = self.agent_shifts(agent, rows)
+                entry = (rows, rows, shifts, shifts)
+            self._slices[key] = entry
+        return entry
 
-    # Per-shape memos of the three methods above, keyed by their arguments.
+    # Per-shape memos of elimination_plan and agent_slice, keyed by their
+    # arguments.
     @cached_property
     def _plans(self) -> dict:
         return {}
 
     @cached_property
-    def _shifts(self) -> dict:
-        return {}
-
-    @cached_property
-    def _protocol_rows(self) -> dict:
+    def _slices(self) -> dict:
         return {}
 
     @cached_property
@@ -257,8 +258,8 @@ class TransitionStructure:
         prop_masks: Sequence[int],
     ):
         self.shape = shape
-        # A table given as a tuple is kept as it is: split structures pass
-        # the row tuples memoized by ModelShape.protocol_rows.
+        # A table given as a tuple is kept as it is: a model's own tables,
+        # and the copy Program.exact evaluates on.
         self.enabled = tuple(
             table if isinstance(table, tuple) else tuple(map(tuple, table)) for table in enabled
         )
@@ -274,7 +275,7 @@ class TransitionStructure:
         shifts)`` step per agent, outsiders (for all) before members
         (exists), where ``shifts`` are the shape's
         :meth:`~ModelShape.agent_shifts` for this structure's rows of the
-        agent.  Built once per coalition (a split structure serves one)."""
+        agent.  Built once per coalition."""
         key = tuple(coalition)
         plan = self._choice_masks.get(key)
         if plan is None:

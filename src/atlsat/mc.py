@@ -6,11 +6,11 @@ pre-image :func:`atl_pre`, which never enumerates joint actions: it
 eliminates the outsiders (for all), then the coalition members (exists), one
 agent at a time.  Each agent's step is a few grouped shifts: the enabled
 cells of its protocol table are grouped by the offset they move the agent's
-coordinate by, one shift and one mask per distinct offset, planned once per
-table by :meth:`~atlsat.mas.ModelShape.agent_shifts`.  A member's step ORs
-the masked shifts of the set; an outsider's step is the same OR on the
+coordinate by, one shift and one mask per distinct offset
+(:meth:`~atlsat.mas.ModelShape.agent_shifts`).  A member's step ORs the
+masked shifts of the set; an outsider's step is the same OR on the
 complement, complemented back.  Protocol rows may be empty in the split
-structures of :mod:`atlsat.approx`: an empty row is in no mask, so an empty
+views of :mod:`atlsat.approx`: an empty row is in no mask, so an empty
 coalition row gives no choice and an empty outsider row constrains nothing.
 """
 
@@ -27,8 +27,11 @@ def atl_pre(m: TransitionStructure, coalition, x: StateSet) -> StateSet:
     by the other agents' enabled actions lands in ``x``.  The grand coalition
     gives the existential pre-image, the empty coalition the universal one.
 
-    Each step of the :meth:`~atlsat.mas.TransitionStructure.choice_masks`
-    plan moves one agent from target to source coordinate: ``z = OR_d
+    ``m`` is a transition structure or a split view of
+    :mod:`atlsat.approx`; each has a ``shape`` and gives its plan through
+    ``choice_masks(coalition)``, as
+    :meth:`~atlsat.mas.TransitionStructure.choice_masks` does.  Each step of
+    the plan moves one agent from target to source coordinate: ``z = OR_d
     shift(y, d) & mask_d`` over the agent's distinct offsets ``d``.  That is
     a member's step.  An outsider's is its dual, ``full & ~z`` with ``z``
     taken on ``full & ~y``; the outsiders come first, so the set is

@@ -162,12 +162,19 @@ def prop_masks(shape: ModelShape, valuation) -> tuple[tuple[int, ...], ...]:
 
 def reference_partial_model(shape: ModelShape, cells) -> SimpleNamespace:
     """What a :class:`PartialModel` of ``cells`` reads as, computed from
-    scratch: per agent the rows ``shape.protocol_rows`` gives for its slice
-    (a row determined empty included), and :func:`prop_masks`.  It serves
+    scratch: per agent its (necessary, possible) rows, per local state the
+    actions whose cell is 1 and those whose cell is not 0 (a row determined
+    empty included), and :func:`prop_masks`.  It serves
     :func:`split_structure` as a partial model does."""
     cells = tuple(cells)
     rows = [
-        shape.protocol_rows(cells[off : off + n * n])
+        tuple(
+            tuple(
+                tuple(a for a in range(n) if enabled(cells[k + a]))
+                for k in range(off, off + n * n, n)
+            )
+            for enabled in (lambda c: c == 1, lambda c: c != 0)
+        )
         for off, n in zip(shape.tb_offsets, shape.locals_per_agent)
     ]
     masks = prop_masks(shape, cells[shape.vb_offset :])

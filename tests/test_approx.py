@@ -1,10 +1,12 @@
 import itertools
+import operator
 import random
 import re
 
 import pytest
 
 from atlsat.approx import (
+    _MODES,
     Mode,
     PartialModel,
     Program,
@@ -30,6 +32,7 @@ from atlsat.formula import (
 from atlsat.mas import Assignment, Model, ModelShape, encode_model, state_index
 from atlsat.mc import solve_globally, solve_next, solve_until
 from helpers import (
+    bit_owner,
     cone_of_influence,
     flipped,
     partial_model,
@@ -115,7 +118,7 @@ class TestDerivation:
             possible = [rows(i, lambda c: c != 0) for i in range(agents)]
             for i, n in enumerate(shape.locals_per_agent):
                 table = cells[shape.tb_offsets[i] : shape.tb_offsets[i] + n * n]
-                assert shape.protocol_rows(table) == (necessary[i], possible[i])
+                assert shape.agent_slice(i, table)[:2] == (necessary[i], possible[i])
 
             empty = [(i, k) for i in range(agents) for k, row in enumerate(possible[i]) if not row]
             if empty:
@@ -141,15 +144,14 @@ class TestDerivation:
                         assert all(mask for _, mask in shifts)
                         assert dict(shifts) == per_cell_shifts(shape, i, st.enabled[i])
                         assert len(shifts) == len(dict(shifts))
-            # Equal slices share one memo entry, and so do their shifts.
+            # Equal slices share one memo entry: its rows and its shifts.
             twin = PartialModel.from_assignment(Assignment(shape, cells))
             for a, b in zip(all_necessary(pm).enabled, all_necessary(twin).enabled):
                 assert a is b
-            coal = tuple(range(agents))
-            for mode in Mode:
-                plans = [split_structure(p, coal, mode).choice_masks(coal) for p in (pm, twin)]
-                for (_, a), (_, b) in zip(*plans):
-                    assert a is b
+            for i in range(agents):
+                assert all(map(operator.is_, twin.shifts[i], pm.shifts[i]))
+                for rows, shifts in zip(pm.rows()[i], pm.shifts[i]):
+                    assert dict(shifts) == per_cell_shifts(shape, i, rows)
         assert rejected > 20 and accepted > 20
 
 
@@ -678,6 +680,69 @@ class TestLiveView:
                             f, mode, cells)
                 checked += 1
         assert checked > 500 and raised > 0
+
+    def test_view_plans_follow_the_partial_model(self):
+        # Random puts, and backjumps that reset the latest cells to None.
+        # After each, every (coalition, mode) view of a program that has all
+        # of them plans as a split structure built from scratch, and an agent
+        # whose protocol cell changed has new shifts, matching its rows.
+        rng = random.Random(28)
+        shapes = [ModelShape([2, 2], [0, 0], 1), ModelShape([3, 2], [1, 0], 1),
+                  ModelShape([2, 2, 2], [0, 0, 0], 1), ModelShape([1, 3], [0, 2], 1)]
+        changed = backjumps = 0
+        for shape in shapes:
+            agents = range(shape.agent_count)
+            coalitions = [c for k in range(len(agents) + 1)
+                          for c in itertools.combinations(agents, k)]
+            f = normalize(parse_formula(" & ".join(
+                f"(<<{','.join(map(str, c))}>> X p0 & !<<{','.join(map(str, c))}>> X p0)"
+                for c in coalitions)))
+            program = Program(f, shape)
+            views = {(coalition, _MODES[out & 1]): view
+                     for _, out, _, _, view, coalition in program.steps[0] if view is not None}
+            assert len(views) == 2 * len(coalitions)
+            pm, trail = PartialModel(shape, (None,) * shape.bit_count), []
+            cells = [None] * shape.bit_count
+            for _ in range(120):
+                if trail and rng.random() < 0.25:
+                    moves = [(cell, None) for cell in reversed(trail[rng.randrange(len(trail)):])]
+                    backjumps += 1
+                else:
+                    moves = [(rng.randrange(shape.bit_count), rng.choice((0, 1)))
+                             for _ in range(rng.randint(1, 3))]
+                for cell, value in moves:
+                    before = list(pm.shifts)
+                    old, cells[cell] = cells[cell], value
+                    pm.put(cell, value)
+                    if any(() in possible
+                           for _, possible in reference_partial_model(shape, cells).rows()):
+                        cells[cell] = old  # a protocol row determined empty
+                        pm.put(cell, old)
+                        continue
+                    if value is None:
+                        trail.remove(cell)
+                    elif cell not in trail:
+                        trail.append(cell)
+                    pm.rows()
+                    kind, agent, *_ = bit_owner(shape, cell)
+                    moved = agent if kind == "tb" and old != value else None
+                    for i in agents:
+                        if i == moved:
+                            assert pm.shifts[i] != before[i]
+                            changed += 1
+                        else:
+                            assert all(map(operator.is_, pm.shifts[i], before[i]))
+                        for rows, shifts in zip(pm.rows()[i], pm.shifts[i]):
+                            assert dict(shifts) == per_cell_shifts(shape, i, rows)
+                assert pm.rows() == reference_partial_model(shape, cells).rows()
+                for mode in Mode:
+                    program.approximate(pm, mode)
+                for (coalition, mode), view in views.items():
+                    expected = split_structure(pm, coalition, mode)
+                    assert program.views[view].enabled == expected.enabled
+                    assert program.views[view].choice_masks(coalition) == (
+                        expected.choice_masks(coalition))
+        assert changed > 300 and backjumps > 50
 
     def test_an_emptied_row_raises_at_the_next_evaluation(self):
         shape = ModelShape([2, 2], [0, 0], 1)

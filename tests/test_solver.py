@@ -30,7 +30,7 @@ from atlsat.formula import (
     parse_formula,
 )
 from atlsat import mc, solver
-from atlsat.mas import Assignment, ModelShape, decode_model, encode_model
+from atlsat.mas import Assignment, ModelShape, TransitionStructure, decode_model, encode_model
 from atlsat.solver import (
     BoundsError,
     Requirements,
@@ -893,6 +893,44 @@ class TestJustification:
                                  SolverConfig(minimize_conflicts=True))
         assert not r.satisfiable
         assert calls["explain"] > 0 and calls["other"] > 0
+
+
+class TestSplitViews:
+    # Theory calls evaluate on the program's split views; only the exact
+    # witness check builds transition structures: the model, and the copy
+    # Program.exact evaluates on.
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts, checking = Counter(), []
+        init, witness = TransitionStructure.__init__, _Search.witness
+
+        def counted_init(structure, *args):
+            counts["witness" if checking else "elsewhere"] += 1
+            init(structure, *args)
+
+        def marked_witness(search):
+            checking.append(True)
+            try:
+                return witness(search)
+            finally:
+                checking.pop()
+
+        monkeypatch.setattr(TransitionStructure, "__init__", counted_init)
+        monkeypatch.setattr(_Search, "witness", marked_witness)
+        return counts
+
+    def test_a_strategic_refutation_builds_no_structure(self, built):
+        r = solve_satisfiability(parse_formula("<<0>> X p0 & <<1>> X !p0"),
+                                 Requirements(ModelShape([2, 2, 2], None, 1)),
+                                 SolverConfig(minimize_conflicts=True))
+        assert not r.satisfiable and r.stats.theory_checks > 100
+        assert built == Counter()
+
+    def test_a_solve_builds_only_the_witness_checks_structures(self, built):
+        r = solve_satisfiability(parse_formula("<<0>> G p0 & <<1>> X !p1 & <<>> F p1"),
+                                 Requirements(ModelShape([2, 2, 2], None, 2)))
+        assert r.satisfiable and r.stats.theory_checks > 10
+        assert built == Counter(witness=2)
 
 
 def falsified_by_unit_propagation(clauses, assumed):
