@@ -31,10 +31,13 @@ Both run a :class:`Program`: the core formula compiled for a shape into
 hash-consed slots, evaluated by one loop with no recursion.  A split view is
 no transition structure, only the view's enabled rows and its pre-image
 plan, the ``(is member, shifts)`` steps :func:`~atlsat.mc.atl_pre` follows.
-The partial model keeps each agent's shifts next to its rows, so a program
-kept across the theory calls of one solve rebuilds a view's plan, when its
-enabled rows change, by picking each agent's shifts in elimination order.
-It reuses each strategic step's last result while its inputs repeat.
+The partial model keeps one memo entry per agent, its rows and their
+shifts, in one tuple that is replaced only when an agent's slice changed.
+A view kept across the theory calls of one solve refreshes itself from that
+tuple: it skips the tuple it last read, and rebuilds its plan, by picking
+each agent's shifts in elimination order, only when its enabled rows change.
+The program reuses each strategic step's last result while its inputs
+repeat.
 
 When the over approximation excludes the initial state,
 :meth:`Program.explain` walks that evaluation backwards and returns the
@@ -82,12 +85,12 @@ class PartialModel:
 
     Setting a valuation cell sets or clears its state's bit in its
     proposition's necessary and possible masks.  Setting a protocol cell
-    marks its agent stale; ``rows()`` looks a stale agent's slice up again
-    in the shape's memo (:meth:`~atlsat.mas.ModelShape.agent_slice`), which
-    gives its rows and, into ``shifts``, the pre-image shifts of each.  A
-    protocol row determined false everywhere admits no compatible model:
-    construction, and ``rows()`` after an update, raise ``ValueError`` on
-    it.
+    marks its agent stale; ``slices()`` looks a stale agent's slice up
+    again in the shape's memo (:meth:`~atlsat.mas.ModelShape.agent_slice`),
+    whose entry holds its rows and the pre-image shifts of each, and only
+    then builds a new tuple of entries.  A protocol row determined false
+    everywhere admits no compatible model: construction, and ``slices()``
+    after an update, raise ``ValueError`` on it.
     """
 
     def __init__(self, shape: ModelShape, cells: Sequence[Cell]):
@@ -102,12 +105,11 @@ class PartialModel:
         self._vb, self._p = shape.vb_offset, shape.prop_count
         # Per proposition its state mask, first necessary, then possible.
         self.masks = ([0] * self._p, [shape.full_mask] * self._p)
-        self._rows: list = [None] * shape.agent_count
-        self.shifts: list = [None] * shape.agent_count
+        self._slices: tuple = (None,) * shape.agent_count
         self._agent = [i for i, n in enumerate(shape.locals_per_agent) for _ in range(n * n)]
         self._stale = set(range(shape.agent_count))
         self.load(cells)
-        self.rows()
+        self.slices()
 
     @classmethod
     def from_assignment(cls, a: Assignment) -> "PartialModel":
@@ -140,38 +142,25 @@ class PartialModel:
         for cell in compress(range(len(cells)), map(ne, self.cells, cells)):
             self.put(cell, cells[cell])
 
-    def rows(self) -> list[tuple[tuple[tuple[int, ...], ...], ...]]:
-        """Per agent its (necessary, possible) enabled rows; ``shifts`` then
-        holds per agent the pre-image shifts of each."""
+    def slices(self) -> tuple[tuple[tuple, ...], ...]:
+        """Per agent the shape memo's entry for its protocol slice:
+        ``(necessary rows, possible rows, necessary shifts, possible
+        shifts)``.  The tuple is the same object until a stale agent is
+        looked up again."""
         stale = self._stale
         if stale:
-            shape, cells = self.shape, self.cells
+            shape, cells, slices = self.shape, self.cells, list(self._slices)
             for i in sorted(stale):
                 off, n = shape.tb_offsets[i], shape.locals_per_agent[i]
-                entry = _agent_slice(shape, i, tuple(cells[off : off + n * n]))
-                self._rows[i], self.shifts[i] = entry[:2], entry[2:]
-                stale.discard(i)
-        return self._rows
-
-
-def _agent_slice(shape: ModelShape, agent: int, table: tuple[Cell, ...]) -> tuple[tuple, ...]:
-    # The agent's rows and shifts, one lookup of its protocol slice in the
-    # shape's memo; a row determined empty raises.
-    entry = shape.agent_slice(agent, table)
-    possible = entry[1]
-    if () in possible:
-        raise ValueError(
-            f"agent {agent}, local state {possible.index(())}: row determined empty, "
-            "no compatible model exists"
-        )
-    return entry
-
-
-def _picks(agent_count: int, members, mode: Mode) -> tuple[int, ...]:
-    # Per agent, which of its (necessary, possible) rows the split view for
-    # this coalition and mode takes.
-    optimistic = mode is Mode.OVER
-    return tuple(int((i in members) == optimistic) for i in range(agent_count))
+                entry = slices[i] = shape.agent_slice(i, tuple(cells[off : off + n * n]))
+                if () in entry[1]:
+                    raise ValueError(
+                        f"agent {i}, local state {entry[1].index(())}: row determined empty, "
+                        "no compatible model exists"
+                    )
+            self._slices = tuple(slices)
+            stale.clear()
+        return self._slices
 
 
 def is_compatible(m: Model, pm: PartialModel) -> bool:
@@ -244,14 +233,33 @@ def _cons(f: Formula, shape: ModelShape) -> tuple[list[tuple], list[Formula], in
 
 
 class _Split:
-    """A split view as :func:`~atlsat.mc.atl_pre` reads it: the enabled
-    rows, which :meth:`Program.explain` reads too, and the pre-image plan
-    that ``choice_masks`` returns for the view's one coalition."""
+    """A split view as :func:`~atlsat.mc.atl_pre` reads it: per agent which
+    of its (necessary, possible) rows the view's coalition and mode take,
+    the enabled rows, which :meth:`Program.explain` reads too, and the
+    pre-image plan that ``choice_masks`` returns for the view's one
+    coalition.  ``source`` is the partial model's slices tuple the view was
+    last refreshed from."""
 
-    __slots__ = ("shape", "enabled", "plan")
+    __slots__ = ("shape", "picks", "order", "source", "enabled", "plan")
 
-    def __init__(self, shape: ModelShape):
-        self.shape, self.enabled, self.plan = shape, None, ()
+    def __init__(self, shape: ModelShape, members: tuple[int, ...], mode: Mode):
+        optimistic = mode is Mode.OVER
+        self.shape, self.order = shape, shape.elimination_plan(members)
+        self.picks = tuple(int((i in members) == optimistic) for i in range(shape.agent_count))
+        self.source = self.enabled = None
+        self.plan = ()
+
+    def refresh(self, slices: tuple[tuple[tuple, ...], ...]) -> None:
+        """Read the view from :meth:`PartialModel.slices`; the plan is
+        rebuilt, by picking each agent's shifts in elimination order, only
+        when the enabled rows changed."""
+        if slices is self.source:
+            return
+        self.source, picks = slices, self.picks
+        enabled = tuple(map(getitem, slices, picks))
+        if enabled != self.enabled:
+            self.enabled = enabled
+            self.plan = tuple([(member, slices[i][2 + picks[i]]) for i, member in self.order])
 
     def choice_masks(self, coalition) -> tuple[tuple[bool, tuple], ...]:
         return self.plan
@@ -266,15 +274,15 @@ class Program:
     evaluations it needs, children first, as ``(kind, out, a, b, view,
     coalition)``: ``a`` and ``b`` are the operand positions (for an atom the
     proposition and the valuation side), and a strategic step's ``view`` is
-    its ``(coalition, mode)`` split, one of ``picks``.
+    its ``(coalition, mode)`` split, an index into ``views``.
 
-    ``views[view]`` is the view's split, its enabled rows and pre-image
-    plan, rebuilt from the partial model's rows and shifts when the rows
-    change.  Each strategic step keeps its last enabled rows, operand sets
-    and result, and reuses the result when the inputs repeat.  ``reused``
-    counts the steps answered from their last result.  Keep a program to
-    one solve: these caches hold one entry each and live as long as it
-    does.
+    ``views[view]`` is the view's split, its picks, enabled rows and
+    pre-image plan, refreshed from the partial model's slices before each
+    approximation that uses it.  Each strategic step keeps its last enabled
+    rows, operand sets and result, and reuses the result when the inputs
+    repeat.  ``reused`` counts the steps answered from their last result.
+    Keep a program to one solve: these caches hold one entry each and live
+    as long as it does.
 
     ``cone`` is the set of cells the verdict at the initial state can read,
     in either mode: partial models that agree on it agree on that verdict.
@@ -339,13 +347,11 @@ class Program:
                     steps[1].append(step)
         self.steps = steps
         self.roots = (2 * root, 2 * root + 1)
-        self.picks = [_picks(shape.agent_count, members, _MODES[u]) for members, u in views]
-        self._orders = [shape.elimination_plan(members) for members, _ in views]
         # Per root mode, the views its steps use.
         self.used = tuple(
             sorted({step[4] for step in mode_steps if step[4] is not None}) for mode_steps in steps
         )
-        self.views = [_Split(shape) for _ in views]
+        self.views = [_Split(shape, members, _MODES[u]) for members, u in views]
         self._last: list[tuple | None] = [None] * (2 * len(slots))
         self.reused = 0
         # The values of the last approximation, kept for explain, and the
@@ -366,16 +372,10 @@ class Program:
 
     def approximate(self, pm: PartialModel, mode: Mode) -> StateSet:
         """:func:`sapp` of the compiled formula."""
-        rows, shifts, views = pm.rows(), pm.shifts, self.views
+        slices, views = pm.slices(), self.views
         u = 1 if mode is Mode.UNDER else 0
         for view in self.used[u]:
-            picks, split = self.picks[view], views[view]
-            enabled = tuple(map(getitem, rows, picks))
-            if split.enabled != enabled:
-                split.enabled = enabled
-                split.plan = tuple([
-                    (member, shifts[i][picks[i]]) for i, member in self._orders[view]
-                ])
+            views[view].refresh(slices)
         self._over = None if u else pm
         return self._run(u, pm.masks, views, self._last, self._values)
 
@@ -385,7 +385,7 @@ class Program:
         pre-image plan outlives the call on ``m``."""
         st = TransitionStructure(m.shape, m.enabled, m.prop_masks)
         masks, n = (m.prop_masks, m.prop_masks), len(self._last)
-        return self._run(0, masks, [st] * len(self.picks), [None] * n, [0] * n)
+        return self._run(0, masks, [st] * len(self.views), [None] * n, [0] * n)
 
     def _run(
         self,
@@ -453,14 +453,14 @@ class Program:
             # return s's split successors.
             succ = successors.get((view, s))
             if succ is None:
-                succ, enabled = full, views[view].enabled
-                for i, (l, pick) in enumerate(zip(locals_table[s], self.picks[view])):
+                succ, split = full, views[view]
+                for i, (l, pick) in enumerate(zip(locals_table[s], split.picks)):
                     n = widths[i]
                     row = offsets[i] + l * n
                     # The 0-cells of a possible row, the 1-cells of a necessary one.
                     kept.update(c for c in range(row, row + n) if cells[c] == 1 - pick)
                     reach = 0
-                    for a in enabled[i][l]:
+                    for a in split.enabled[i][l]:
                         reach |= slot_masks[i][a]
                     succ &= reach
                 successors[view, s] = succ

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import random
 from itertools import compress, repeat
-from operator import eq, getitem, ne
+from operator import eq, ne
 from types import SimpleNamespace
 
-from atlsat.approx import _MODES, Mode, PartialModel, Program, _picks
+from atlsat.approx import _MODES, Mode, PartialModel, Program
 from atlsat.formula import (
     And, Formula, Globally, Next, Not, Prop, Until, iter_subformulas, normalize,
 )
@@ -162,23 +162,25 @@ def prop_masks(shape: ModelShape, valuation) -> tuple[tuple[int, ...], ...]:
 
 def reference_partial_model(shape: ModelShape, cells) -> SimpleNamespace:
     """What a :class:`PartialModel` of ``cells`` reads as, computed from
-    scratch: per agent its (necessary, possible) rows, per local state the
-    actions whose cell is 1 and those whose cell is not 0 (a row determined
-    empty included), and :func:`prop_masks`.  It serves
-    :func:`split_structure` as a partial model does."""
+    scratch: per agent its slice, the (necessary, possible) rows, per local
+    state the actions whose cell is 1 and those whose cell is not 0 (a row
+    determined empty included), then the ``agent_shifts`` of each; and
+    :func:`prop_masks`.  It serves :func:`split_structure` as a partial
+    model does."""
     cells = tuple(cells)
-    rows = [
-        tuple(
+    slices = []
+    for i, (off, n) in enumerate(zip(shape.tb_offsets, shape.locals_per_agent)):
+        rows = tuple(
             tuple(
                 tuple(a for a in range(n) if enabled(cells[k + a]))
                 for k in range(off, off + n * n, n)
             )
             for enabled in (lambda c: c == 1, lambda c: c != 0)
         )
-        for off, n in zip(shape.tb_offsets, shape.locals_per_agent)
-    ]
+        slices.append(rows + tuple(shape.agent_shifts(i, r) for r in rows))
+    slices = tuple(slices)
     masks = prop_masks(shape, cells[shape.vb_offset :])
-    return SimpleNamespace(shape=shape, cells=cells, rows=lambda: rows, masks=masks)
+    return SimpleNamespace(shape=shape, cells=cells, slices=lambda: slices, masks=masks)
 
 
 def split_structure(pm: PartialModel, coalition, mode: Mode) -> TransitionStructure:
@@ -191,9 +193,9 @@ def split_structure(pm: PartialModel, coalition, mode: Mode) -> TransitionStruct
     successors; a goal state with no successors still under-approximates
     soundly, since every compatible total model is serial.
     """
-    shape = pm.shape
-    enabled = tuple(map(getitem, pm.rows(), _picks(shape.agent_count, set(coalition), mode)))
-    return TransitionStructure(shape, enabled, pm.masks[mode is Mode.OVER])
+    optimistic = mode is Mode.OVER
+    enabled = tuple(entry[(i in coalition) == optimistic] for i, entry in enumerate(pm.slices()))
+    return TransitionStructure(pm.shape, enabled, pm.masks[optimistic])
 
 
 class RandomOrderSearch(_Search):

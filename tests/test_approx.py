@@ -1,5 +1,4 @@
 import itertools
-import operator
 import random
 import re
 
@@ -146,11 +145,9 @@ class TestDerivation:
                         assert len(shifts) == len(dict(shifts))
             # Equal slices share one memo entry: its rows and its shifts.
             twin = PartialModel.from_assignment(Assignment(shape, cells))
-            for a, b in zip(all_necessary(pm).enabled, all_necessary(twin).enabled):
-                assert a is b
-            for i in range(agents):
-                assert all(map(operator.is_, twin.shifts[i], pm.shifts[i]))
-                for rows, shifts in zip(pm.rows()[i], pm.shifts[i]):
+            for i, entry in enumerate(pm.slices()):
+                assert twin.slices()[i] is entry
+                for rows, shifts in zip(entry[:2], entry[2:]):
                     assert dict(shifts) == per_cell_shifts(shape, i, rows)
         assert rejected > 20 and accepted > 20
 
@@ -662,8 +659,8 @@ class TestLiveView:
                 pm.put(cell, value)
                 assert pm.cells == cells
                 ref = reference_partial_model(shape, cells)
-                empty = [(i, rows[1].index(())) for i, rows in enumerate(ref.rows())
-                         if () in rows[1]]
+                empty = [(i, entry[1].index(())) for i, entry in enumerate(ref.slices())
+                         if () in entry[1]]
                 if empty:
                     message = "^agent %d, local state %d: row determined empty" % empty[0]
                     with pytest.raises(ValueError, match=message):
@@ -672,7 +669,7 @@ class TestLiveView:
                     pm.put(cell, None)
                     raised += 1
                     continue
-                assert pm.rows() == ref.rows()
+                assert pm.slices() == ref.slices()
                 assert tuple(map(tuple, pm.masks)) == ref.masks
                 for f, program in programs:
                     for mode in Mode:
@@ -685,7 +682,11 @@ class TestLiveView:
         # Random puts, and backjumps that reset the latest cells to None.
         # After each, every (coalition, mode) view of a program that has all
         # of them plans as a split structure built from scratch, and an agent
-        # whose protocol cell changed has new shifts, matching its rows.
+        # whose protocol cell changed has new shifts, matching its rows.  The
+        # program alternates between the moved partial model and a probe
+        # that keeps a random part of its cells, as a search's view and its
+        # minimization probe do, and a second evaluation of one partial
+        # model keeps every view's rows and plan objects.
         rng = random.Random(28)
         shapes = [ModelShape([2, 2], [0, 0], 1), ModelShape([3, 2], [1, 0], 1),
                   ModelShape([2, 2, 2], [0, 0, 0], 1), ModelShape([1, 3], [0, 2], 1)]
@@ -702,6 +703,7 @@ class TestLiveView:
                      for _, out, _, _, view, coalition in program.steps[0] if view is not None}
             assert len(views) == 2 * len(coalitions)
             pm, trail = PartialModel(shape, (None,) * shape.bit_count), []
+            probe = PartialModel(shape, (None,) * shape.bit_count)
             cells = [None] * shape.bit_count
             for _ in range(120):
                 if trail and rng.random() < 0.25:
@@ -711,11 +713,11 @@ class TestLiveView:
                     moves = [(rng.randrange(shape.bit_count), rng.choice((0, 1)))
                              for _ in range(rng.randint(1, 3))]
                 for cell, value in moves:
-                    before = list(pm.shifts)
+                    before = pm.slices()
                     old, cells[cell] = cells[cell], value
                     pm.put(cell, value)
-                    if any(() in possible
-                           for _, possible in reference_partial_model(shape, cells).rows()):
+                    if any(() in entry[1]
+                           for entry in reference_partial_model(shape, cells).slices()):
                         cells[cell] = old  # a protocol row determined empty
                         pm.put(cell, old)
                         continue
@@ -723,25 +725,33 @@ class TestLiveView:
                         trail.remove(cell)
                     elif cell not in trail:
                         trail.append(cell)
-                    pm.rows()
+                    after = pm.slices()
                     kind, agent, *_ = bit_owner(shape, cell)
                     moved = agent if kind == "tb" and old != value else None
                     for i in agents:
                         if i == moved:
-                            assert pm.shifts[i] != before[i]
+                            assert after[i][2:] != before[i][2:]
                             changed += 1
                         else:
-                            assert all(map(operator.is_, pm.shifts[i], before[i]))
-                        for rows, shifts in zip(pm.rows()[i], pm.shifts[i]):
+                            assert after[i] is before[i]
+                        for rows, shifts in zip(after[i][:2], after[i][2:]):
                             assert dict(shifts) == per_cell_shifts(shape, i, rows)
-                assert pm.rows() == reference_partial_model(shape, cells).rows()
-                for mode in Mode:
-                    program.approximate(pm, mode)
-                for (coalition, mode), view in views.items():
-                    expected = split_structure(pm, coalition, mode)
-                    assert program.views[view].enabled == expected.enabled
-                    assert program.views[view].choice_masks(coalition) == (
-                        expected.choice_masks(coalition))
+                assert pm.slices() == reference_partial_model(shape, cells).slices()
+                # Undetermining cells never empties a possible row.
+                probe.load([c if rng.random() < 0.5 else None for c in cells])
+                for model in (pm, probe, pm):
+                    for mode in Mode:
+                        program.approximate(model, mode)
+                    kept = [(split.enabled, split.plan) for split in program.views]
+                    for mode in Mode:
+                        program.approximate(model, mode)
+                    for split, (enabled, plan) in zip(program.views, kept):
+                        assert split.enabled is enabled and split.plan is plan
+                    for (coalition, mode), view in views.items():
+                        expected = split_structure(model, coalition, mode)
+                        assert program.views[view].enabled == expected.enabled
+                        assert program.views[view].choice_masks(coalition) == (
+                            expected.choice_masks(coalition))
         assert changed > 300 and backjumps > 50
 
     def test_an_emptied_row_raises_at_the_next_evaluation(self):

@@ -62,9 +62,10 @@ def empty_assignment(shape):
 
 def assert_view_shows_value(search):
     """The search's view reads as a partial model of its assignment computed
-    from scratch: the same protocol rows and proposition masks."""
+    from scratch: the same protocol slices, rows and shifts, and proposition
+    masks."""
     ref = reference_partial_model(search.shape, search.value)
-    assert search.view.rows() == ref.rows()
+    assert search.view.slices() == ref.slices()
     assert tuple(map(tuple, search.view.masks)) == ref.masks
 
 
@@ -640,7 +641,7 @@ class TestProbe:
                     cells[abs(lit) - 1] = 0 if lit > 0 else 1
                 assert search.probe.cells == cells
                 ref = reference_partial_model(search.shape, cells)
-                assert search.probe.rows() == ref.rows()
+                assert search.probe.slices() == ref.slices()
                 assert tuple(map(tuple, search.probe.masks)) == ref.masks
                 assert_view_shows_value(search)
                 rechecks += 1
@@ -1277,7 +1278,8 @@ class TestSolveSatisfiability:
     def test_criterion_6_search_is_pinned(self):
         # Formula 1 and the criterion-6 rows at [2,2,2] under the default
         # config: (verdict, decisions, conflicts, theory checks) pin the
-        # search that propagation order and the theory verdicts drive.
+        # search that propagation order and the theory verdicts drive, and
+        # the reused strategic steps pin the split views' reuse cache.
         req = Requirements(ModelShape([2, 2, 2], [0, 0, 0], 3))
         formulas = [parse_formula(BENCH_FORMULA_1)] + [
             generate_random_formula(GenParams(3, 4, 3, depth, seed))
@@ -1298,12 +1300,14 @@ class TestSolveSatisfiability:
             (True, 27, 0, 28),
             (True, 35, 2, 38),
         ]
+        assert [r.stats.reused for r in runs] == [198, 301, 699, 253, 981, 1608, 817, 1136, 1692]
 
     def test_refute_theory_search_is_pinned(self):
         # The refute-theory formulas at [2,2,2] with 2 props, minimization
         # on: (verdict, decisions, conflicts, theory checks, propagations,
         # rechecks) pin the search that the minimized theory conflicts drive,
-        # and the activity they give the cells they learn over.
+        # and the activity they give the cells they learn over; the reused
+        # strategic steps pin the reuse cache across view and probe.
         req = Requirements(ModelShape([2, 2, 2], [0, 0, 0], 2))
         config = SolverConfig(minimize_conflicts=True)
         texts = ("<<0>> X p0 & <<1>> X !p0", "<<0,1>> X p0 & <<2>> X !p0",
@@ -1318,6 +1322,7 @@ class TestSolveSatisfiability:
             (False, 117, 71, 181, 202, 417),
             (False, 200, 92, 288, 294, 765),
         ]
+        assert [r.stats.reused for r in runs] == [281, 541, 621]
 
     def test_criterion_6_search_at_2222_is_pinned(self):
         # The sweep's other shape, [2,2,2,2] with 3 props, default config:
