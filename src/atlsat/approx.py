@@ -24,8 +24,8 @@ and still fail in some compatible completion where the adversary uses an
 undetermined action.
 
 Once every cell is determined both bounds equal the exact satisfaction set,
-so exact checking (:func:`solve_formula`) runs the same steps with the model
-itself as the structure for every coalition and mode.
+so exact checking (:func:`solve_formula`) runs the same steps on one structure,
+built from the model's rows and masks, for every coalition and mode.
 
 Both run a :class:`Program`: the core formula compiled for a shape into
 hash-consed slots, evaluated by one loop with no recursion.  A split view is
@@ -379,10 +379,10 @@ class Program:
         self._over = None if u else pm
         return self._run(u, pm.masks, views, self._last, self._values)
 
-    def exact(self, m: TransitionStructure) -> StateSet:
+    def exact(self, m: Model | TransitionStructure) -> StateSet:
         """:func:`solve_formula` of the compiled formula.  It neither reads
-        nor feeds the reuse caches, and evaluates on a copy of ``m``, so no
-        pre-image plan outlives the call on ``m``."""
+        nor feeds the reuse caches, and evaluates on a structure built from
+        ``m``'s rows and masks, the only one a solve builds."""
         st = TransitionStructure(m.shape, m.enabled, m.prop_masks)
         masks, n = (m.prop_masks, m.prop_masks), len(self._last)
         return self._run(0, masks, [st] * len(self.views), [None] * n, [0] * n)
@@ -548,12 +548,12 @@ def sapp(pm: PartialModel, f: Formula | Program, mode: Mode) -> StateSet:
     return Program.of(f, pm.shape).approximate(pm, mode)
 
 
-def solve_formula(m: TransitionStructure, f: Formula | Program) -> StateSet:
+def solve_formula(m: Model | TransitionStructure, f: Formula | Program) -> StateSet:
     """Exact satisfaction set of a core-normalized formula, or of the
     formula a :class:`Program` compiled for the model's shape."""
     return Program.of(f, m.shape).exact(m)
 
 
-def check_validity(m: Model, f: Formula | Program) -> bool:
+def check_validity(m: Model | TransitionStructure, f: Formula | Program) -> bool:
     """Whether the formula holds at the model's initial state."""
     return bool(solve_formula(m, f) >> m.shape.initial_state & 1)

@@ -367,27 +367,35 @@ def _neg(f: Formula) -> Formula:
 
 def normalize(f: Formula) -> Formula:
     """Rewrite to the six core productions.  Idempotent; core input is
-    returned structurally unchanged."""
+    returned structurally unchanged.  A formula too deep for the recursion (a
+    chain of thousands of conjuncts built through the API) raises ValueError."""
+    try:
+        return _normalize(f)
+    except RecursionError:
+        raise ValueError("formula nested too deeply to normalize") from None
+
+
+def _normalize(f: Formula) -> Formula:
     if isinstance(f, Prop):
         return f
     if isinstance(f, Not):
-        child = normalize(f.child)
+        child = _normalize(f.child)
         return f if child is f.child else Not(child)
     if isinstance(f, And):
-        left, right = normalize(f.left), normalize(f.right)
+        left, right = _normalize(f.left), _normalize(f.right)
         return f if left is f.left and right is f.right else And(left, right)
     if isinstance(f, (Next, Globally)):
-        child = normalize(f.child)
+        child = _normalize(f.child)
         return f if child is f.child else type(f)(f.coalition, child)
     if isinstance(f, Until):
-        left, right = normalize(f.left), normalize(f.right)
+        left, right = _normalize(f.left), _normalize(f.right)
         return f if left is f.left and right is f.right else Until(f.coalition, left, right)
     if isinstance(f, Or):
-        return Not(And(_neg(normalize(f.left)), _neg(normalize(f.right))))
+        return Not(And(_neg(_normalize(f.left)), _neg(_normalize(f.right))))
     if isinstance(f, Implies):
-        return Not(And(normalize(f.left), _neg(normalize(f.right))))
+        return Not(And(_normalize(f.left), _neg(_normalize(f.right))))
     if isinstance(f, Eventually):
-        return Until(f.coalition, _tautology(), normalize(f.child))
+        return Until(f.coalition, _tautology(), _normalize(f.child))
     if isinstance(f, TrueConst):
         return _tautology()
     if isinstance(f, FalseConst):

@@ -246,9 +246,9 @@ class TransitionStructure:
     """Canonical-rule transition semantics over a shape.
 
     ``enabled[i][k]`` lists the actions available to agent ``i`` at its local
-    state ``k``.  Rows may be empty here (the concrete :class:`Model`
-    subclass forbids that); states where some agent has an empty row have no
-    successors.
+    state ``k``.  Rows may be empty here, unlike a :class:`Model`'s; states
+    where some agent has an empty row have no successors.  A solve builds one
+    only to check a model exactly (:meth:`~atlsat.approx.Program.exact`).
     """
 
     def __init__(
@@ -258,17 +258,9 @@ class TransitionStructure:
         prop_masks: Sequence[int],
     ):
         self.shape = shape
-        # A table given as a tuple is kept as it is: a model's own tables,
-        # and the copy Program.exact evaluates on.
-        self.enabled = tuple(
-            table if isinstance(table, tuple) else tuple(map(tuple, table)) for table in enabled
-        )
+        self.enabled = tuple(tuple(map(tuple, table)) for table in enabled)
         self.prop_masks = tuple(prop_masks)
         self._choice_masks: dict[tuple[int, ...], tuple] = {}
-
-    @property
-    def full_mask(self) -> int:
-        return self.shape.full_mask
 
     def choice_masks(self, coalition: Sequence[int]) -> tuple[tuple[bool, tuple], ...]:
         """The plan :func:`~atlsat.mc.atl_pre` follows: one ``(is member,
@@ -287,9 +279,10 @@ class TransitionStructure:
         return plan
 
 
-class Model(TransitionStructure):
-    """A concrete model: total protocols (every row nonempty) plus a total
-    valuation.  Immutable once built."""
+class Model:
+    """A concrete model: total protocols (every row nonempty), a total
+    valuation, and the ``enabled`` rows and ``prop_masks`` read from them, as
+    a :class:`TransitionStructure` holds them.  Immutable once built."""
 
     def __init__(
         self,
@@ -314,18 +307,16 @@ class Model(TransitionStructure):
             len(row) != shape.prop_count for row in valuation
         ):
             raise ValueError("valuation must be |St| x prop_count")
+        self.shape = shape
         self.protocols = protocols
         self.valuation = valuation
-        enabled = tuple(
+        self.enabled = tuple(
             tuple(tuple(j for j, on in enumerate(row) if on) for row in table)
             for table in protocols
         )
-        prop_masks = [0] * shape.prop_count
-        for s, row in enumerate(valuation):
-            for v, on in enumerate(row):
-                if on:
-                    prop_masks[v] |= 1 << s
-        super().__init__(shape, enabled, prop_masks)
+        self.prop_masks = tuple(
+            sum(row[v] << s for s, row in enumerate(valuation)) for v in range(shape.prop_count)
+        )
 
     def __eq__(self, other) -> bool:
         return (

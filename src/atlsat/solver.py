@@ -226,7 +226,7 @@ class _Search:
             if b is not None and v in cone and self.value[v] is None:
                 self.assign(v + 1 if b else -(v + 1), None)
         if config.minimize_conflicts:
-            self.probe = req.induced_partial_model()
+            self.probe = PartialModel(self.shape, req.cells)
             # The literals of the last recheck's candidate, shown on the probe.
             self.shown: set[int] = set()
 

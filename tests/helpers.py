@@ -1,9 +1,10 @@
-"""Helpers the tests share that the solver itself does not need: operator
-evaluation one operator at a time, the core grammar test, the cone of
-influence, cell classification, partial models built from and read as
-tables or assignments, a partial model computed in bulk as the reference for
-the incremental one, split structures built on their own, the evaluations a
-compiled program makes, and the search in a seeded random decision order."""
+"""Helpers the tests share that the solver itself does not need: a model's
+transition structure, operator evaluation one operator at a time, the core
+grammar test, the cone of influence, cell classification, partial models
+built from and read as tables or assignments, a partial model computed in
+bulk as the reference for the incremental one, split structures built on
+their own, the evaluations a compiled program makes, and the search in a
+seeded random decision order."""
 
 from __future__ import annotations
 
@@ -16,9 +17,15 @@ from atlsat.approx import _MODES, Mode, PartialModel, Program
 from atlsat.formula import (
     And, Formula, Globally, Next, Not, Prop, Until, iter_subformulas, normalize,
 )
-from atlsat.mas import Assignment, ModelShape, TransitionStructure
+from atlsat.mas import Assignment, Model, ModelShape, TransitionStructure
 from atlsat.mc import StateSet, solve_globally, solve_next, solve_until
 from atlsat.solver import Requirements, SolverConfig, SolverResult, _Search
+
+
+def structure(m: Model) -> TransitionStructure:
+    """The transition structure of a model's rows and masks, the one
+    :meth:`~atlsat.approx.Program.exact` evaluates on."""
+    return TransitionStructure(m.shape, m.enabled, m.prop_masks)
 
 
 def solve_op(
@@ -31,7 +38,7 @@ def solve_op(
     if not binary and y2 is not None:
         raise ValueError(f"operator {op!r} takes one state set")
     if op == "not":
-        return m.full_mask & ~y1
+        return m.shape.full_mask & ~y1
     if op == "and":
         return y1 & y2
     if op == "next":

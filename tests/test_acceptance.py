@@ -30,7 +30,7 @@ from atlsat.formula import (
 )
 from atlsat.mas import Assignment, Model, ModelShape, decode_model, encode_model
 from atlsat.solver import Requirements, SolverConfig, solve_satisfiability
-from helpers import solve_op, to_assignment, with_cell
+from helpers import solve_op, structure, to_assignment, with_cell
 from oracles import compatible_completions, enumerate_models
 from samplers import TINY_SHAPES, random_core_formula, random_model, random_partial_model
 
@@ -257,7 +257,7 @@ def test_criterion_3_monotonicity_suites():
     for _ in range(1000):
         m = random_model(rng, shape)
         f = random_core_formula(rng, 2, 2, rng.randint(0, 3))
-        if solve_formula(m, f) != compose(m, f):
+        if solve_formula(m, f) != compose(structure(m), f):
             bad += 1
     violations["operator composition"] = bad
 

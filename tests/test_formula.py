@@ -269,6 +269,27 @@ class TestNormalize:
         f = Eventually(Coalition([1]), Prop(2))
         assert normalize(f) == Until(Coalition([1]), core_taut(), Prop(2))
 
+    # The parser caps nesting; a chain built through the API is capped only
+    # by the recursion, and past it fails as one ValueError.
+    @staticmethod
+    def chain(conjuncts: int):
+        f = Prop(0)
+        for _ in range(conjuncts - 1):
+            f = And(f, Prop(0))
+        return f
+
+    def test_a_500_conjunct_api_chain_solves(self):
+        f = self.chain(500)
+        assert normalize(f) is f
+        assert solve_satisfiability(f, Requirements(ModelShape([2, 2], None, 1))).satisfiable
+
+    def test_a_2000_conjunct_api_chain_is_nested_too_deeply(self):
+        f = self.chain(2000)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            normalize(f)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            solve_satisfiability(f, Requirements(ModelShape([2, 2], None, 1)))
+
 
 class TestQueries:
     @pytest.mark.parametrize("walk", [format_formula, normalize, strategic_depth])

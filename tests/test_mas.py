@@ -10,6 +10,7 @@ from atlsat.mas import (
     EmptyProtocolRowError,
     Model,
     ModelShape,
+    TransitionStructure,
     UndefCellError,
     decode_model,
     encode_model,
@@ -125,6 +126,16 @@ class TestEncode:
         assert again == m and again is not m
         assert hash(again) == hash(m)
         assert len({m, again, example_model()}) == 2
+
+    def test_a_decoded_model_is_its_tables(self):
+        # No pre-image plan and no memo: only Program.exact builds a
+        # structure, from these rows and masks.
+        m = decode_model(encode_model(example_model(tuple((s % 2, 0, 1) for s in range(6)))))
+        assert not isinstance(m, TransitionStructure)
+        assert not hasattr(m, "choice_masks") and not hasattr(m, "_choice_masks")
+        assert not hasattr(m, "full_mask")
+        assert m.enabled == (((0, 2), (1,), (1, 2)), ((0, 1), (1,)))
+        assert m.prop_masks == (0b101010, 0, 0b111111)
 
     def test_round_trip_bulk(self):
         rng = random.Random(11)

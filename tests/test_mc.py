@@ -27,7 +27,7 @@ from atlsat.mas import (
     state_locals,
 )
 from atlsat.mc import atl_pre
-from helpers import solve_op
+from helpers import solve_op, structure
 from oracles import (
     enumerate_models,
     fixpoint_globally,
@@ -50,14 +50,14 @@ class TestAtlPre:
     def test_grand_coalition_on_full_set(self):
         rng = random.Random(0)
         for _ in range(50):
-            m = random_model(rng, rng.choice(SMALL_SHAPES))
+            m = structure(random_model(rng, rng.choice(SMALL_SHAPES)))
             everyone = tuple(range(m.shape.agent_count))
-            assert atl_pre(m, everyone, m.full_mask) == m.full_mask
+            assert atl_pre(m, everyone, m.shape.full_mask) == m.shape.full_mask
 
     def test_empty_coalition_on_empty_set(self):
         rng = random.Random(1)
         for _ in range(50):
-            m = random_model(rng, rng.choice(SMALL_SHAPES))
+            m = structure(random_model(rng, rng.choice(SMALL_SHAPES)))
             assert atl_pre(m, (), 0) == 0
 
     def test_matches_joint_action_enumeration(self):
@@ -67,7 +67,7 @@ class TestAtlPre:
             shape = rng.choice([s for s in SMALL_SHAPES if s.agent_count == 2])
             m = random_model(rng, shape)
             x = rng.getrandbits(shape.state_count)
-            assert atl_pre(m, (0,), x) == oracle_pre(m, (0,), x)
+            assert atl_pre(structure(m), (0,), x) == oracle_pre(m, (0,), x)
 
     def test_matches_enumeration_any_coalition(self):
         rng = random.Random(3)
@@ -76,7 +76,7 @@ class TestAtlPre:
             m = random_model(rng, shape)
             coal = tuple(sorted(rng.sample(range(shape.agent_count), rng.randint(0, shape.agent_count))))
             x = rng.getrandbits(shape.state_count)
-            assert atl_pre(m, coal, x) == oracle_pre(m, coal, x)
+            assert atl_pre(structure(m), coal, x) == oracle_pre(m, coal, x)
 
     def test_matches_enumeration_with_empty_rows(self):
         # Split structures may have empty protocol rows.  Reference: joint
@@ -185,6 +185,14 @@ class TestSolveFormula:
             )
             done += 1
 
+    def test_a_model_and_its_structure_have_one_set(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            shape = rng.choice(SMALL_SHAPES)
+            m = random_model(rng, shape)
+            f = random_core_formula(rng, shape.agent_count, shape.prop_count, rng.randint(0, 3))
+            assert solve_formula(m, f) == solve_formula(structure(m), f)
+
     def test_out_of_range_raises(self):
         m = random_model(random.Random(6), ModelShape([2], [0], 1))
         with pytest.raises(IndexError):
@@ -204,7 +212,7 @@ class TestSolveOp:
         rng = random.Random(7)
         m = random_model(rng, ModelShape([2, 2], [0, 0], 1))
         y = rng.getrandbits(4)
-        assert solve_op("not", m, y) == m.full_mask & ~y
+        assert solve_op("not", m, y) == m.shape.full_mask & ~y
 
     def test_and_is_intersection(self):
         rng = random.Random(8)
@@ -219,7 +227,8 @@ class TestSolveOp:
             m = random_model(rng, shape)
             coal = tuple(sorted(rng.sample(range(shape.agent_count), rng.randint(0, shape.agent_count))))
             x = rng.getrandbits(shape.state_count)
-            assert solve_op("globally", m, x, coalition=coal) == fixpoint_globally(m, coal, x)
+            assert solve_op("globally", structure(m), x, coalition=coal) == (
+                fixpoint_globally(m, coal, x))
 
     def test_until_matches_direct_fixpoint(self):
         rng = random.Random(10)
@@ -228,7 +237,8 @@ class TestSolveOp:
             m = random_model(rng, shape)
             coal = tuple(sorted(rng.sample(range(shape.agent_count), rng.randint(0, shape.agent_count))))
             x1, x2 = rng.getrandbits(shape.state_count), rng.getrandbits(shape.state_count)
-            assert solve_op("until", m, x1, x2, coalition=coal) == fixpoint_until(m, coal, x1, x2)
+            assert solve_op("until", structure(m), x1, x2, coalition=coal) == (
+                fixpoint_until(m, coal, x1, x2))
 
     def test_arity_mismatch(self):
         m = random_model(random.Random(11), ModelShape([2], [0], 1))
@@ -258,7 +268,7 @@ class TestSolveOp:
             shape = rng.choice(SMALL_SHAPES)
             m = random_model(rng, shape)
             f = random_core_formula(rng, shape.agent_count, shape.prop_count, rng.randint(0, 3))
-            assert solve_formula(m, f) == compose(m, f)
+            assert solve_formula(m, f) == compose(structure(m), f)
 
 
 class TestCheckValidity:
