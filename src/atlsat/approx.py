@@ -24,20 +24,20 @@ and still fail in some compatible completion where the adversary uses an
 undetermined action.
 
 Once every cell is determined both bounds equal the exact satisfaction set,
-so exact checking (:func:`solve_formula`) runs the same steps on one structure,
-built from the model's rows and masks, for every coalition and mode.
+so exact checking (:func:`solve_formula`) runs the same steps on the plans
+of one structure, built from the model's rows and masks, for every mode.
 
 Both run a :class:`Program`: the core formula compiled for a shape into
-hash-consed slots, evaluated by one loop with no recursion.  A split view is
-no transition structure, only the view's enabled rows and its pre-image
-plan, the ``(is member, shifts)`` steps :func:`~atlsat.mc.atl_pre` follows.
+hash-consed slots, evaluated by one loop with no recursion.  The pre-image
+(:func:`~atlsat.mc.atl_pre`) reads only a plan, the ``(is member, shifts)``
+steps of one coalition; a split view is its enabled rows and that plan.
 The partial model keeps one memo entry per agent, its rows and their
 shifts, in one tuple that is replaced only when an agent's slice changed.
 A view kept across the theory calls of one solve refreshes itself from that
 tuple: it skips the tuple it last read, and rebuilds its plan, by picking
 each agent's shifts in elimination order, only when its enabled rows change.
-The program reuses each strategic step's last result while its inputs
-repeat.
+The program reuses each strategic step's last result while its plan and
+operands repeat.
 
 When the over approximation excludes the initial state,
 :meth:`Program.explain` walks that evaluation backwards and returns the
@@ -65,7 +65,7 @@ from typing import Sequence
 from . import mc
 from .formula import And, Formula, Globally, Next, Not, Prop, Until
 from .mas import CELL_VALUES, Assignment, Model, ModelShape, TransitionStructure, encode_model
-from .mc import StateSet, solve_globally, solve_next, solve_until
+from .mc import Plan, StateSet, solve_globally, solve_next, solve_until
 
 Cell = int | None
 
@@ -233,35 +233,31 @@ def _cons(f: Formula, shape: ModelShape) -> tuple[list[tuple], list[Formula], in
 
 
 class _Split:
-    """A split view as :func:`~atlsat.mc.atl_pre` reads it: per agent which
-    of its (necessary, possible) rows the view's coalition and mode take,
-    the enabled rows, which :meth:`Program.explain` reads too, and the
-    pre-image plan that ``choice_masks`` returns for the view's one
-    coalition.  ``source`` is the partial model's slices tuple the view was
-    last refreshed from."""
+    """A split view of one coalition and mode: per agent which of its
+    (necessary, possible) rows the view takes, the enabled rows, which
+    :meth:`Program.explain` reads, and the pre-image plan that
+    :func:`~atlsat.mc.atl_pre` reads.  ``source`` is the partial model's
+    slices tuple the view was last refreshed from."""
 
-    __slots__ = ("shape", "picks", "order", "source", "enabled", "plan")
+    __slots__ = ("picks", "order", "source", "enabled", "plan")
 
     def __init__(self, shape: ModelShape, members: tuple[int, ...], mode: Mode):
         optimistic = mode is Mode.OVER
-        self.shape, self.order = shape, shape.elimination_plan(members)
+        self.order = shape.elimination_plan(members)
         self.picks = tuple(int((i in members) == optimistic) for i in range(shape.agent_count))
         self.source = self.enabled = None
-        self.plan = ()
+        self.plan: Plan = ()
 
-    def refresh(self, slices: tuple[tuple[tuple, ...], ...]) -> None:
-        """Read the view from :meth:`PartialModel.slices`; the plan is
-        rebuilt, by picking each agent's shifts in elimination order, only
-        when the enabled rows changed."""
-        if slices is self.source:
-            return
-        self.source, picks = slices, self.picks
-        enabled = tuple(map(getitem, slices, picks))
-        if enabled != self.enabled:
-            self.enabled = enabled
-            self.plan = tuple([(member, slices[i][2 + picks[i]]) for i, member in self.order])
-
-    def choice_masks(self, coalition) -> tuple[tuple[bool, tuple], ...]:
+    def refresh(self, slices: tuple[tuple[tuple, ...], ...]) -> Plan:
+        """Read the view from :meth:`PartialModel.slices` and return its
+        plan, rebuilt, by picking each agent's shifts in elimination order,
+        only when the enabled rows changed."""
+        if slices is not self.source:
+            self.source, picks = slices, self.picks
+            enabled = tuple(map(getitem, slices, picks))
+            if enabled != self.enabled:
+                self.enabled = enabled
+                self.plan = tuple([(member, slices[i][2 + picks[i]]) for i, member in self.order])
         return self.plan
 
 
@@ -271,18 +267,18 @@ class Program:
     Values live at ``2 * slot + u``, where ``u`` is 0 in ``OVER`` and 1 in
     ``UNDER``; ``steps``, ``roots`` and ``used`` are indexed by the root
     mode's ``u``.  For each root mode, ``steps[u]`` lists the ``(slot, mode)``
-    evaluations it needs, children first, as ``(kind, out, a, b, view,
-    coalition)``: ``a`` and ``b`` are the operand positions (for an atom the
-    proposition and the valuation side), and a strategic step's ``view`` is
-    its ``(coalition, mode)`` split, an index into ``views``.
-
-    ``views[view]`` is the view's split, its picks, enabled rows and
-    pre-image plan, refreshed from the partial model's slices before each
-    approximation that uses it.  Each strategic step keeps its last enabled
-    rows, operand sets and result, and reuses the result when the inputs
-    repeat.  ``reused`` counts the steps answered from their last result.
-    Keep a program to one solve: these caches hold one entry each and live
-    as long as it does.
+    evaluations it needs, children first, as ``(kind, out, a, b, view)``:
+    ``a`` and ``b`` are the operand positions (for an atom the proposition
+    and the valuation side), and a strategic step's ``view`` is its
+    ``(coalition, mode)`` split, indexing ``views``, ``coalitions`` and
+    ``plans``.  ``plans[view]`` is the plan the last approximation read,
+    refreshed from the partial model's slices by the split ``views[view]``.
+    Each strategic step keeps its last plan, operand sets and result, and
+    reuses the result when the inputs repeat: within one view equal plans
+    mean equal rows, as a shift's mask is a union of disjoint slot masks.
+    ``reused`` counts the steps answered from their last result.  Keep a
+    program to one solve: these caches hold one entry each and live as long
+    as it does.
 
     ``cone`` is the set of cells the verdict at the initial state can read,
     in either mode: partial models that agree on it agree on that verdict.
@@ -330,7 +326,7 @@ class Program:
             for u in (0, 1):
                 # need[slot] is nonzero, so one root mode or the other needs (slot, u).
                 over, under = bits >> u & 1, bits >> (1 - u) & 1
-                view = coalition = None
+                view = None
                 if kind == _PROP:
                     a, b = arg, 1 - u
                 elif kind == _NOT:
@@ -339,8 +335,8 @@ class Program:
                     a = 2 * children[0] + u
                     b = 2 * children[1] + u if len(children) == 2 else None
                     if kind != _AND:
-                        view, coalition = views.setdefault((arg, u), len(views)), arg
-                step = (kind, 2 * slot + u, a, b, view, coalition)
+                        view = views.setdefault((arg, u), len(views))
+                step = (kind, 2 * slot + u, a, b, view)
                 if over:
                     steps[0].append(step)
                 if under:
@@ -352,6 +348,8 @@ class Program:
             sorted({step[4] for step in mode_steps if step[4] is not None}) for mode_steps in steps
         )
         self.views = [_Split(shape, members, _MODES[u]) for members, u in views]
+        self.coalitions = [members for members, _ in views]
+        self.plans: list[Plan] = [()] * len(views)
         self._last: list[tuple | None] = [None] * (2 * len(slots))
         self.reused = 0
         # The values of the last approximation, kept for explain, and the
@@ -372,35 +370,36 @@ class Program:
 
     def approximate(self, pm: PartialModel, mode: Mode) -> StateSet:
         """:func:`sapp` of the compiled formula."""
-        slices, views = pm.slices(), self.views
+        slices, views, plans = pm.slices(), self.views, self.plans
         u = 1 if mode is Mode.UNDER else 0
         for view in self.used[u]:
-            views[view].refresh(slices)
+            plans[view] = views[view].refresh(slices)
         self._over = None if u else pm
-        return self._run(u, pm.masks, views, self._last, self._values)
+        return self._run(u, pm.masks, plans, self._last, self._values)
 
     def exact(self, m: Model | TransitionStructure) -> StateSet:
         """:func:`solve_formula` of the compiled formula.  It neither reads
-        nor feeds the reuse caches, and evaluates on a structure built from
-        ``m``'s rows and masks, the only one a solve builds."""
+        nor feeds the reuse caches, and takes one plan per distinct coalition
+        from a structure of ``m``'s rows and masks, the only one a solve builds."""
         st = TransitionStructure(m.shape, m.enabled, m.prop_masks)
+        plans = {c: st.choice_masks(c) for c in dict.fromkeys(self.coalitions)}
         masks, n = (m.prop_masks, m.prop_masks), len(self._last)
-        return self._run(0, masks, [st] * len(self.views), [None] * n, [0] * n)
+        return self._run(0, masks, [plans[c] for c in self.coalitions], [None] * n, [0] * n)
 
     def _run(
         self,
         u: int,
         masks: Sequence[Sequence[int]],
-        views: Sequence[TransitionStructure | _Split],
+        plans: Sequence[Plan],
         last: list[tuple | None],
         values: list[StateSet],
     ) -> StateSet:
-        # ``views[view]`` is what each view the steps of ``u`` use evaluates
-        # on; ``last`` holds each strategic step's last inputs and result.
-        # Each step writes its value position before any later step reads
-        # it, so ``values`` may hold an earlier run's values.
+        # ``plans[view]`` is the plan each view the steps of ``u`` use reads;
+        # ``last`` holds each strategic step's last inputs and result.  Each
+        # step writes its value position before any later step reads it, so
+        # ``values`` may hold an earlier run's values.
         full = self.full
-        for kind, out, a, b, view, coalition in self.steps[u]:
+        for kind, out, a, b, view in self.steps[u]:
             if kind == _PROP:
                 values[out] = masks[b][a]
             elif kind == _NOT:
@@ -408,21 +407,20 @@ class Program:
             elif kind == _AND:
                 values[out] = values[a] & values[b]
             else:
-                st, x = views[view], values[a]
-                rows = st.enabled
+                plan, x = plans[view], values[a]
                 y = None if b is None else values[b]
                 prior = last[out]
-                if prior is not None and prior[1] == x and prior[2] == y and prior[0] == rows:
+                if prior is not None and prior[1] == x and prior[2] == y and prior[0] == plan:
                     self.reused += 1
                     values[out] = prior[3]
                     continue
                 if kind == _NEXT:
-                    result = solve_next(st, coalition, x)
+                    result = solve_next(plan, full, x)
                 elif kind == _GLOBALLY:
-                    result = solve_globally(st, coalition, x)
+                    result = solve_globally(plan, full, x)
                 else:
-                    result = solve_until(st, coalition, x, y)
-                last[out] = (rows, x, y, result)
+                    result = solve_until(plan, full, x, y)
+                last[out] = (plan, x, y, result)
                 values[out] = result
         return values[self.roots[u]]
 
@@ -468,7 +466,7 @@ class Program:
 
         pending = [0] * len(values)
         pending[root] = initial
-        for kind, out, a, b, view, coalition in reversed(self.steps[0]):
+        for kind, out, a, b, view in reversed(self.steps[0]):
             todo = pending[out]
             if not todo:
                 continue
@@ -509,12 +507,12 @@ class Program:
                 # states that left them (OVER G) or joined them (UNDER U) by
                 # iterate k; a state of rank k > 0 is justified by its step
                 # into rank k - 1, one of rank 0 by x (OVER G) or y (UNDER U).
-                x, st = values[a], views[view]
+                x, plan = values[a], views[view].plan
                 goal = values[b] if under else 0
                 ys = [goal if under else x]
                 # Through the module, so a wrapper of mc.atl_pre sees these calls.
                 while True:
-                    y = goal | (x & mc.atl_pre(st, coalition, ys[-1]))
+                    y = goal | (x & mc.atl_pre(plan, full, ys[-1]))
                     if y == ys[-1]:
                         break
                     ys.append(y)

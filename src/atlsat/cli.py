@@ -175,7 +175,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--minimize-conflicts",
         action="store_true",
-        help="greedily shrink learned theory conflict clauses",
+        help="justify each theory conflict clause by the cells the failed over-approximation "
+        "read, then greedily shrink it; without this flag the clause negates the whole trail",
     )
 
 

@@ -20,20 +20,26 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
+def _check_index(i: object, what: str) -> None:
+    # Exactly int: a bool or a float would index as another number.
+    if type(i) is not int or i < 0:
+        raise ValueError(f"{what} index must be a non-negative int, not {i!r}")
+
+
 @dataclass(frozen=True)
 class Coalition:
     """An ordered set of agent indices bound by a strategic modality.
 
-    May be empty; indices are deduplicated and kept strictly increasing.
+    May be empty; indices are ints >= 0, deduplicated and kept increasing.
     """
 
     members: tuple[int, ...]
 
     def __init__(self, members: Iterable[int] = ()):
-        ms = tuple(sorted(set(members)))
-        if ms and ms[0] < 0:
-            raise ValueError(f"negative agent index in coalition: {ms}")
-        object.__setattr__(self, "members", ms)
+        ms = tuple(members)
+        for i in ms:
+            _check_index(i, "agent")
+        object.__setattr__(self, "members", tuple(sorted(set(ms))))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
@@ -62,6 +68,9 @@ class Formula:
 @dataclass(frozen=True, repr=False)
 class Prop(Formula):
     index: int
+
+    def __post_init__(self) -> None:
+        _check_index(self.index, "proposition")
 
 
 @dataclass(frozen=True, repr=False)

@@ -260,23 +260,18 @@ class TransitionStructure:
         self.shape = shape
         self.enabled = tuple(tuple(map(tuple, table)) for table in enabled)
         self.prop_masks = tuple(prop_masks)
-        self._choice_masks: dict[tuple[int, ...], tuple] = {}
 
     def choice_masks(self, coalition: Sequence[int]) -> tuple[tuple[bool, tuple], ...]:
-        """The plan :func:`~atlsat.mc.atl_pre` follows: one ``(is member,
-        shifts)`` step per agent, outsiders (for all) before members
-        (exists), where ``shifts`` are the shape's
-        :meth:`~ModelShape.agent_shifts` for this structure's rows of the
-        agent.  Built once per coalition."""
-        key = tuple(coalition)
-        plan = self._choice_masks.get(key)
-        if plan is None:
-            shape, enabled = self.shape, self.enabled
-            plan = self._choice_masks[key] = tuple([
-                (member, shape.agent_shifts(i, enabled[i]))
-                for i, member in shape.elimination_plan(key)
-            ])
-        return plan
+        """The coalition's plan over these rows, as :func:`~atlsat.mc.atl_pre`
+        reads it: one ``(is member, shifts)`` step per agent, outsiders (for
+        all) before members (exists), ``shifts`` being the shape's
+        :meth:`~ModelShape.agent_shifts` of the agent's rows.  Built anew on
+        each call; an exact check asks once per distinct coalition."""
+        shape, enabled = self.shape, self.enabled
+        return tuple([
+            (member, shape.agent_shifts(i, enabled[i]))
+            for i, member in shape.elimination_plan(tuple(coalition))
+        ])
 
 
 class Model:

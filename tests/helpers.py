@@ -41,12 +41,13 @@ def solve_op(
         return m.shape.full_mask & ~y1
     if op == "and":
         return y1 & y2
+    plan, full = m.choice_masks(coalition), m.shape.full_mask
     if op == "next":
-        return solve_next(m, coalition, y1)
+        return solve_next(plan, full, y1)
     if op == "globally":
-        return solve_globally(m, coalition, y1)
+        return solve_globally(plan, full, y1)
     if op == "until":
-        return solve_until(m, coalition, y1, y2)
+        return solve_until(plan, full, y1, y2)
     raise ValueError(f"unknown operator {op!r}")
 
 

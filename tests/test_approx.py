@@ -38,6 +38,7 @@ from helpers import (
     protocol_tables,
     reference_partial_model,
     split_structure,
+    structure,
     to_assignment,
     unconstrained,
     visits,
@@ -298,6 +299,25 @@ class TestSApp:
             assert sapp(pm, f, Mode.UNDER) == exact
             assert sapp(pm, f, Mode.OVER) == exact
 
+    def test_on_a_total_model_every_view_reads_the_exact_plan(self):
+        # The bridge between exact and approximate evaluation, at the level
+        # of plans: on a total model each split view, in either mode,
+        # refreshes to the plan of its coalition over the model's structure.
+        rng = random.Random(23)
+        views = 0
+        for _ in range(200):
+            shape = random_shape(rng, max_states=12, max_props=2)
+            if not shape.prop_count:
+                continue
+            m = random_model(rng, shape)
+            slices = PartialModel(shape, encode_model(m).bits).slices()
+            f = random_core_formula(rng, shape.agent_count, shape.prop_count, rng.randint(1, 3))
+            program = Program(f, shape)
+            for split, coalition in zip(program.views, program.coalitions):
+                assert split.refresh(slices) == structure(m).choice_masks(coalition), (f, coalition)
+                views += 1
+        assert views > 300
+
     def test_all_undef_atom(self):
         shape = ModelShape([2, 2], [0, 0], 1)
         pm = unconstrained(shape)
@@ -398,12 +418,12 @@ def recursive_sapp(pm, f, mode):
         if isinstance(node, And):
             return rec(node.left, md) & rec(node.right, md)
         members = node.coalition.members
-        st = split_structure(pm, members, md)
+        plan = split_structure(pm, members, md).choice_masks(members)
         if isinstance(node, Next):
-            return solve_next(st, members, rec(node.child, md))
+            return solve_next(plan, full, rec(node.child, md))
         if isinstance(node, Globally):
-            return solve_globally(st, members, rec(node.child, md))
-        return solve_until(st, members, rec(node.left, md), rec(node.right, md))
+            return solve_globally(plan, full, rec(node.child, md))
+        return solve_until(plan, full, rec(node.left, md), rec(node.right, md))
 
     return rec(f, mode)
 
@@ -699,8 +719,8 @@ class TestLiveView:
                 f"(<<{','.join(map(str, c))}>> X p0 & !<<{','.join(map(str, c))}>> X p0)"
                 for c in coalitions)))
             program = Program(f, shape)
-            views = {(coalition, _MODES[out & 1]): view
-                     for _, out, _, _, view, coalition in program.steps[0] if view is not None}
+            views = {(program.coalitions[view], _MODES[out & 1]): view
+                     for _, out, _, _, view in program.steps[0] if view is not None}
             assert len(views) == 2 * len(coalitions)
             pm, trail = PartialModel(shape, (None,) * shape.bit_count), []
             probe = PartialModel(shape, (None,) * shape.bit_count)
@@ -750,8 +770,7 @@ class TestLiveView:
                     for (coalition, mode), view in views.items():
                         expected = split_structure(model, coalition, mode)
                         assert program.views[view].enabled == expected.enabled
-                        assert program.views[view].choice_masks(coalition) == (
-                            expected.choice_masks(coalition))
+                        assert program.views[view].plan == expected.choice_masks(coalition)
         assert changed > 300 and backjumps > 50
 
     def test_an_emptied_row_raises_at_the_next_evaluation(self):

@@ -51,6 +51,28 @@ class TestCoalition:
         with pytest.raises(ValueError):
             Coalition([-1])
 
+    @pytest.mark.parametrize("member", [0.5, 1.0, True, False, "1", None])
+    def test_members_are_exact_ints(self, member):
+        # 0.5 would name no agent, yet <<0.5>> X p0 was solved as <<>> X p0;
+        # True acted as agent 1 but printed as <<True>>.
+        with pytest.raises(ValueError, match="agent index must be a non-negative int"):
+            Coalition([0, member])
+
+
+class TestProp:
+    @pytest.mark.parametrize("index", [-1, -2, 0.0, 1.5, True, False, "0", None])
+    def test_index_is_an_exact_non_negative_int(self, index):
+        with pytest.raises(ValueError, match="proposition index must be a non-negative int"):
+            Prop(index)
+
+    def test_a_negative_index_never_reaches_a_solve(self):
+        # Prop(-1) used to reach the search and end in an AssertionError,
+        # and with two props p-1 was refuted as if it were p1.
+        with pytest.raises(ValueError):
+            solve_satisfiability(Prop(-1), Requirements(ModelShape([2], None, 1)))
+        with pytest.raises(ValueError):
+            And(Prop(-1), Not(Prop(1)))
+
 
 class TestParse:
     def test_atomic(self):

@@ -52,13 +52,14 @@ class TestAtlPre:
         for _ in range(50):
             m = structure(random_model(rng, rng.choice(SMALL_SHAPES)))
             everyone = tuple(range(m.shape.agent_count))
-            assert atl_pre(m, everyone, m.shape.full_mask) == m.shape.full_mask
+            full = m.shape.full_mask
+            assert atl_pre(m.choice_masks(everyone), full, full) == full
 
     def test_empty_coalition_on_empty_set(self):
         rng = random.Random(1)
         for _ in range(50):
             m = structure(random_model(rng, rng.choice(SMALL_SHAPES)))
-            assert atl_pre(m, (), 0) == 0
+            assert atl_pre(m.choice_masks(()), m.shape.full_mask, 0) == 0
 
     def test_matches_joint_action_enumeration(self):
         # Single-agent coalition over two-agent models, per the contract.
@@ -67,7 +68,8 @@ class TestAtlPre:
             shape = rng.choice([s for s in SMALL_SHAPES if s.agent_count == 2])
             m = random_model(rng, shape)
             x = rng.getrandbits(shape.state_count)
-            assert atl_pre(structure(m), (0,), x) == oracle_pre(m, (0,), x)
+            plan = structure(m).choice_masks((0,))
+            assert atl_pre(plan, shape.full_mask, x) == oracle_pre(m, (0,), x)
 
     def test_matches_enumeration_any_coalition(self):
         rng = random.Random(3)
@@ -76,7 +78,8 @@ class TestAtlPre:
             m = random_model(rng, shape)
             coal = tuple(sorted(rng.sample(range(shape.agent_count), rng.randint(0, shape.agent_count))))
             x = rng.getrandbits(shape.state_count)
-            assert atl_pre(structure(m), coal, x) == oracle_pre(m, coal, x)
+            plan = structure(m).choice_masks(coal)
+            assert atl_pre(plan, shape.full_mask, x) == oracle_pre(m, coal, x)
 
     def test_matches_enumeration_with_empty_rows(self):
         # Split structures may have empty protocol rows.  Reference: joint
@@ -106,7 +109,8 @@ class TestAtlPre:
                 for i, rows in enumerate(enabled):
                     seen_empty[i in coal] += () in rows
                 x = rng.getrandbits(shape.state_count)
-                assert atl_pre(st, coal, x) == enumerated_pre(st, coal, x), (enabled, coal, x)
+                pre = atl_pre(st.choice_masks(coal), shape.full_mask, x)
+                assert pre == enumerated_pre(st, coal, x), (enabled, coal, x)
         assert seen_empty[True] and seen_empty[False]
 
 

@@ -1,6 +1,7 @@
 import random
 import time
 from collections import Counter, namedtuple
+from types import SimpleNamespace
 
 import pytest
 
@@ -927,11 +928,38 @@ class TestSplitViews:
         assert not r.satisfiable and r.stats.theory_checks > 100
         assert built == Counter()
 
-    def test_a_solve_builds_only_the_witness_checks_structures(self, built):
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        # Per exact check, the coalitions whose plans it asked its structure
+        # for, and the program's coalitions; and those asked anywhere else.
+        asked = SimpleNamespace(checks=[], elsewhere=[])
+        inside, exact, choice_masks = [], Program.exact, TransitionStructure.choice_masks
+
+        def recorded_exact(program, m):
+            inside.append([])
+            try:
+                return exact(program, m)
+            finally:
+                asked.checks.append((inside.pop(), program.coalitions))
+
+        def recorded_choice_masks(structure, coalition):
+            (inside[-1] if inside else asked.elsewhere).append(tuple(coalition))
+            return choice_masks(structure, coalition)
+
+        monkeypatch.setattr(Program, "exact", recorded_exact)
+        monkeypatch.setattr(TransitionStructure, "choice_masks", recorded_choice_masks)
+        return asked
+
+    def test_a_solve_builds_only_the_witness_checks_structures(self, built, asked):
         r = solve_satisfiability(parse_formula("<<0>> G p0 & <<1>> X !p1 & <<>> F p1"),
                                  Requirements(ModelShape([2, 2, 2], None, 2)))
         assert r.satisfiable and r.stats.theory_checks > 10
         assert built == Counter(witness=1)
+        # Only Program.exact reads a structure's plans, never approximate:
+        # once per distinct coalition of the formula.
+        assert asked.elsewhere == [] and len(asked.checks) == 1
+        for coalitions, of_views in asked.checks:
+            assert sorted(coalitions) == sorted(set(of_views)) == [(), (0,), (1,)]
 
 
 def falsified_by_unit_propagation(clauses, assumed):
