@@ -47,7 +47,11 @@ split row at the states whose strategic steps it used.  Least fixpoints in
 ``OVER`` and greatest ones in ``UNDER`` are justified by a set closed under
 the step, the others by the ranks of their iterates.  Every partial model
 that agrees with these cells excludes the initial state too, so the search
-learns their negation as a theory conflict clause.
+learns their negation as a theory conflict clause.  The pass also marks the
+value positions it justified, and :meth:`Program.pruned` keeps only their
+steps, every other position held at its neutral value: the sub-program that
+minimization rechecks evaluate.  Its OVER contains the whole program's on
+every partial model, so each candidate it refutes is a theory conflict.
 
 A partial model is updated in place, one cell at a time, and recomputes a
 proposition mask or an agent's rows only when one of its cells changed.  A
@@ -57,6 +61,7 @@ requirements that minimization rechecks move from candidate to candidate.
 
 from __future__ import annotations
 
+from copy import copy
 from enum import Enum
 from itertools import compress
 from operator import getitem, ne
@@ -284,7 +289,8 @@ class Program:
     in either mode: partial models that agree on it agree on that verdict.
 
     After :meth:`explain`, ``justified`` holds per value position the
-    states its backward pass justified there.
+    states its backward pass justified there, and :meth:`pruned` builds the
+    sub-program of the positions it justified.
     """
 
     def __init__(self, f: Formula, shape: ModelShape):
@@ -357,6 +363,8 @@ class Program:
         self._values: list[StateSet] = [0] * len(self._last)
         self._over: PartialModel | None = None
         self.justified: list[StateSet] = []
+        # Per set of justified positions, its sub-program.
+        self._pruned: dict[tuple[bool, ...], Program] = {}
 
     @classmethod
     def of(cls, f: Formula | Program, shape: ModelShape) -> Program:
@@ -527,6 +535,39 @@ class Program:
                     pending[a] |= todo & zs[0]
         self.justified = pending
         return sorted(kept)
+
+    def pruned(self) -> Program:
+        """The sub-program of the last :meth:`explain`, which minimization
+        rechecks evaluate: the steps of ``steps[0]`` whose value position it
+        justified, in order, every other position held at its neutral value,
+        ``full`` in ``OVER`` and 0 in ``UNDER`` (every step, before any
+        explain).  Its OVER contains this program's on every partial model:
+        the root's OVER value is monotone in ``OVER`` positions and antitone
+        in ``UNDER`` ones, and every step is monotone in its operands.  Its
+        UNDER is empty.
+
+        It shares the views, plans and reuse cache, which neutral operands
+        cannot corrupt, since a step's reuse is keyed on its operand sets; it
+        refreshes only the views its steps use and evaluates into values of
+        its own.  One is built per set of justified positions and kept as
+        long as this program; each call restarts its ``reused`` count at 0.
+        Once it runs, the shared views no longer show this program's last
+        evaluation, so that can no longer be explained."""
+        justified = self.justified
+        key = tuple(map(bool, justified))
+        sub = self._pruned.get(key)
+        if sub is None:
+            kept = [step for step in self.steps[0] if not justified or justified[step[1]]]
+            sub = self._pruned[key] = copy(self)
+            sub.steps = (kept, [])
+            sub.used = ({step[4] for step in kept if step[4] is not None}, [])
+            # Value positions alternate OVER and UNDER.
+            sub._values = [self.full, 0] * (len(self._values) // 2)
+            # No shared memo, which would hold the copy in a cycle, and no
+            # evaluation of this program's to explain.
+            sub._pruned, sub._over = {}, None
+        sub.reused, self._over = 0, None
+        return sub
 
 
 def _members(states: StateSet):

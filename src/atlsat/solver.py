@@ -30,7 +30,8 @@ decides the step:
 * initial state outside the over set: no compatible completion can satisfy
   the formula, so a conflict clause over the assigned cells is learned (when
   minimizing, over the cells the over evaluation read and the requirements
-  leave free, then shrunk greedily);
+  leave free, then shrunk greedily by rechecks that evaluate only the steps
+  that evaluation's justification rests on, ``Program.pruned``);
 * initial state inside the under set: every compatible completion satisfies
   the formula, so the assignment is completed and the witness returned;
 * otherwise the search deepens.
@@ -163,10 +164,12 @@ class _Search:
     The assignment is ``value``, the cells of ``view``, a
     :class:`~atlsat.approx.PartialModel` that theory calls evaluate on; only
     ``assign`` and ``backjump`` change it, through ``view.put``.
-    Minimization rechecks evaluate on ``probe``, a partial model of the
-    requirements built once per solve, and each recheck changes only the
-    probe's cells whose literal entered or left the candidate since the
-    previous recheck.
+    Minimization rechecks evaluate ``rechecked`` on ``probe``, a partial
+    model of the requirements built once per solve, and each recheck changes
+    only the probe's cells whose literal entered or left the candidate since
+    the previous recheck.  ``rechecked`` is the whole program until the
+    first theory conflict, and then the sub-program of its last
+    justification (:meth:`~atlsat.approx.Program.pruned`).
 
     Decisions read ``score``: a free cone cell's ``activity``, and -1.0 for
     an assigned cell, which ``assign`` writes and ``backjump`` undoes, and
@@ -229,6 +232,7 @@ class _Search:
             self.probe = PartialModel(self.shape, req.cells)
             # The literals of the last recheck's candidate, shown on the probe.
             self.shown: set[int] = set()
+            self.rechecked = self.program
 
     # -- the loop
 
@@ -267,7 +271,7 @@ class _Search:
 
     def finish(self, witness: Model | None) -> SolverResult:
         self.stats.wall_time = _clock() - self.start
-        self.stats.reused = self.program.reused
+        self.stats.reused += self.program.reused
         return SolverResult(witness is not None, witness, self.stats)
 
     # -- assignment plumbing
@@ -442,8 +446,10 @@ class _Search:
         order; when minimizing, it negates only the cells that the failing
         evaluation read (:meth:`~atlsat.approx.Program.explain`) and the
         requirements leave free, is confirmed by one recheck, and is then
-        reduced greedily.  A justified clause that the recheck does not
-        confirm raises ``AssertionError``."""
+        reduced greedily.  Its rechecks evaluate the sub-program of that
+        justification, and their reuses are added to ``stats.reused``.  A
+        justified clause that the recheck does not confirm raises
+        ``AssertionError``."""
         self.stats.theory_checks += 1
         if sapp(self.view, self.program, Mode.OVER) >> self.shape.initial_state & 1:
             return None
@@ -455,9 +461,12 @@ class _Search:
         forced = self.req.cells
         clause = tuple(-(v + 1) if value[v] else (v + 1)
                        for v in self.program.explain(self.view) if forced[v] is None)
+        rechecked = self.rechecked = self.program.pruned()
         if not self.recheck(clause):
             raise AssertionError("the justified clause is not a theory conflict")
-        return minimize_conflict(clause, self.recheck)
+        clause = minimize_conflict(clause, self.recheck)
+        self.stats.reused += rechecked.reused
+        return clause
 
     def accepts(self) -> bool:
         """Whether the under approximation holds at the initial state, so
@@ -467,10 +476,13 @@ class _Search:
     def recheck(self, candidate: tuple[int, ...]) -> bool:
         """Oracle for clause minimization: does the conflict survive when only
         the requirements and the cells these clause literals negate stay
-        assigned?  A candidate names no forced cell, so a cell whose literal
-        leaves it is freed.  The deadline runs first, so a time limit holds
-        inside a minimization.  A candidate that empties a protocol row
-        raises ``ValueError``.  The probe is left showing the candidate."""
+        assigned?  It asks ``rechecked``, whose OVER contains the whole
+        program's, so a yes is a theory conflict; a no may miss one that an
+        unjustified step would have shown.  A candidate names no forced
+        cell, so a cell whose literal leaves it is freed.  The deadline runs
+        first, so a time limit holds inside a minimization.  A candidate
+        that empties a protocol row raises ``ValueError``.  The probe is left
+        showing the candidate."""
         self.deadline()
         self.stats.rechecks += 1
         probe = self.probe
@@ -480,7 +492,7 @@ class _Search:
             probe.put(abs(lit) - 1, None)
         for lit in new - shown:
             probe.put(abs(lit) - 1, 0 if lit > 0 else 1)
-        return not sapp(probe, self.program, Mode.OVER) >> self.shape.initial_state & 1
+        return not sapp(probe, self.rechecked, Mode.OVER) >> self.shape.initial_state & 1
 
     # -- decisions
 

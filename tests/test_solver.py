@@ -49,6 +49,7 @@ from helpers import (
     solve_in_random_order,
     to_assignment,
     valuation_rows,
+    visits,
 )
 from oracles import compatible_completions, enumerate_models, oracle_check_validity
 from samplers import random_core_formula, random_model, random_partial_model, random_shape
@@ -897,6 +898,109 @@ class TestJustification:
         assert calls["explain"] > 0 and calls["other"] > 0
 
 
+REFUTE_THEORY_TEXTS = ("<<0>> X p0 & <<1>> X !p0", "<<0,1>> X p0 & <<2>> X !p0",
+                       "<<0>> G p0 & <<>> F !p0")
+
+
+class TestPrunedRechecks:
+    """After ``explain``, minimization rechecks evaluate the sub-program of
+    the value positions it justified (``Program.pruned``)."""
+
+    def test_pruned_over_contains_the_full_over(self):
+        """On random partial models that the formula refutes, the
+        sub-program's OVER contains the whole program's on a probe showing
+        the justified clause, random candidates drawn from it, or every
+        assigned cell, with the two evaluated in a random order on shared
+        views and reuse cache.  So a candidate that the sub-program refutes
+        is refuted by the whole program too.  Both refute the justified
+        clause itself, and the sub-program's UNDER is empty."""
+        rng = random.Random(33)
+        sweep = " & ".join(format_formula(generate_random_formula(GenParams(3, 4, 3, depth, seed)))
+                           for depth, _, seed in BENCH_ROWS[:3])
+        cases = [(text, ModelShape([2, 2, 2], [0, 0, 0], 2)) for text in REFUTE_THEORY_TEXTS]
+        cases.append((sweep, ModelShape([2, 2, 2], [0, 0, 0], 3)))
+        for text, shape in cases:
+            f = normalize(parse_formula(text))
+            req, initial = Requirements(shape), 1 << shape.initial_state
+            counts = Counter()
+            while counts["conflicts"] < 40:
+                search = _Search(f, req, SolverConfig(minimize_conflicts=True))
+                pm = random_partial_model(rng, shape, rng.randint(0, shape.bit_count))
+                load(search, pm.cells)
+                program = search.program
+                if sapp(search.view, program, Mode.OVER) & initial:
+                    continue
+                counts["conflicts"] += 1
+                clause = [-(v + 1) if search.value[v] else v + 1
+                          for v in program.explain(search.view)]
+                sub = program.pruned()
+                counts["pruned"] += len(sub.steps[0]) < len(program.steps[0])
+                candidates = [clause] + [rng.sample(clause, rng.randint(0, len(clause)))
+                                         for _ in range(6)]
+                probe = PartialModel(shape, req.cells)
+                for k, candidate in enumerate(candidates + [None]):
+                    if candidate is None:
+                        cells = search.value
+                    else:
+                        cells = [None] * shape.bit_count
+                        for lit in candidate:
+                            cells[abs(lit) - 1] = 0 if lit > 0 else 1
+                    probe.load(cells)
+                    order = (program, sub) if rng.random() < 0.5 else (sub, program)
+                    over = {p: sapp(probe, p, Mode.OVER) for p in order}
+                    assert over[program] & ~over[sub] == 0, text
+                    assert k or not over[sub] & initial, text
+                    assert sapp(probe, sub, Mode.UNDER) == 0
+                    counts["strict"] += over[sub] != over[program]
+            # Sub-programs drop steps, and their OVER is at times strictly larger.
+            assert counts["pruned"] > 0 and counts["strict"] > 0, (text, counts)
+
+    def test_a_recheck_holds_no_step_of_an_unjustified_conjunct(self):
+        # With every action enabled, p0 false everywhere refutes the left
+        # conjunct alone, and p0 true everywhere the right one alone.  OVER
+        # justifies a conjunction by its left conjunct where that fails, else
+        # by its right one, so the program each recheck evaluates holds the
+        # steps of one conjunct.
+        f = normalize(parse_formula("<<0>> X p0 & <<1>> X !p0"))
+        over, under = Mode.OVER, Mode.UNDER
+        p0, left, right = Prop(0), f.left, f.right
+        expected = {
+            0: [(p0, over), (left, over), (f, over)],
+            1: [(p0, under), (right.child, over), (right, over), (f, over)],
+        }
+        for value, steps in expected.items():
+            search = _Search(f, Requirements(S22P1), SolverConfig(minimize_conflicts=True))
+            assert search.rechecked is search.program
+            load(search, [value if v >= S22P1.vb_offset else 1 for v in range(S22P1.bit_count)])
+            assert search.run_theory() is not None and search.stats.rechecks > 1
+            assert len(visits(search.program, over)) == 6
+            assert visits(search.rechecked, over) == steps
+
+    def test_reused_counts_the_rechecks_reuses(self, monkeypatch):
+        # The solve's reused count adds, per minimization, the reuses of the
+        # program its rechecks evaluated to the whole program's.  That is one
+        # sub-program per set of justified positions, built once.
+        in_rechecks, programs = [], set()
+        original = solver.minimize_conflict
+
+        def minimize(clause, recheck):
+            out = original(clause, recheck)
+            in_rechecks.append(recheck.__self__.rechecked.reused)
+            programs.add(recheck.__self__.rechecked)
+            return out
+
+        monkeypatch.setattr(solver, "minimize_conflict", minimize)
+        req = Requirements(ModelShape([2, 2, 2], [0, 0, 0], 2))
+        search = _Search(normalize(parse_formula(REFUTE_THEORY_TEXTS[0])), req,
+                         SolverConfig(minimize_conflicts=True))
+        r = search.run()
+        assert not r.satisfiable and len(in_rechecks) == 35
+        assert sum(in_rechecks) > 0 and search.program.reused > 0
+        assert r.stats.reused == search.program.reused + sum(in_rechecks)
+        assert search.program not in programs
+        assert programs == set(search.program._pruned.values()) and len(programs) == 2
+
+
 class TestSplitViews:
     # Theory calls evaluate on the program's split views; only the exact
     # witness check builds a transition structure, the one Program.exact
@@ -1335,7 +1439,8 @@ class TestSolveSatisfiability:
         # on: (verdict, decisions, conflicts, theory checks, propagations,
         # rechecks) pin the search that the minimized theory conflicts drive,
         # and the activity they give the cells they learn over; the reused
-        # strategic steps pin the reuse cache across view and probe.
+        # strategic steps pin the reuse cache across view and probe, which the
+        # rechecks' sub-programs share.
         req = Requirements(ModelShape([2, 2, 2], [0, 0, 0], 2))
         config = SolverConfig(minimize_conflicts=True)
         texts = ("<<0>> X p0 & <<1>> X !p0", "<<0,1>> X p0 & <<2>> X !p0",
@@ -1350,7 +1455,7 @@ class TestSolveSatisfiability:
             (False, 117, 71, 181, 202, 417),
             (False, 200, 92, 288, 294, 765),
         ]
-        assert [r.stats.reused for r in runs] == [281, 541, 621]
+        assert [r.stats.reused for r in runs] == [164, 188, 346]
 
     def test_criterion_6_search_at_2222_is_pinned(self):
         # The sweep's other shape, [2,2,2,2] with 3 props, default config:
