@@ -47,9 +47,9 @@ split row at the states whose strategic steps it used.  Least fixpoints in
 ``OVER`` and greatest ones in ``UNDER`` are justified by a set closed under
 the step, the others by the ranks of their iterates.  Every partial model
 that agrees with these cells excludes the initial state too, so the search
-learns their negation as a theory conflict clause.  The pass also marks the
-value positions it justified, and :meth:`Program.pruned` keeps only their
-steps, every other position held at its neutral value: the sub-program that
+learns their negation as a theory conflict clause.  With the cells it
+returns the sub-program of the value positions the pass justified, only
+their steps, every other position held at its neutral value, which
 minimization rechecks evaluate.  Its OVER contains the whole program's on
 every partial model, so each candidate it refutes is a theory conflict.
 
@@ -287,10 +287,6 @@ class Program:
 
     ``cone`` is the set of cells the verdict at the initial state can read,
     in either mode: partial models that agree on it agree on that verdict.
-
-    After :meth:`explain`, ``justified`` holds per value position the
-    states its backward pass justified there, and :meth:`pruned` builds the
-    sub-program of the positions it justified.
     """
 
     def __init__(self, f: Formula, shape: ModelShape):
@@ -362,7 +358,6 @@ class Program:
         # partial model they approximate OVER, else None.
         self._values: list[StateSet] = [0] * len(self._last)
         self._over: PartialModel | None = None
-        self.justified: list[StateSet] = []
         # Per set of justified positions, its sub-program.
         self._pruned: dict[tuple[bool, ...], Program] = {}
 
@@ -432,15 +427,32 @@ class Program:
                 values[out] = result
         return values[self.roots[u]]
 
-    def explain(self, pm: PartialModel) -> list[int]:
+    def explain(self, pm: PartialModel) -> tuple[list[int], Program]:
         """The cells that keep the initial state out of the last
         approximation, which must be ``approximate(pm, Mode.OVER)`` with
-        ``pm`` unchanged since: ascending, all of them assigned.  Any partial model that
-        agrees with ``pm`` on these cells excludes the initial state too.
+        ``pm`` unchanged since, and the sub-program that minimization
+        rechecks evaluate.  The cells are ascending and all of them
+        assigned; any partial model that agrees with ``pm`` on them excludes
+        the initial state too.
 
         One backward pass over ``steps[0]`` carries a state mask per value
         position: states to be justified outside the value at an ``OVER``
-        position, inside it at an ``UNDER`` one."""
+        position, inside it at an ``UNDER`` one.  The sub-program keeps the
+        steps of ``steps[0]`` whose value position the pass justified, in
+        order, every other position held at its neutral value, ``full`` in
+        ``OVER`` and 0 in ``UNDER``.  Its OVER contains this program's on
+        every partial model: the root's OVER value is monotone in ``OVER``
+        positions and antitone in ``UNDER`` ones, and every step is monotone
+        in its operands.  Its UNDER is empty.
+
+        The sub-program shares the views, plans and reuse cache, which
+        neutral operands cannot corrupt, since a step's reuse is keyed on its
+        operand sets; it refreshes only the views its steps use and
+        evaluates into values of its own.  One is built per set of justified
+        positions and kept as long as this program, and its ``reused`` count
+        restarts at 0 each time it is returned.  Once it runs, the shared
+        views no longer show this program's last evaluation, so ``explain``
+        ends that evaluation: it cannot be explained again."""
         if self._over is not pm:
             raise ValueError("explain needs the OVER approximation of pm as the last evaluation")
         values, views = self._values, self.views
@@ -533,41 +545,21 @@ class Program:
                     pending[b] |= todo & zs[0]
                 else:
                     pending[a] |= todo & zs[0]
-        self.justified = pending
-        return sorted(kept)
-
-    def pruned(self) -> Program:
-        """The sub-program of the last :meth:`explain`, which minimization
-        rechecks evaluate: the steps of ``steps[0]`` whose value position it
-        justified, in order, every other position held at its neutral value,
-        ``full`` in ``OVER`` and 0 in ``UNDER`` (every step, before any
-        explain).  Its OVER contains this program's on every partial model:
-        the root's OVER value is monotone in ``OVER`` positions and antitone
-        in ``UNDER`` ones, and every step is monotone in its operands.  Its
-        UNDER is empty.
-
-        It shares the views, plans and reuse cache, which neutral operands
-        cannot corrupt, since a step's reuse is keyed on its operand sets; it
-        refreshes only the views its steps use and evaluates into values of
-        its own.  One is built per set of justified positions and kept as
-        long as this program; each call restarts its ``reused`` count at 0.
-        Once it runs, the shared views no longer show this program's last
-        evaluation, so that can no longer be explained."""
-        justified = self.justified
-        key = tuple(map(bool, justified))
+        # Explained: the sub-program's runs refresh the shared views.
+        self._over = None
+        key = tuple(map(bool, pending))
         sub = self._pruned.get(key)
         if sub is None:
-            kept = [step for step in self.steps[0] if not justified or justified[step[1]]]
+            steps = [step for step in self.steps[0] if pending[step[1]]]
             sub = self._pruned[key] = copy(self)
-            sub.steps = (kept, [])
-            sub.used = ({step[4] for step in kept if step[4] is not None}, [])
+            sub.steps = (steps, [])
+            sub.used = ({step[4] for step in steps if step[4] is not None}, [])
             # Value positions alternate OVER and UNDER.
             sub._values = [self.full, 0] * (len(self._values) // 2)
-            # No shared memo, which would hold the copy in a cycle, and no
-            # evaluation of this program's to explain.
-            sub._pruned, sub._over = {}, None
-        sub.reused, self._over = 0, None
-        return sub
+            # No shared memo, which would hold the copy in a cycle.
+            sub._pruned = {}
+        sub.reused = 0
+        return sorted(kept), sub
 
 
 def _members(states: StateSet):

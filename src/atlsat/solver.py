@@ -31,7 +31,8 @@ decides the step:
   the formula, so a conflict clause over the assigned cells is learned (when
   minimizing, over the cells the over evaluation read and the requirements
   leave free, then shrunk greedily by rechecks that evaluate only the steps
-  that evaluation's justification rests on, ``Program.pruned``);
+  that evaluation's justification rests on, the sub-program that
+  ``Program.explain`` returns with those cells);
 * initial state inside the under set: every compatible completion satisfies
   the formula, so the assignment is completed and the witness returned;
 * otherwise the search deepens.
@@ -168,8 +169,8 @@ class _Search:
     model of the requirements built once per solve, and each recheck changes
     only the probe's cells whose literal entered or left the candidate since
     the previous recheck.  ``rechecked`` is the whole program until the
-    first theory conflict, and then the sub-program of its last
-    justification (:meth:`~atlsat.approx.Program.pruned`).
+    first theory conflict, and then the sub-program that the last
+    justification returned (:meth:`~atlsat.approx.Program.explain`).
 
     Decisions read ``score``: a free cone cell's ``activity``, and -1.0 for
     an assigned cell, which ``assign`` writes and ``backjump`` undoes, and
@@ -446,26 +447,25 @@ class _Search:
         order; when minimizing, it negates only the cells that the failing
         evaluation read (:meth:`~atlsat.approx.Program.explain`) and the
         requirements leave free, is confirmed by one recheck, and is then
-        reduced greedily.  Its rechecks evaluate the sub-program of that
-        justification, and their reuses are added to ``stats.reused``.  A
-        justified clause that the recheck does not confirm raises
-        ``AssertionError``."""
+        reduced greedily.  Its rechecks evaluate the sub-program that
+        ``explain`` returns with those cells, and their reuses are added to
+        ``stats.reused``.  A justified clause that the recheck does not
+        confirm raises ``AssertionError``."""
         self.stats.theory_checks += 1
         if sapp(self.view, self.program, Mode.OVER) >> self.shape.initial_state & 1:
             return None
         if not self.config.minimize_conflicts:
             return tuple(sorted([-lit for lit in self.trail], key=abs))
+        cells, self.rechecked = self.program.explain(self.view)
         value = self.value
         # Every justified cell is assigned.  A forced one is a level-0 fact
         # that the probe always shows and analyze would drop, so it is left out.
         forced = self.req.cells
-        clause = tuple(-(v + 1) if value[v] else (v + 1)
-                       for v in self.program.explain(self.view) if forced[v] is None)
-        rechecked = self.rechecked = self.program.pruned()
+        clause = tuple(-(v + 1) if value[v] else (v + 1) for v in cells if forced[v] is None)
         if not self.recheck(clause):
             raise AssertionError("the justified clause is not a theory conflict")
         clause = minimize_conflict(clause, self.recheck)
-        self.stats.reused += rechecked.reused
+        self.stats.reused += self.rechecked.reused
         return clause
 
     def accepts(self) -> bool:

@@ -454,7 +454,7 @@ class TestMinimizeConflict:
 
     def test_an_unconfirmed_justification_raises(self, theory_check, monkeypatch):
         # The justified clause must pass one recheck before greedy sees it.
-        monkeypatch.setattr(Program, "explain", lambda self, pm: [])
+        monkeypatch.setattr(Program, "explain", lambda self, pm: ([], self))
         bits = [None] * S22P1.bit_count
         bits[S22P1.vb_bit(0, 0)] = 0
         with pytest.raises(AssertionError, match="justified clause"):
@@ -828,13 +828,13 @@ class TestJustification:
             if sapp(search.view, program, Mode.OVER) >> shape.initial_state & 1:
                 continue
             conflicts += 1
-            cells = program.explain(search.view)
+            cells, sub = program.explain(search.view)
             assert cells == sorted(set(cells))
             assert all(search.value[c] is not None for c in cells)
             assert set(cells) <= program.cone
-            for _, out, *_ in program.steps[0]:
+            for _, out, *_ in sub.steps[0]:
                 node = program.nodes[out >> 1]
-                if program.justified[out] and isinstance(node, (Next, Globally, Until)):
+                if isinstance(node, (Next, Globally, Until)):
                     reached[type(node).__name__, out & 1] += 1
             kept = set(cells)
             reduced = PartialModel(shape, [
@@ -860,7 +860,18 @@ class TestJustification:
         with pytest.raises(ValueError, match="last evaluation"):
             program.explain(pm)
         assert program.approximate(pm, Mode.OVER) == 0b1110
-        assert program.explain(pm) == [S22P1.vb_bit(0, 0)]
+        cells, sub = program.explain(pm)
+        assert cells == [S22P1.vb_bit(0, 0)]
+        # Nor twice: explain ends the evaluation it explained, until the next
+        # OVER approximation.  The same justified positions hand out the
+        # same sub-program.
+        with pytest.raises(ValueError, match="last evaluation"):
+            program.explain(pm)
+        assert program.approximate(other, Mode.OVER) == 0b1110
+        again, same = program.explain(other)
+        assert again == cells and same is sub
+        with pytest.raises(ValueError, match="last evaluation"):
+            program.explain(other)
         for last, mode in ((pm, Mode.UNDER), (other, Mode.OVER)):
             program.approximate(last, mode)
             with pytest.raises(ValueError, match="last evaluation"):
@@ -903,8 +914,8 @@ REFUTE_THEORY_TEXTS = ("<<0>> X p0 & <<1>> X !p0", "<<0,1>> X p0 & <<2>> X !p0",
 
 
 class TestPrunedRechecks:
-    """After ``explain``, minimization rechecks evaluate the sub-program of
-    the value positions it justified (``Program.pruned``)."""
+    """Minimization rechecks evaluate the sub-program of the value positions
+    that ``Program.explain`` justified, which it returns with the cells."""
 
     def test_pruned_over_contains_the_full_over(self):
         """On random partial models that the formula refutes, the
@@ -931,9 +942,8 @@ class TestPrunedRechecks:
                 if sapp(search.view, program, Mode.OVER) & initial:
                     continue
                 counts["conflicts"] += 1
-                clause = [-(v + 1) if search.value[v] else v + 1
-                          for v in program.explain(search.view)]
-                sub = program.pruned()
+                cells, sub = program.explain(search.view)
+                clause = [-(v + 1) if search.value[v] else v + 1 for v in cells]
                 counts["pruned"] += len(sub.steps[0]) < len(program.steps[0])
                 candidates = [clause] + [rng.sample(clause, rng.randint(0, len(clause)))
                                          for _ in range(6)]
