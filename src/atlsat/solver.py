@@ -21,11 +21,8 @@ resolves, by an amount that grows with each conflict, so recent conflicts
 weigh most.  A decision takes the free cone cell of highest activity, ties
 going to the lowest index, so before the first conflict it is the
 lowest-index free cone cell; it sets 1 for a protocol cell and 0 for a
-valuation cell.  Once no cone cell is free the search decides no more, since
-the verdict is then settled; the witness takes the forced cells outside the
-cone from the requirements and completes the rest.  After propagation
-settles at each level, the two-sided approximation of the partial assignment
-decides the step:
+valuation cell.  After propagation settles at each level, the over
+approximation of the partial assignment decides the step:
 
 * initial state outside the over set: no compatible completion can satisfy
   the formula, so a conflict clause over the assigned cells is learned (when
@@ -33,14 +30,18 @@ decides the step:
   leave free, then shrunk greedily by rechecks that evaluate only the steps
   that evaluation's justification rests on, the sub-program that
   ``Program.explain`` returns with those cells);
-* initial state inside the under set: every compatible completion satisfies
-  the formula, so the assignment is completed and the witness returned;
-* otherwise the search deepens.
+* otherwise the search deepens, until no cone cell is free.  Over and under
+  then coincide at the initial state, so the under approximation, asked
+  this once per solve, accepts: every compatible completion satisfies the
+  formula.  The witness takes the forced cells outside the cone from the
+  requirements and completes the rest.
 
-Both approximations tighten monotonically as cells get decided and coincide
-with exact model checking at total assignments, so the search is sound and
-complete for the bounded problem.  Witnesses are re-checked exactly before
-they are returned.
+The formula is asserted true, so only the over approximation can refute an
+assignment, and the under one serves acceptance alone, as in SAT modulo
+monotonic theories.  Both approximations tighten monotonically as cells get
+decided and coincide with exact model checking at total assignments, so the
+search is sound and complete for the bounded problem.  Witnesses are
+re-checked exactly before they are returned.
 """
 
 from __future__ import annotations
@@ -157,10 +158,11 @@ def minimize_conflict(
 
 class _Search:
     """One satisfiability run, from the formula to the result: compiling
-    it, the Boolean search, its theory side (the verdict on each settled
-    assignment and conflict minimization), the time limit and the witness.
-    The time limit counts from the start of construction, so it covers
-    normalizing and compiling.  Not reusable across calls.
+    it, the Boolean search, its theory side (the over verdict on each
+    settled assignment, conflict minimization and the one acceptance test),
+    the time limit and the witness.  The time limit counts from the start
+    of construction, so it covers normalizing and compiling.  Not reusable
+    across calls.
 
     The assignment is ``value``, the cells of ``view``, a
     :class:`~atlsat.approx.PartialModel` that theory calls evaluate on; only
@@ -238,17 +240,16 @@ class _Search:
     # -- the loop
 
     def run(self) -> SolverResult:
-        """Search to a verdict.  Each step propagates and takes the theory
-        verdict on the settled assignment; a Boolean or theory conflict is
-        resolved by analyze, backjump and learn, and otherwise the next
-        decision opens a level."""
+        """Search to a verdict.  Each step propagates and asks the over
+        approximation of the settled assignment for a theory conflict; a
+        Boolean or theory conflict is resolved by analyze, backjump and
+        learn, and otherwise the next decision opens a level.  Once no cone
+        cell is free, ``accepts`` gives the verdict, asked once per solve."""
         while True:
             self.deadline()
             conflict = self.propagate()
             if conflict is None:
                 conflict = self.run_theory()
-                if conflict is None and self.accepts():
-                    return self.finish(self.witness())
             if conflict is not None:
                 self.stats.conflicts += 1
                 result = self.analyze(conflict)
@@ -259,8 +260,10 @@ class _Search:
                 self.add_clause(learned)
             elif not self.decide():
                 # Over and under read only cone cells at the initial state, so
-                # they coincide once every cone cell is set, and the theory
-                # verdict above must have been conflict or acceptance.
+                # they coincide once every cone cell is set: over held, and
+                # under must too.
+                if self.accepts():
+                    return self.finish(self.witness())
                 raise AssertionError("total assignment reached without a verdict")
 
     def deadline(self) -> None:
@@ -470,7 +473,10 @@ class _Search:
 
     def accepts(self) -> bool:
         """Whether the under approximation holds at the initial state, so
-        every completion of the assignment satisfies the formula."""
+        every completion of the assignment satisfies the formula.  ``run``
+        asks it only once every cone cell is set, where under and over
+        coincide at the initial state; before that an under evaluation
+        almost always fails, and costs more than an over one."""
         return bool(sapp(self.view, self.program, Mode.UNDER) >> self.shape.initial_state & 1)
 
     def recheck(self, candidate: tuple[int, ...]) -> bool:
@@ -511,7 +517,7 @@ class _Search:
         self.assign((v + 1) if v < self.shape.vb_offset else -(v + 1), None)
         return True
 
-    # -- the witness on early acceptance
+    # -- the witness on acceptance
 
     def witness(self) -> Model:
         """Complete the assignment to a model and check it exactly.  A free

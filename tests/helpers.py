@@ -4,7 +4,7 @@ grammar test, the cone of influence, cell classification, partial models
 built from and read as tables or assignments, a partial model computed in
 bulk as the reference for the incremental one, split structures built on
 their own, the evaluations a compiled program makes, and the search in a
-seeded random decision order."""
+seeded random decision order or with acceptance asked at every step."""
 
 from __future__ import annotations
 
@@ -226,6 +226,19 @@ class RandomOrderSearch(_Search):
         self.stats.decisions += 1
         self.assign((v + 1) if self.rng.random() < 0.5 else -(v + 1), None)
         return True
+
+
+class EagerAcceptSearch(_Search):
+    """The search that asks the under approximation after every theory
+    check that finds no conflict, and accepts as soon as it holds, with cone
+    cells possibly still free.  Up to that point it is the search itself,
+    which asks only at a full cone, so the two share verdict, conflicts and
+    rechecks, and this one never decides more."""
+
+    def decide(self) -> bool:
+        # ``run`` decides only after a conflict-free theory check, and asks
+        # ``accepts`` itself when no decision is made.
+        return not self.accepts() and super().decide()
 
 
 def solve_in_random_order(

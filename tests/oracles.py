@@ -3,9 +3,9 @@
 Everything here recomputes results from first principles: pre-images by
 enumerating joint actions through ``successors``, strategic operators by
 enumerating memoryless strategies and inspecting outcome paths (with lasso
-detection for until), and model families by exhaustive enumeration of
-protocol-valid bit vectors.  None of it shares code with the fixpoint
-checker or the approximation machinery it validates.
+detection for until) or as fixpoints of that pre-image, and model families
+by exhaustive enumeration of protocol-valid bit vectors.  None of it shares
+code with the fixpoint checker or the approximation machinery it validates.
 """
 
 from __future__ import annotations
@@ -179,6 +179,27 @@ def fixpoint_until(m: Model, coalition, x1: int, x2: int) -> int:
         if y2 == y:
             return y
         y = y2
+
+
+def oracle_fixpoint_solve(m: Model, f: Formula) -> int:
+    """Fixpoint semantics of a core formula over the enumeration pre-image:
+    :func:`oracle_pre`, :func:`fixpoint_globally` and :func:`fixpoint_until`.
+    Its cost grows with the joint actions, not with the strategies, so it
+    checks models whose rows are too wide for :func:`oracle_solve`."""
+    if isinstance(f, Prop):
+        return m.prop_masks[f.index]
+    if isinstance(f, Not):
+        return ((1 << m.shape.state_count) - 1) & ~oracle_fixpoint_solve(m, f.child)
+    if isinstance(f, And):
+        return oracle_fixpoint_solve(m, f.left) & oracle_fixpoint_solve(m, f.right)
+    if isinstance(f, Next):
+        return oracle_pre(m, f.coalition, oracle_fixpoint_solve(m, f.child))
+    if isinstance(f, Globally):
+        return fixpoint_globally(m, f.coalition, oracle_fixpoint_solve(m, f.child))
+    if isinstance(f, Until):
+        return fixpoint_until(m, f.coalition, oracle_fixpoint_solve(m, f.left),
+                              oracle_fixpoint_solve(m, f.right))
+    raise TypeError(f"not core: {f!r}")
 
 
 def row_choices(width: int) -> list[tuple[int, ...]]:

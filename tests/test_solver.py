@@ -42,6 +42,7 @@ from atlsat.solver import (
     solve_satisfiability,
 )
 from helpers import (
+    EagerAcceptSearch,
     RandomOrderSearch,
     cone_of_influence,
     protocol_tables,
@@ -51,7 +52,12 @@ from helpers import (
     valuation_rows,
     visits,
 )
-from oracles import compatible_completions, enumerate_models, oracle_check_validity
+from oracles import (
+    compatible_completions,
+    enumerate_models,
+    oracle_check_validity,
+    oracle_fixpoint_solve,
+)
 from samplers import random_core_formula, random_model, random_partial_model, random_shape
 from test_acceptance import BENCH_FORMULA_1, BENCH_ROWS
 
@@ -1422,6 +1428,10 @@ class TestSolveSatisfiability:
         # config: (verdict, decisions, conflicts, theory checks) pin the
         # search that propagation order and the theory verdicts drive, and
         # the reused strategic steps pin the split views' reuse cache.
+        # Acceptance waits for a full cone (36 cells here): past the point
+        # where under first holds, each cone cell left costs one decision and
+        # one over check and adds no conflict.  Under runs once per solve, so
+        # nearly every reuse is an over run's.
         req = Requirements(ModelShape([2, 2, 2], [0, 0, 0], 3))
         formulas = [parse_formula(BENCH_FORMULA_1)] + [
             generate_random_formula(GenParams(3, 4, 3, depth, seed))
@@ -1432,17 +1442,17 @@ class TestSolveSatisfiability:
             (r.satisfiable, r.stats.decisions, r.stats.conflicts, r.stats.theory_checks)
             for r in runs
         ] == [
-            (True, 19, 0, 20),
-            (True, 25, 0, 26),
-            (True, 36, 1, 38),
-            (True, 14, 0, 15),
             (True, 28, 0, 29),
+            (True, 36, 0, 37),
+            (True, 36, 1, 38),
+            (True, 36, 0, 37),
+            (True, 36, 0, 37),
             (True, 43, 13, 57),
-            (True, 23, 0, 24),
-            (True, 27, 0, 28),
-            (True, 35, 2, 38),
+            (True, 36, 0, 37),
+            (True, 36, 0, 37),
+            (True, 36, 2, 39),
         ]
-        assert [r.stats.reused for r in runs] == [198, 301, 699, 253, 981, 1608, 817, 1136, 1692]
+        assert [r.stats.reused for r in runs] == [192, 260, 376, 464, 711, 866, 743, 799, 855]
 
     def test_refute_theory_search_is_pinned(self):
         # The refute-theory formulas at [2,2,2] with 2 props, minimization
@@ -1450,7 +1460,8 @@ class TestSolveSatisfiability:
         # rechecks) pin the search that the minimized theory conflicts drive,
         # and the activity they give the cells they learn over; the reused
         # strategic steps pin the reuse cache across view and probe, which the
-        # rechecks' sub-programs share.
+        # rechecks' sub-programs share.  Under never runs on these
+        # unsatisfiable formulas, so only over runs and rechecks reuse.
         req = Requirements(ModelShape([2, 2, 2], [0, 0, 0], 2))
         config = SolverConfig(minimize_conflicts=True)
         texts = ("<<0>> X p0 & <<1>> X !p0", "<<0,1>> X p0 & <<2>> X !p0",
@@ -1465,11 +1476,13 @@ class TestSolveSatisfiability:
             (False, 117, 71, 181, 202, 417),
             (False, 200, 92, 288, 294, 765),
         ]
-        assert [r.stats.reused for r in runs] == [164, 188, 346]
+        assert [r.stats.reused for r in runs] == [76, 109, 146]
 
     def test_criterion_6_search_at_2222_is_pinned(self):
         # The sweep's other shape, [2,2,2,2] with 3 props, default config:
-        # (verdict, decisions, conflicts, theory checks, propagations).
+        # (verdict, decisions, conflicts, theory checks, propagations).  As
+        # at [2,2,2], acceptance waits for a full cone (64 cells); the cells
+        # set after under first holds add decisions and over checks only.
         req = Requirements(ModelShape([2, 2, 2, 2], [0, 0, 0, 0], 3))
         formulas = [parse_formula(BENCH_FORMULA_1)] + [
             generate_random_formula(GenParams(3, 4, 3, depth, seed))
@@ -1481,15 +1494,15 @@ class TestSolveSatisfiability:
              r.stats.propagations)
             for r in runs
         ] == [
-            (True, 31, 0, 32, 0),
-            (True, 44, 0, 45, 0),
+            (True, 48, 0, 49, 0),
+            (True, 64, 0, 65, 0),
             (True, 64, 2, 67, 2),
-            (True, 21, 0, 22, 0),
-            (True, 50, 0, 51, 0),
+            (True, 64, 0, 65, 0),
+            (True, 64, 0, 65, 0),
             (True, 134, 82, 217, 82),
-            (True, 39, 0, 40, 0),
-            (True, 46, 0, 47, 0),
-            (True, 63, 2, 66, 2),
+            (True, 64, 0, 65, 0),
+            (True, 64, 0, 65, 0),
+            (True, 64, 2, 67, 2),
         ]
 
     def test_refute_bool_search_is_pinned(self):
@@ -1531,7 +1544,9 @@ class TestSolveSatisfiability:
         # Requirements with a repeated row: their forced cells drive the
         # search from level 0.  (verdict, decisions, conflicts, theory
         # checks, propagations, rechecks).  No justified clause names a
-        # forced cell, so greedy spends no recheck dropping one.
+        # forced cell, so greedy spends no recheck dropping one.  Each
+        # satisfiable row sets the 6 cone cells still free when under first
+        # holds, one decision and one over check each, before it accepts.
         req = Requirements(
             ModelShape([2, 2, 2], [0, 0, 0], 2),
             cp_constraints=((0, 0, 1, 0), (1, 1, 0, 1), (0, 0, 1, 0)),
@@ -1551,8 +1566,8 @@ class TestSolveSatisfiability:
              r.stats.propagations, r.stats.rechecks)
             for r in runs
         ] == [
-            (True, 16, 5, 22, 6, 0),
-            (True, 35, 5, 41, 7, 25),
+            (True, 22, 5, 28, 6, 0),
+            (True, 41, 5, 47, 7, 25),
             (False, 53, 20, 73, 39, 121),
         ]
 
@@ -1631,6 +1646,123 @@ class TestSolveSatisfiability:
         req = Requirements(ModelShape([2, 2, 2], [0, 0, 0], 3))
         with pytest.raises(SolveTimeout):
             solve_satisfiability(f, req, SolverConfig(time_limit=0.2))
+
+
+class TestAcceptance:
+    """The under approximation is asked once per satisfiable solve, when no
+    cone cell is free, and never on a refutation.  Asking it after every
+    conflict-free theory check (:class:`EagerAcceptSearch`) makes the same
+    search up to the point where it first holds."""
+
+    @pytest.fixture
+    def modes(self, monkeypatch):
+        """Per mode, the approximations the search asks for."""
+        calls = Counter()
+        sapp = solver.sapp
+
+        def counted(pm, program, mode):
+            calls[mode] += 1
+            return sapp(pm, program, mode)
+
+        monkeypatch.setattr(solver, "sapp", counted)
+        return calls
+
+    def test_a_satisfiable_solve_asks_under_once_at_a_full_cone(self, modes):
+        # Formula 1 and two criterion-6 rows, one accepted without a
+        # conflict and one after 13.
+        req = Requirements(ModelShape([2, 2, 2], [0, 0, 0], 3))
+        formulas = [parse_formula(BENCH_FORMULA_1)] + [
+            generate_random_formula(GenParams(3, 4, 3, depth, seed))
+            for depth, _, seed in (BENCH_ROWS[0], BENCH_ROWS[4])
+        ]
+        for f in formulas:
+            modes.clear()
+            search = _Search(f, req, SolverConfig())
+            r = search.run()
+            assert r.satisfiable
+            assert len(search.trail) == len(search.program.cone)
+            assert modes == {Mode.OVER: r.stats.theory_checks, Mode.UNDER: 1}
+
+    def test_a_refutation_never_asks_under(self, modes):
+        # The refute-theory formulas, minimization on: every over
+        # approximation is a theory check or a recheck.
+        req = Requirements(ModelShape([2, 2, 2], [0, 0, 0], 2))
+        config = SolverConfig(minimize_conflicts=True)
+        for text in ("<<0>> X p0 & <<1>> X !p0", "<<0,1>> X p0 & <<2>> X !p0",
+                     "<<0>> G p0 & <<>> F !p0"):
+            modes.clear()
+            r = solve_satisfiability(parse_formula(text), req, config)
+            assert not r.satisfiable
+            assert modes == {Mode.OVER: r.stats.theory_checks + r.stats.rechecks}
+
+    @staticmethod
+    def solve_both(f, req, config):
+        """The result of the search, after checking it against
+        :class:`EagerAcceptSearch` on the same input: the same verdict,
+        conflicts and rechecks, and no fewer decisions, the same number on
+        a refutation, where under never holds."""
+        late, eager = (search(f, req, config).run() for search in (_Search, EagerAcceptSearch))
+        assert late.satisfiable == eager.satisfiable
+        assert late.stats.conflicts == eager.stats.conflicts
+        assert late.stats.rechecks == eager.stats.rechecks
+        assert late.stats.decisions >= eager.stats.decisions
+        if not late.satisfiable:
+            assert late.stats.decisions == eager.stats.decisions
+        return late, eager
+
+    @pytest.mark.parametrize("locals_per_agent", [[2, 2, 2], [2, 2, 2, 2]])
+    @pytest.mark.parametrize("minimize", [False, True])
+    def test_eager_acceptance_makes_the_same_sweep_search(self, locals_per_agent, minimize):
+        # The sweep: formula 1 and the criterion-6 rows.  Its witnesses
+        # have full rows, too many strategies to enumerate, so they are
+        # checked by the fixpoint oracle.
+        shape = ModelShape(locals_per_agent, [0] * len(locals_per_agent), 3)
+        req = Requirements(shape)
+        config = SolverConfig(minimize_conflicts=minimize, time_limit=5)
+        formulas = [parse_formula(BENCH_FORMULA_1)] + [
+            generate_random_formula(GenParams(3, 4, 3, depth, seed))
+            for depth, _, seed in BENCH_ROWS
+        ]
+        grew = 0
+        for f in formulas:
+            late, eager = self.solve_both(f, req, config)
+            assert late.satisfiable and eager.satisfiable
+            for r in (late, eager):
+                assert oracle_fixpoint_solve(r.witness, normalize(f)) >> shape.initial_state & 1
+            grew += late.stats.decisions > eager.stats.decisions
+        assert grew >= 6
+
+    def test_eager_acceptance_makes_the_same_search_on_random_draws(self):
+        # 50 random formulas and protocol rows on tiny shapes, minimization
+        # off and on; every witness passes the strategy-enumeration oracle.
+        shapes = [S22P1, ModelShape([2, 2], [0, 0], 2), ModelShape([2], [0], 2),
+                  ModelShape([3], [0], 1), ModelShape([2, 2], [1, 0], 1)]
+        rng = random.Random(7)
+        kinds = Counter()
+        draws = 0
+        while draws < 50:
+            shape = rng.choice(shapes)
+            cp = []
+            for _ in range(rng.randint(0, 2)):
+                agent = rng.randrange(shape.agent_count)
+                n = shape.locals_per_agent[agent]
+                cp.append((agent, rng.randrange(n), rng.randrange(n), rng.randint(0, 1)))
+            try:
+                req = Requirements(shape, cp)
+            except ValueError:
+                continue  # a row forced empty
+            f = random_core_formula(rng, shape.agent_count, shape.prop_count, rng.randint(1, 3))
+            pm = req.induced_partial_model()
+            for minimize in (False, True):
+                config = SolverConfig(minimize_conflicts=minimize, time_limit=5)
+                late, eager = self.solve_both(f, req, config)
+                for r in (late, eager):
+                    if r.satisfiable:
+                        assert is_compatible(r.witness, pm)
+                        assert oracle_check_validity(r.witness, normalize(f))
+                kinds[late.satisfiable, late.stats.decisions > eager.stats.decisions] += 1
+            draws += 1
+        assert kinds[False, False] >= 10 and kinds[True, True] >= 10, kinds
 
 
 class TestExtractModel:
