@@ -42,6 +42,16 @@ monotonic theories.  Both approximations tighten monotonically as cells get
 decided and coincide with exact model checking at total assignments, so the
 search is sound and complete for the bounded problem.  Witnesses are
 re-checked exactly before they are returned.
+
+Monotonicity also lets the search leap to its first conflict.  Until then
+its steps are fixed in advance: decisions follow the cell order, propagation
+meets only the row clauses, which those decisions never falsify, and each
+over check asks about a longer prefix of one trail.  So the search makes
+every decision at once, asks over on the whole trail, and when it fails
+finds the first failing level by bisection, then backjumps there.  The
+decisions, propagations, conflicts and learned clauses are those of the
+search one step at a time; only the over checks differ, fewer unless the
+first conflict comes within a few levels.
 """
 
 from __future__ import annotations
@@ -109,6 +119,24 @@ class Requirements:
 
 @dataclass
 class SolverStats:
+    """What one solve did.
+
+    * ``decisions``: decision levels opened, counting only the levels a leap
+      keeps;
+    * ``conflicts``: Boolean and theory conflicts analyzed, the last one at
+      level 0 on a refutation;
+    * ``theory_checks``: over evaluations of the whole program that the
+      search made, a leap's probes included and minimization rechecks not;
+    * ``propagations``: cells implied by a clause, at the levels kept;
+    * ``rechecks``: minimization rechecks, each one over evaluation of the
+      justified sub-program;
+    * ``reused``: strategic steps answered from their last result, in theory
+      checks, rechecks and the acceptance test;
+    * ``cone_cells``: the cells the verdict can read, the ones the search
+      assigns;
+    * ``wall_time``: seconds from the start of construction to the verdict.
+    """
+
     decisions: int = 0
     conflicts: int = 0
     theory_checks: int = 0
@@ -165,8 +193,10 @@ class _Search:
     across calls.
 
     The assignment is ``value``, the cells of ``view``, a
-    :class:`~atlsat.approx.PartialModel` that theory calls evaluate on; only
-    ``assign`` and ``backjump`` change it, through ``view.put``.
+    :class:`~atlsat.approx.PartialModel` that theory calls evaluate on.  The
+    view shows the trail, through ``view.put`` in ``assign`` and
+    ``backjump``, except inside ``leap``, whose probes move it between
+    prefixes of the trail.
     Minimization rechecks evaluate ``rechecked`` on ``probe``, a partial
     model of the requirements built once per solve, and each recheck changes
     only the probe's cells whose literal entered or left the candidate since
@@ -243,13 +273,16 @@ class _Search:
         """Search to a verdict.  Each step propagates and asks the over
         approximation of the settled assignment for a theory conflict; a
         Boolean or theory conflict is resolved by analyze, backjump and
-        learn, and otherwise the next decision opens a level.  Once no cone
+        learn, and otherwise the next decision opens a level.  Before the
+        first conflict the decisions are made by ``leap``.  Once no cone
         cell is free, ``accepts`` gives the verdict, asked once per solve."""
         while True:
             self.deadline()
             conflict = self.propagate()
             if conflict is None:
                 conflict = self.run_theory()
+                if conflict is None and not self.stats.conflicts:
+                    conflict = self.leap()
             if conflict is not None:
                 self.stats.conflicts += 1
                 result = self.analyze(conflict)
@@ -298,6 +331,16 @@ class _Search:
         del self.trail[cut:]
         del self.trail_lim[target_level:]
         self.head = min(self.head, cut)
+
+    def show_prefix(self, shown: int, end: int) -> int:
+        """Move the view from the first ``shown`` trail literals to the
+        first ``end``; returns ``end``."""
+        put, trail = self.view.put, self.trail
+        for lit in trail[end:shown]:
+            put(abs(lit) - 1, None)
+        for lit in trail[shown:end]:
+            put(abs(lit) - 1, 1 if lit > 0 else 0)
+        return end
 
     # -- propagation
 
@@ -446,17 +489,84 @@ class _Search:
 
     def run_theory(self) -> tuple[int, ...] | None:
         """The conflict clause when the over approximation excludes the
-        initial state, else None.  The clause negates the trail, in cell
-        order; when minimizing, it negates only the cells that the failing
-        evaluation read (:meth:`~atlsat.approx.Program.explain`) and the
-        requirements leave free, is confirmed by one recheck, and is then
-        reduced greedily.  Its rechecks evaluate the sub-program that
+        initial state, else None."""
+        return None if self.over_holds() else self.theory_conflict()
+
+    def over_holds(self) -> bool:
+        """One theory check: whether the over approximation of the view
+        holds at the initial state."""
+        self.stats.theory_checks += 1
+        return bool(sapp(self.view, self.program, Mode.OVER) >> self.shape.initial_state & 1)
+
+    def leap(self) -> tuple[int, ...] | None:
+        """Make the search's steps up to its first conflict at once.  Until
+        then the only clauses are the row clauses, each decision takes the
+        next cell of a fixed order, and each theory check asks over of a
+        longer prefix of one trail.  Over only shrinks as the trail grows,
+        so the first failing prefix can be found by bisection.
+
+        Decide and propagate until no cone cell is free or a Boolean
+        conflict comes, and ask over once at the last settled level.  When
+        it holds, return the Boolean conflict, or None on a full cone.
+        Otherwise bisect the levels between the current one, where over
+        holds, and that one for the first failing level, moving the view
+        between prefixes; backjump to it and return its theory conflict,
+        which explains the last probe when that probe was at this level.
+        Decisions and propagations then count the levels kept alone.  The
+        deadline runs before each decision and each probe.  With fewer than
+        two cone cells free the leap would be the plain step: it returns
+        None at once, and ``run`` takes that step."""
+        trail, lims = self.trail, self.trail_lim
+        if len(self.program.cone) - len(trail) < 2:
+            return None
+        good = len(lims)
+        conflict = None
+        while conflict is None:
+            self.deadline()
+            if not self.decide():
+                break
+            conflict = self.propagate()
+        top = len(lims)
+        bad = top - (conflict is not None)  # the last settled level
+        if bad == good:
+            return conflict
+        ends = [*lims, len(trail)]  # the trail's length at each level
+        shown = self.show_prefix(ends[top], ends[bad])
+        self.deadline()
+        if self.over_holds():
+            self.show_prefix(shown, ends[top])
+            return conflict
+        # Over holds at level ``good`` and fails at ``bad``.
+        probe = bad
+        while bad - good > 1:
+            probe = (good + bad) // 2
+            self.deadline()
+            shown = self.show_prefix(shown, ends[probe])
+            if self.over_holds():
+                good = probe
+            else:
+                bad = probe
+        self.show_prefix(shown, ends[bad])
+        if bad < top:
+            self.stats.decisions -= top - bad
+            self.stats.propagations -= len(trail) - ends[bad] - (top - bad)
+            self.backjump(bad)
+        if probe == bad:
+            return self.theory_conflict()
+        # The last probe held, one level below: evaluate this level again.
+        self.deadline()
+        return self.run_theory()
+
+    def theory_conflict(self) -> tuple[int, ...]:
+        """The conflict clause of the over evaluation that just failed on
+        the view, which shows the trail.  The clause negates the trail, in
+        cell order; when minimizing, it negates only the cells that the
+        failing evaluation read (:meth:`~atlsat.approx.Program.explain`)
+        and the requirements leave free, is confirmed by one recheck, and is
+        then reduced greedily.  Its rechecks evaluate the sub-program that
         ``explain`` returns with those cells, and their reuses are added to
         ``stats.reused``.  A justified clause that the recheck does not
         confirm raises ``AssertionError``."""
-        self.stats.theory_checks += 1
-        if sapp(self.view, self.program, Mode.OVER) >> self.shape.initial_state & 1:
-            return None
         if not self.config.minimize_conflicts:
             return tuple(sorted([-lit for lit in self.trail], key=abs))
         cells, self.rechecked = self.program.explain(self.view)

@@ -4,7 +4,8 @@ grammar test, the cone of influence, cell classification, partial models
 built from and read as tables or assignments, a partial model computed in
 bulk as the reference for the incremental one, split structures built on
 their own, the evaluations a compiled program makes, and the search in a
-seeded random decision order or with acceptance asked at every step."""
+seeded random decision order, one step at a time up to its first conflict,
+or with acceptance asked at every step."""
 
 from __future__ import annotations
 
@@ -228,12 +229,22 @@ class RandomOrderSearch(_Search):
         return True
 
 
-class EagerAcceptSearch(_Search):
-    """The search that asks the under approximation after every theory
-    check that finds no conflict, and accepts as soon as it holds, with cone
-    cells possibly still free.  Up to that point it is the search itself,
-    which asks only at a full cone, so the two share verdict, conflicts and
-    rechecks, and this one never decides more."""
+class StepwiseSearch(_Search):
+    """The search without its leap: before the first conflict too, each
+    decision is followed by propagation and one over check.  The leap makes
+    the same decisions, propagations, conflicts, learned clauses and witness
+    with other over checks, usually fewer, so this is its reference."""
+
+    def leap(self):
+        return None
+
+
+class EagerAcceptSearch(StepwiseSearch):
+    """The search, one step at a time, that asks the under approximation
+    after every theory check that finds no conflict, and accepts as soon as
+    it holds, with cone cells possibly still free.  Up to that point it is
+    the search itself, which asks only at a full cone, so the two share
+    verdict, conflicts and rechecks, and this one never decides more."""
 
     def decide(self) -> bool:
         # ``run`` decides only after a conflict-free theory check, and asks

@@ -44,6 +44,7 @@ from atlsat.solver import (
 from helpers import (
     EagerAcceptSearch,
     RandomOrderSearch,
+    StepwiseSearch,
     cone_of_influence,
     protocol_tables,
     reference_partial_model,
@@ -77,6 +78,17 @@ def assert_view_shows_value(search):
     assert tuple(map(tuple, search.view.masks)) == ref.masks
 
 
+def assert_view_shows_trail(search):
+    """The search's view shows its trail, each literal's cell at its value
+    and every other cell free, and reads as :func:`assert_view_shows_value`
+    asks."""
+    cells = [None] * search.n
+    for lit in search.trail:
+        cells[abs(lit) - 1] = 1 if lit > 0 else 0
+    assert search.value == cells
+    assert_view_shows_value(search)
+
+
 def load(search, cells):
     """Assign the search's cells through its own assignment path, at level
     0, so its live view follows."""
@@ -92,7 +104,8 @@ Outcome = namedtuple("Outcome", "verdict clause")
 def theory_check():
     """The search's theory verdict on an assignment merged with the
     requirements, taken by a fresh search on formula ``f``: ``"conflict"``
-    with the clause to learn, ``"early_accept"`` or ``"pass"``."""
+    with the clause to learn, ``"accept"`` when under holds too, or
+    ``"pass"``."""
 
     def check(asg, f, req, minimize=False):
         search = _Search(normalize(f), req, SolverConfig(minimize_conflicts=minimize))
@@ -105,7 +118,7 @@ def theory_check():
         clause = search.run_theory()
         if clause is not None:
             return Outcome("conflict", clause)
-        return Outcome("early_accept" if search.accepts() else "pass", None)
+        return Outcome("accept" if search.accepts() else "pass", None)
 
     return check
 
@@ -385,7 +398,7 @@ class TestTheoryCheck:
             f = random_core_formula(rng, 2, 1, rng.randint(0, 2))
             out = theory_check(encode_model(m), f, req)
             if check_validity(m, f):
-                assert out.verdict == "early_accept"
+                assert out.verdict == "accept"
             else:
                 assert out.verdict == "conflict"
 
@@ -595,31 +608,35 @@ class TestLiveView:
         assert_view_shows_value(search)
 
     def test_view_follows_backjumps_and_theory_calls(self, monkeypatch):
-        calls = {"backjump": 0, "run_theory": 0}
+        # A leap moves the view between prefixes of the trail; after it, as
+        # after every backjump and theory call, the view shows the trail.
+        # The random order's leaps also imply row cells, and may cut them.
+        calls = Counter()
 
         def follow(name):
             original = getattr(_Search, name)
 
             def wrapper(self, *args):
                 out = original(self, *args)
-                assert_view_shows_value(self)
+                assert_view_shows_trail(self)
                 calls[name] += 1
                 return out
 
             monkeypatch.setattr(_Search, name, wrapper)
 
-        follow("backjump")
-        follow("run_theory")
-        for text, locs, p, minimize in (
+        for name in ("backjump", "leap", "run_theory"):
+            follow(name)
+        for seed, (text, locs, p, minimize) in enumerate((
             ("<<0>> G p0 & <<>> F !p0", [3, 2], 1, True),
             ("<<0>> X p0 & <<1>> X !p0", [2, 2, 2], 1, True),
             ("p0 & !p0", [3, 2], 2, False),
-        ):
+        )):
+            f = normalize(parse_formula(text))
             req = Requirements(ModelShape(locs, None, p))
-            r = solve_satisfiability(parse_formula(text), req,
-                                     SolverConfig(minimize_conflicts=minimize))
-            assert not r.satisfiable
-        assert calls["backjump"] > 0 and calls["run_theory"] > 0
+            config = SolverConfig(minimize_conflicts=minimize)
+            for search in (_Search(f, req, config), RandomOrderSearch(f, req, config, seed)):
+                assert not search.run().satisfiable
+        assert min(calls.values()) >= 6, calls
 
 
 class TestProbe:
@@ -676,10 +693,11 @@ class TestProbe:
 
 class ConeKept(_Search):
     """The search, asserting that no cell outside the cone enters the trail,
-    at any level, which the exhaustion test of ``decide`` rests on, and
-    counting per search the cells it leaves free on acceptance."""
+    at any level, which the exhaustion test of ``decide`` rests on, and that
+    every cell still free on acceptance lies outside the cone, and counting
+    per search those cells, which the witness completes."""
 
-    left_free = 0
+    completed_outside = 0
 
     def assign(self, lit, reason):
         v = abs(lit) - 1
@@ -687,7 +705,9 @@ class ConeKept(_Search):
         super().assign(lit, reason)
 
     def witness(self):
-        self.left_free = self.value.count(None)
+        free = {v for v, b in enumerate(self.value) if b is None}
+        assert not free & self.program.cone, "acceptance with cone cells free"
+        self.completed_outside = len(free)
         return super().witness()
 
 
@@ -760,14 +780,14 @@ class TestCone:
                     if r.satisfiable:
                         assert is_compatible(r.witness, pm)
                         assert oracle_check_validity(r.witness, f)
-                        counts["left free"] += search.left_free > 0
+                        counts["completed outside"] += search.completed_outside > 0
             counts["solves"] += 1
             counts[exists] += 1
         assert counts[True] > 100 and counts[False] > 50, counts
         assert counts["forced inside"] > 100 and counts["forced outside"] > 100, counts
-        # Acceptance with cells still free, and rows outside the cone that
-        # the requirements leave one free cell.
-        assert counts["left free"] > 100 and counts["one-free row outside"] > 50, counts
+        # Witnesses that complete cells outside the cone, and rows outside
+        # the cone that the requirements leave one free cell.
+        assert counts["completed outside"] > 100 and counts["one-free row outside"] > 50, counts
 
     def test_a_row_left_one_free_cell_outside_the_cone(self):
         # !p0 reads p0 at the initial state alone.  The forced 0-cell leaves
@@ -1430,8 +1450,10 @@ class TestSolveSatisfiability:
         # the reused strategic steps pin the split views' reuse cache.
         # Acceptance waits for a full cone (36 cells here): past the point
         # where under first holds, each cone cell left costs one decision and
-        # one over check and adds no conflict.  Under runs once per solve, so
-        # nearly every reuse is an over run's.
+        # adds no conflict.  The decisions before the first conflict are made
+        # in one leap, which asks over once on the full trail, or bisects for
+        # the first failing level: a solve without a conflict makes 2 over
+        # checks, the level-0 one and the leap's, and reuses almost nothing.
         req = Requirements(ModelShape([2, 2, 2], [0, 0, 0], 3))
         formulas = [parse_formula(BENCH_FORMULA_1)] + [
             generate_random_formula(GenParams(3, 4, 3, depth, seed))
@@ -1442,17 +1464,17 @@ class TestSolveSatisfiability:
             (r.satisfiable, r.stats.decisions, r.stats.conflicts, r.stats.theory_checks)
             for r in runs
         ] == [
-            (True, 28, 0, 29),
-            (True, 36, 0, 37),
-            (True, 36, 1, 38),
-            (True, 36, 0, 37),
-            (True, 36, 0, 37),
-            (True, 43, 13, 57),
-            (True, 36, 0, 37),
-            (True, 36, 0, 37),
-            (True, 36, 2, 39),
+            (True, 28, 0, 2),
+            (True, 36, 0, 2),
+            (True, 36, 1, 10),
+            (True, 36, 0, 2),
+            (True, 36, 0, 2),
+            (True, 43, 13, 47),
+            (True, 36, 0, 2),
+            (True, 36, 0, 2),
+            (True, 36, 2, 17),
         ]
-        assert [r.stats.reused for r in runs] == [192, 260, 376, 464, 711, 866, 743, 799, 855]
+        assert [r.stats.reused for r in runs] == [0, 2, 70, 3, 2, 727, 3, 0, 344]
 
     def test_refute_theory_search_is_pinned(self):
         # The refute-theory formulas at [2,2,2] with 2 props, minimization
@@ -1461,7 +1483,9 @@ class TestSolveSatisfiability:
         # and the activity they give the cells they learn over; the reused
         # strategic steps pin the reuse cache across view and probe, which the
         # rechecks' sub-programs share.  Under never runs on these
-        # unsatisfiable formulas, so only over runs and rechecks reuse.
+        # unsatisfiable formulas, so only over runs and rechecks reuse.  The
+        # leap finds each first conflict by bisection, with fewer over checks
+        # than one per decision and so fewer reuses; the search is unchanged.
         req = Requirements(ModelShape([2, 2, 2], [0, 0, 0], 2))
         config = SolverConfig(minimize_conflicts=True)
         texts = ("<<0>> X p0 & <<1>> X !p0", "<<0,1>> X p0 & <<2>> X !p0",
@@ -1472,17 +1496,18 @@ class TestSolveSatisfiability:
              r.stats.propagations, r.stats.rechecks)
             for r in runs
         ] == [
-            (False, 92, 37, 127, 107, 226),
-            (False, 117, 71, 181, 202, 417),
-            (False, 200, 92, 288, 294, 765),
+            (False, 92, 37, 116, 107, 226),
+            (False, 117, 71, 168, 202, 417),
+            (False, 200, 92, 280, 294, 765),
         ]
-        assert [r.stats.reused for r in runs] == [76, 109, 146]
+        assert [r.stats.reused for r in runs] == [66, 95, 143]
 
     def test_criterion_6_search_at_2222_is_pinned(self):
         # The sweep's other shape, [2,2,2,2] with 3 props, default config:
         # (verdict, decisions, conflicts, theory checks, propagations).  As
-        # at [2,2,2], acceptance waits for a full cone (64 cells); the cells
-        # set after under first holds add decisions and over checks only.
+        # at [2,2,2], acceptance waits for a full cone (64 cells), and the
+        # decisions before the first conflict take one leap: 2 over checks on
+        # a solve without a conflict.
         req = Requirements(ModelShape([2, 2, 2, 2], [0, 0, 0, 0], 3))
         formulas = [parse_formula(BENCH_FORMULA_1)] + [
             generate_random_formula(GenParams(3, 4, 3, depth, seed))
@@ -1494,15 +1519,15 @@ class TestSolveSatisfiability:
              r.stats.propagations)
             for r in runs
         ] == [
-            (True, 48, 0, 49, 0),
-            (True, 64, 0, 65, 0),
-            (True, 64, 2, 67, 2),
-            (True, 64, 0, 65, 0),
-            (True, 64, 0, 65, 0),
-            (True, 134, 82, 217, 82),
-            (True, 64, 0, 65, 0),
-            (True, 64, 0, 65, 0),
-            (True, 64, 2, 67, 2),
+            (True, 48, 0, 2, 0),
+            (True, 64, 0, 2, 0),
+            (True, 64, 2, 15, 2),
+            (True, 64, 0, 2, 0),
+            (True, 64, 0, 2, 0),
+            (True, 134, 82, 199, 82),
+            (True, 64, 0, 2, 0),
+            (True, 64, 0, 2, 0),
+            (True, 64, 2, 25, 2),
         ]
 
     def test_refute_bool_search_is_pinned(self):
@@ -1532,13 +1557,14 @@ class TestSolveSatisfiability:
         # step puts every cell in the cone, and each theory conflict clause
         # negates every assigned cell, so Boolean conflicts do most of the
         # refuting.  (verdict, decisions, conflicts, theory checks,
-        # propagations, cone cells.)
+        # propagations, cone cells.)  The first conflict comes at level 13:
+        # the leap reaches it with 6 over checks where one per level took 14.
         shape = ModelShape([2, 2, 2], None, 1)
         r = solve_satisfiability(parse_formula("<<>> G p0 & !p0"), Requirements(shape),
                                  SolverConfig(minimize_conflicts=False))
         assert shape.bit_count == 20
         assert (r.satisfiable, r.stats.decisions, r.stats.conflicts, r.stats.theory_checks,
-                r.stats.propagations, r.stats.cone_cells) == (False, 1457, 1458, 2915, 1821, 20)
+                r.stats.propagations, r.stats.cone_cells) == (False, 1457, 1458, 2907, 1821, 20)
 
     def test_constrained_search_is_pinned(self):
         # Requirements with a repeated row: their forced cells drive the
@@ -1546,7 +1572,8 @@ class TestSolveSatisfiability:
         # checks, propagations, rechecks).  No justified clause names a
         # forced cell, so greedy spends no recheck dropping one.  Each
         # satisfiable row sets the 6 cone cells still free when under first
-        # holds, one decision and one over check each, before it accepts.
+        # holds, one decision each, before it accepts.  The leap to each first
+        # conflict saves 4 over checks.
         req = Requirements(
             ModelShape([2, 2, 2], [0, 0, 0], 2),
             cp_constraints=((0, 0, 1, 0), (1, 1, 0, 1), (0, 0, 1, 0)),
@@ -1566,9 +1593,9 @@ class TestSolveSatisfiability:
              r.stats.propagations, r.stats.rechecks)
             for r in runs
         ] == [
-            (True, 22, 5, 28, 6, 0),
-            (True, 41, 5, 47, 7, 25),
-            (False, 53, 20, 73, 39, 121),
+            (True, 22, 5, 24, 6, 0),
+            (True, 41, 5, 43, 7, 25),
+            (False, 53, 20, 69, 39, 121),
         ]
 
     def test_propagations_counted_and_repeatable(self):
@@ -1763,6 +1790,234 @@ class TestAcceptance:
                 kinds[late.satisfiable, late.stats.decisions > eager.stats.decisions] += 1
             draws += 1
         assert kinds[False, False] >= 10 and kinds[True, True] >= 10, kinds
+
+
+class TestLeap:
+    """Before the first conflict, ``leap`` makes the search's decisions at
+    once and bisects for the first failing over check.  The search one step
+    at a time (:class:`StepwiseSearch`) is its reference: the two share
+    verdict, decisions, conflicts, propagations, rechecks, learned clauses
+    and witness, and only over checks and reuses move."""
+
+    # The refute-theory workload: (formula, ((locals per agent, props), ...)).
+    REFUTE_THEORY = (
+        ("<<0>> X p0 & <<1>> X !p0", (([2, 2, 2], 1), ([2, 2, 2], 2), ([3, 2, 2], 2))),
+        ("<<0,1>> X p0 & <<2>> X !p0", (([2, 2, 2], 1), ([2, 2, 2], 2))),
+        ("<<0>> G p0 & <<>> F !p0", (([2, 2, 2], 1), ([2, 2, 2], 2), ([3, 2], 1))),
+    )
+    # Criterion 7's shapes for p0 & !p0: (locals per agent, initial locals, props).
+    LADDER = (([2, 2], [0, 0], 1), ([3, 2], [0, 0], 2), ([2, 2, 2], [0, 0, 0], 2), ([5], [0], 1),
+              ([4, 2], [1, 1], 1), ([3, 3], [2, 2], 1), ([2, 2, 2], [1, 1, 1], 2))
+
+    @staticmethod
+    def agree(f, req, config, clauses=(), search=_Search):
+        """Solve ``f`` by ``search`` and by :class:`StepwiseSearch`, each
+        given ``clauses`` on top of its own, check that the two agree, and
+        return both results, the leaping search's first."""
+        searches = [cls(f, req, config) for cls in (search, StepwiseSearch)]
+        for search in searches:
+            for clause in clauses:
+                search.add_clause(clause)
+        leap, stepwise = results = [search.run() for search in searches]
+        assert leap.satisfiable == stepwise.satisfiable
+        for name in ("decisions", "conflicts", "propagations", "rechecks", "cone_cells"):
+            assert getattr(leap.stats, name) == getattr(stepwise.stats, name), name
+        assert searches[0].clauses == searches[1].clauses
+        if leap.satisfiable:
+            assert encode_model(leap.witness).bits == encode_model(stepwise.witness).bits
+        return results
+
+    @pytest.mark.parametrize("locals_per_agent", [[2, 2, 2], [2, 2, 2, 2]])
+    @pytest.mark.parametrize("minimize", [False, True])
+    def test_the_sweep_search(self, locals_per_agent, minimize):
+        # Criterion 6: formula 1 and the generator rows.  A solve without a
+        # conflict makes two over checks, at level 0 and on the full trail.
+        req = Requirements(ModelShape(locals_per_agent, None, 3))
+        config = SolverConfig(minimize_conflicts=minimize, time_limit=5)
+        formulas = [parse_formula(BENCH_FORMULA_1)] + [
+            generate_random_formula(GenParams(3, 4, 3, depth, seed))
+            for depth, _, seed in BENCH_ROWS
+        ]
+        checks = Counter()
+        for f in formulas:
+            leap, stepwise = self.agree(f, req, config)
+            assert leap.satisfiable
+            if not leap.stats.conflicts:
+                assert leap.stats.theory_checks == 2
+            checks["leap"] += leap.stats.theory_checks
+            checks["stepwise"] += stepwise.stats.theory_checks
+        assert checks["leap"] < checks["stepwise"] / 2, checks
+
+    def test_the_refutations(self):
+        # The refute-theory formulas with minimization on, as that workload
+        # solves them, and p0 & !p0 on the criterion-7 ladder and the
+        # refute-bool shapes, with minimization off and on.
+        minimized = SolverConfig(minimize_conflicts=True, time_limit=5)
+        cases = [(text, ModelShape(locs, None, p), minimized)
+                 for text, shapes in self.REFUTE_THEORY for locs, p in shapes]
+        for minimize in (False, True):
+            config = SolverConfig(minimize_conflicts=minimize, time_limit=5)
+            shapes = [ModelShape(locs, init, p) for locs, init, p in self.LADDER]
+            shapes += [ModelShape(locs, None, 1) for locs in ([2, 2], [3, 1], [2, 2, 2])]
+            cases += [("p0 & !p0", shape, config) for shape in shapes]
+        checks = Counter()
+        for text, shape, config in cases:
+            leap, stepwise = self.agree(parse_formula(text), Requirements(shape), config)
+            assert not leap.satisfiable
+            checks["leap"] += leap.stats.theory_checks
+            checks["stepwise"] += stepwise.stats.theory_checks
+        assert checks["leap"] < checks["stepwise"], checks
+
+    def test_random_draws(self):
+        # Random formulas and cp/cv rows on tiny shapes, minimization off
+        # and on.  The leap makes fewer over checks when the first conflict
+        # comes late, and may make more when it comes early.
+        shapes = [S22P1, ModelShape([2, 2], [0, 0], 2), ModelShape([2], [0], 2),
+                  ModelShape([3], [0], 1), ModelShape([2, 2], [1, 0], 1),
+                  ModelShape([2, 2, 2], [0, 0, 0], 1)]
+        rng = random.Random(36)
+        kinds = Counter()
+        while kinds["draws"] < 100:
+            shape = rng.choice(shapes)
+            cp = [(a, rng.randrange(n), rng.randrange(n), rng.randint(0, 1))
+                  for a, n in enumerate(shape.locals_per_agent) for _ in range(rng.randint(0, 1))]
+            cv = [(rng.randrange(shape.state_count), rng.randrange(shape.prop_count),
+                   rng.randint(0, 1)) for _ in range(rng.randint(0, 2))]
+            try:
+                req = Requirements(shape, cp, cv)
+            except ValueError:
+                continue  # a row forced empty, or a cell forced both ways
+            f = random_core_formula(rng, shape.agent_count, shape.prop_count, rng.randint(1, 3))
+            for minimize in (False, True):
+                config = SolverConfig(minimize_conflicts=minimize, time_limit=5)
+                leap, stepwise = self.agree(f, req, config)
+                kinds[leap.satisfiable] += 1
+                kinds["fewer checks"] += leap.stats.theory_checks < stepwise.stats.theory_checks
+                kinds["more checks"] += leap.stats.theory_checks > stepwise.stats.theory_checks
+            kinds["draws"] += 1
+        assert min(kinds[True], kinds[False]) > 30 and kinds["fewer checks"] > 50, kinds
+        assert kinds["more checks"] > 0, kinds
+
+    def test_a_leap_met_by_a_boolean_conflict(self):
+        # Two clauses that together forbid the value a decision gives one
+        # cell: agent 2's first protocol cell, or p0 at state 6.  The leap's
+        # decision of it meets a Boolean conflict.  On the satisfiable
+        # formula over holds at the level before, and the leap returns that
+        # conflict; on the contradiction over fails earlier, and the leap
+        # bisects below it.
+        shape = ModelShape([2, 2, 2], None, 1)
+        seen = Counter()
+
+        class Met(_Search):
+            def propagate(self):
+                out = super().propagate()
+                seen["met"] += out is not None and not self.stats.conflicts
+                return out
+
+            def leap(self):
+                out = super().leap()
+                seen["returned"] += out in clauses
+                return out
+
+        for text, decided, later, returned in (
+            ("<<0>> X p0", shape.tb_bit(2, 0, 0) + 1, shape.vb_bit(0, 0) + 1, True),
+            ("<<0>> X p0 & <<1>> X !p0", -(shape.vb_bit(6, 0) + 1), shape.vb_bit(7, 0) + 1, False),
+        ):
+            clauses = ((-decided, later), (-decided, -later))
+            for minimize in (False, True):
+                seen.clear()
+                config = SolverConfig(minimize_conflicts=minimize, time_limit=5)
+                leap, _ = self.agree(parse_formula(text), Requirements(shape), config, clauses, Met)
+                assert leap.satisfiable is returned
+                assert seen == {"met": 1, "returned": returned}, (text, seen)
+
+    def test_random_order_leaps_propagate_and_keep_the_verdict(self):
+        # Random polarities imply row cells during a leap, and the leap may
+        # cut those levels.  After each leap, decisions and propagations
+        # count the trail's decisions and implied cells, and every verdict
+        # equals exact checking of the compatible models.
+        shapes = [S22P1, ModelShape([2], [0], 2), ModelShape([3], [0], 1)]
+        models = {shape: list(enumerate_models(shape)) for shape in shapes}
+        counts = Counter()
+
+        class Counted(RandomOrderSearch):
+            def leap(self):
+                implied = self.stats.propagations
+                out = super().leap()
+                # A forced cell is a level-0 literal without a reason.
+                reasons = [(self.level[abs(lit) - 1], self.reason[abs(lit) - 1] is not None)
+                           for lit in self.trail]
+                assert self.stats.decisions == len(self.trail_lim)
+                assert self.stats.decisions == sum(lv > 0 and not r for lv, r in reasons)
+                assert self.stats.propagations == sum(r for _, r in reasons)
+                counts["kept implied"] += self.stats.propagations > implied
+                return out
+
+            def backjump(self, target_level):
+                if not self.stats.conflicts:
+                    counts["cut"] += 1
+                    cut = self.trail[self.trail_lim[target_level]:]
+                    counts["cut implied"] += any(self.reason[abs(lit) - 1] for lit in cut)
+                super().backjump(target_level)
+
+        rng = random.Random(63)
+        while counts["solves"] < 200:
+            shape = rng.choice(shapes)
+            cv = [(rng.randrange(shape.state_count), rng.randrange(shape.prop_count),
+                   rng.randint(0, 1)) for _ in range(rng.randint(0, 2))]
+            try:
+                req = Requirements(shape, cv_constraints=cv)
+            except ValueError:
+                continue  # a cell forced both ways
+            f = random_core_formula(rng, shape.agent_count, shape.prop_count, rng.randint(1, 2))
+            pm = req.induced_partial_model()
+            exists = any(is_compatible(m, pm) and check_validity(m, f) for m in models[shape])
+            config = SolverConfig(minimize_conflicts=rng.random() < 0.5, time_limit=5)
+            r = Counted(f, req, config, counts["solves"]).run()
+            assert r.satisfiable == exists, (format_formula(f), req)
+            counts["solves"] += 1
+        assert counts["kept implied"] > 20 and counts["cut implied"] > 20, counts
+
+    def test_the_time_limit_holds_inside_the_bisection(self, monkeypatch):
+        # <<0>> X p0 & <<1>> X !p0 at [3,2,2] with 2 props: the leap decides
+        # 29 levels, over fails on the full trail, and the first failing
+        # level is 26.  The clock passes the limit during the bisection's
+        # first probe, the third over check, and the solve stops before the
+        # next probe, with every level still on the trail.
+        f = normalize(parse_formula("<<0>> X p0 & <<1>> X !p0"))
+        req = Requirements(ModelShape([3, 2, 2], None, 2))
+        cuts = []
+
+        class Cut(Exception):
+            pass
+
+        class FirstCut(_Search):
+            def backjump(self, target_level):
+                cuts.append((len(self.trail_lim), target_level))
+                raise Cut
+
+        with pytest.raises(Cut):
+            FirstCut(f, req, SolverConfig()).run()
+        assert cuts == [(29, 26)]
+
+        now = [0.0]
+        monkeypatch.setattr(solver, "_clock", lambda: now[0])
+        checks = []
+        sapp = solver.sapp
+
+        def late(pm, program, mode):
+            checks.append(mode)
+            if len(checks) == 3:
+                now[0] = 100.0
+            return sapp(pm, program, mode)
+
+        monkeypatch.setattr(solver, "sapp", late)
+        search = _Search(f, req, SolverConfig(time_limit=10))
+        with pytest.raises(SolveTimeout):
+            search.run()
+        assert checks == [Mode.OVER] * 3
+        assert search.stats.decisions == len(search.trail_lim) == 29
+        assert search.stats.conflicts == 0
 
 
 class TestExtractModel:
