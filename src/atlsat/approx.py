@@ -238,16 +238,17 @@ def _cons(f: Formula, shape: ModelShape) -> tuple[list[tuple], list[Formula], in
 
 
 class _Split:
-    """A split view of one coalition and mode: per agent which of its
-    (necessary, possible) rows the view takes, the enabled rows, which
-    :meth:`Program.explain` reads, and the pre-image plan that
-    :func:`~atlsat.mc.atl_pre` reads.  ``source`` is the partial model's
-    slices tuple the view was last refreshed from."""
+    """A split view of one coalition and mode: the ``coalition``, which
+    :meth:`Program.exact` reads, per agent which of its (necessary, possible)
+    rows the view takes, the enabled rows, which :meth:`Program.explain`
+    reads, and the pre-image plan that :func:`~atlsat.mc.atl_pre` reads.
+    ``source`` is the partial model's slices tuple of the last refresh."""
 
-    __slots__ = ("picks", "order", "source", "enabled", "plan")
+    __slots__ = ("coalition", "picks", "order", "source", "enabled", "plan")
 
     def __init__(self, shape: ModelShape, members: tuple[int, ...], mode: Mode):
         optimistic = mode is Mode.OVER
+        self.coalition = members
         self.order = shape.elimination_plan(members)
         self.picks = tuple(int((i in members) == optimistic) for i in range(shape.agent_count))
         self.source = self.enabled = None
@@ -275,9 +276,9 @@ class Program:
     evaluations it needs, children first, as ``(kind, out, a, b, view)``:
     ``a`` and ``b`` are the operand positions (for an atom the proposition
     and the valuation side), and a strategic step's ``view`` is its
-    ``(coalition, mode)`` split, indexing ``views``, ``coalitions`` and
-    ``plans``.  ``plans[view]`` is the plan the last approximation read,
-    refreshed from the partial model's slices by the split ``views[view]``.
+    ``(coalition, mode)`` split, indexing ``views`` and ``plans``.  The split
+    ``views[view]`` keeps the coalition and refreshes ``plans[view]``, the
+    plan the last approximation read, from the partial model's slices.
     Each strategic step keeps its last plan, operand sets and result, and
     reuses the result when the inputs repeat: within one view equal plans
     mean equal rows, as a shift's mask is a union of disjoint slot masks.
@@ -350,7 +351,6 @@ class Program:
             sorted({step[4] for step in mode_steps if step[4] is not None}) for mode_steps in steps
         )
         self.views = [_Split(shape, members, _MODES[u]) for members, u in views]
-        self.coalitions = [members for members, _ in views]
         self.plans: list[Plan] = [()] * len(views)
         self._last: list[tuple | None] = [None] * (2 * len(slots))
         self.reused = 0
@@ -381,13 +381,14 @@ class Program:
         return self._run(u, pm.masks, plans, self._last, self._values)
 
     def exact(self, m: Model | TransitionStructure) -> StateSet:
-        """:func:`solve_formula` of the compiled formula.  It neither reads
-        nor feeds the reuse caches, and takes one plan per distinct coalition
-        from a structure of ``m``'s rows and masks, the only one a solve builds."""
+        """:func:`solve_formula` of the compiled formula, without the reuse
+        caches, from one plan per distinct ``coalition`` of the splits, asked
+        of a structure of ``m``'s rows and masks, the only one a solve builds."""
         st = TransitionStructure(m.shape, m.enabled, m.prop_masks)
-        plans = {c: st.choice_masks(c) for c in dict.fromkeys(self.coalitions)}
+        coalitions = [split.coalition for split in self.views]
+        plans = {c: st.choice_masks(c) for c in dict.fromkeys(coalitions)}
         masks, n = (m.prop_masks, m.prop_masks), len(self._last)
-        return self._run(0, masks, [plans[c] for c in self.coalitions], [None] * n, [0] * n)
+        return self._run(0, masks, [plans[c] for c in coalitions], [None] * n, [0] * n)
 
     def _run(
         self,

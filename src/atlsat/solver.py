@@ -57,6 +57,7 @@ first conflict comes within a few levels.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -215,7 +216,7 @@ class _Search:
     cell, and a theory clause names trail cells or cells the verdict read,
     so every clause, learned ones too, names cone cells alone.  The trail
     thus holds every cone cell, and decisions stop, once its length is the
-    cone's size."""
+    cone's size.  Watch sets are built on demand, for cone literals alone."""
 
     def __init__(self, f: Formula, req: Requirements, config: SolverConfig):
         self.start = _clock()
@@ -246,9 +247,7 @@ class _Search:
         # Per clause, its watched literals; per literal, the clauses that
         # watch it (and so must be revisited when it becomes false).
         self.watched: list[tuple[int, ...]] = []
-        self.watchers: dict[int, set[int]] = {
-            lit: set() for v in range(1, self.n + 1) for lit in (v, -v)
-        }
+        self.watchers: defaultdict[int, set[int]] = defaultdict(set)
         # Trail literals before ``head`` have had their watchers visited.
         self.head = 0
         self.stats = SolverStats(cone_cells=len(cone))
@@ -615,13 +614,11 @@ class _Search:
     def decide(self) -> bool:
         """Open a decision level and assign the free cone cell of highest
         activity, the lowest-index one among equals, 1 for a protocol cell
-        and 0 for a valuation cell; False when no cone cell is free.  Until
-        the first analysis bumps, every free cone cell scores 0.0, so the
-        scores need no scan for their maximum."""
+        and 0 for a valuation cell; False when no cone cell is free."""
         if len(self.trail) == len(self.program.cone):
             return False
         score = self.score
-        v = score.index(max(score) if self.bump > 1.0 else 0.0)
+        v = score.index(max(score))
         self.trail_lim.append(len(self.trail))
         self.stats.decisions += 1
         self.assign((v + 1) if v < self.shape.vb_offset else -(v + 1), None)

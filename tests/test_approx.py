@@ -313,8 +313,9 @@ class TestSApp:
             slices = PartialModel(shape, encode_model(m).bits).slices()
             f = random_core_formula(rng, shape.agent_count, shape.prop_count, rng.randint(1, 3))
             program = Program(f, shape)
-            for split, coalition in zip(program.views, program.coalitions):
-                assert split.refresh(slices) == structure(m).choice_masks(coalition), (f, coalition)
+            for split in program.views:
+                assert split.refresh(slices) == structure(m).choice_masks(split.coalition), (
+                    f, split.coalition)
                 views += 1
         assert views > 300
 
@@ -719,7 +720,7 @@ class TestLiveView:
                 f"(<<{','.join(map(str, c))}>> X p0 & !<<{','.join(map(str, c))}>> X p0)"
                 for c in coalitions)))
             program = Program(f, shape)
-            views = {(program.coalitions[view], _MODES[out & 1]): view
+            views = {(program.views[view].coalition, _MODES[out & 1]): view
                      for _, out, _, _, view in program.steps[0] if view is not None}
             assert len(views) == 2 * len(coalitions)
             pm, trail = PartialModel(shape, (None,) * shape.bit_count), []

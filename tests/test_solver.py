@@ -276,7 +276,6 @@ class TestActivity:
 
     def test_ties_go_to_the_lowest_index(self):
         search = self.search()
-        search.bump = 1 / 0.95  # as after one conflict
         for v, a in ((3, 2.0), (5, 2.0), (9, 1.0)):
             search.activity[v] = search.score[v] = a
         assert search.decide() and search.trail[-1] == 4
@@ -285,16 +284,13 @@ class TestActivity:
         assert search.decide() and search.trail[-1] == 6
 
     def test_no_decision_without_a_free_cell(self):
-        # Before and after the first bump.
-        for bump in (1.0, 1 / 0.95):
-            search = self.search()
-            search.bump = bump
-            cone = search.program.cone
-            load(search, [1 if v in cone else None for v in range(search.n)])
-            assert not search.decide() and search.trail_lim == []
+        search = self.search()
+        cone = search.program.cone
+        load(search, [1 if v in cone else None for v in range(search.n)])
+        assert not search.decide() and search.trail_lim == []
 
     @pytest.mark.parametrize("f, shape, bumped", [
-        (Prop(0), S22P1, True),  # after one conflict: the max(score) branch
+        (Prop(0), S22P1, True),  # after one conflict
         (generate_random_formula(GenParams(3, 4, 3, 9, 8)),
          ModelShape([2, 2, 2], [0, 0, 0], 3), False),  # before any bump
     ])
@@ -1080,7 +1076,7 @@ class TestSplitViews:
             try:
                 return exact(program, m)
             finally:
-                asked.checks.append((inside.pop(), program.coalitions))
+                asked.checks.append((inside.pop(), [s.coalition for s in program.views]))
 
         def recorded_choice_masks(structure, coalition):
             (inside[-1] if inside else asked.elsewhere).append(tuple(coalition))
@@ -2210,6 +2206,21 @@ class TestPropagation:
                 search.assign(v if rng.random() < 0.5 else -v, None)
         assert boolean > 500 and theory > 500  # both kinds of conflict were driven
         assert arrivals > 0
+
+    @pytest.mark.parametrize("text, props, minimize", [
+        ("p0 & !p0", 1, False),  # a one-cell cone
+        ("<<0>> X p0 & <<1>> X !p0", 2, True),  # no p1 cell in the cone
+    ])
+    def test_watch_sets_are_only_for_cone_literals(self, text, props, minimize):
+        # Clauses and the trail name cone cells alone, so a refutation
+        # builds a watch set for no other literal.
+        search = _Search(normalize(parse_formula(text)),
+                         Requirements(ModelShape([2, 2, 2], None, props)),
+                         SolverConfig(minimize_conflicts=minimize))
+        assert not search.run().satisfiable
+        cone = search.program.cone
+        assert len(cone) < search.n and search.watchers
+        assert {abs(lit) - 1 for lit in search.watchers} <= cone
 
     def test_asserting_clause_implies_on_arrival(self):
         # Two decisions on valuation cells, which no row clause
